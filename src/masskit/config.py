@@ -8,7 +8,7 @@ sums of primitive terms so that configs stay diff-friendly:
     {"kind": "const", "value": c}                       c
     {"kind": "power", "coefficient": c, "exponent": a}  c r^a
     {"kind": "gaussian", "amplitude": c,
-     "center": r0, "width": w}                          c exp(-(r-r0)^2/2w^2)
+     "center": r0, "width": w}                          c exp(-((r-r0)/w)^2)
     {"kind": "schwarzschild", "mass": m}                1 + m/(2 r^{n-2})
 """
 from __future__ import annotations
@@ -17,7 +17,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import metrics, radial
 from .elliptic import DomainModel
@@ -189,6 +190,9 @@ SCENE_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate would re-check the constant schema per call
+_SCENE_VALIDATOR = validator_for(SCENE_SCHEMA)(SCENE_SCHEMA)
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -234,10 +238,9 @@ def load_config(path):
     if version != SCHEMA_VERSION:
         raise ConfigError("config schema version %r unsupported (expected %d)"
                           % (version, SCHEMA_VERSION))
-    try:
-        jsonschema.validate(data, SCENE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError("at %s: %s" % (exc.json_path, exc.message))
+    error = best_match(_SCENE_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise ConfigError("at %s: %s" % (error.json_path, error.message))
     return SceneConfig(data=data, sha256=digest, path=str(path))
 
 

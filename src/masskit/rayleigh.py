@@ -8,11 +8,12 @@ constant estimate minimizes
 over interior-supported functions (Dirichlet rings at both extremes), so the
 result is an upper estimate of the domain's true constant and is labeled as
 such.  The eigenvalue bound is the smallest generalized eigenvalue of
-K + M_R against the mass matrix, found by shifted inverse iteration on the
-tridiagonal system.
+K + M_R against the mass matrix: by shifted inverse iteration on the radial
+tridiagonal system, by preconditioned LOBPCG on the full 3D grid.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,8 +123,7 @@ def sobolev_estimate(domain, metric, max_iters=600, tol=1e-10):
 
     def ksolve(rhs):
         out = np.zeros(mesh.num_nodes)
-        from scipy.linalg import solve_banded as _sb
-        out[1:-1] = _sb((1, 1), ab, rhs[1:-1])
+        out[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
         return out
 
     zeta = project(zeta)
@@ -227,13 +227,15 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=(40, 10, 20),
 
     Same quantity as the radial `eigenvalue_lower_bound` (inner boundary
     Neumann-natural, outer sphere Dirichlet) but minimized over all grid
-    functions on the log-radius x latitude x longitude grid.  Shifted
-    inverse iteration; the inner solves use conjugate gradients at fixed
-    tolerance 1e-10 with a Jacobi preconditioner, keeping the reduction
-    order fixed.
+    functions on the log-radius x latitude x longitude grid.  LOBPCG
+    (Knyazev 2001) from a radial sine start solves A x = lam M x, A = K +
+    diag(R vol), M = diag(vol), with the Jacobi preconditioner of A - shift M
+    (shift = min(0, min R) - 1 keeps it positive).  tol bounds the residual
+    norm |A x - lam M x| of the M-normalized mode; missing it within
+    max_iters iterations raises EstimationError with the last iterate.
     """
     from scipy.sparse import diags
-    from scipy.sparse.linalg import cg
+    from scipy.sparse.linalg import lobpcg
 
     from .grids import SphericalGrid, grid_operators
 
@@ -253,35 +255,26 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=(40, 10, 20),
     idx_r = np.repeat(np.arange(Nr), Nth * Nph)
     interior = idx_r < Nr - 1          # Dirichlet only on the outer ring
 
-    Kii = K[interior][:, interior].tocsr()
     mass = vol[interior]
-    pot = Rv[interior] * mass
+    A = (K[interior][:, interior] + diags(Rv[interior] * mass)).tocsr()
     shift = min(0.0, float(Rv.min())) - 1.0
-    A = (Kii + diags(pot - shift * mass)).tocsr()
-    jacobi = diags(1.0 / A.diagonal())
+    jacobi = diags(1.0 / (A.diagonal() - shift * mass))
 
     ri = r[interior]
     x = np.sin(np.pi * (grid.r_max - ri) / (grid.r_max - grid.r_min))
-    x /= np.sqrt(np.sum(mass * x * x))
-    lam_old = np.inf
-    lam = 0.0
-    it = 0
-    for it in range(1, max_iters + 1):
-        y, info = cg(A, mass * x, x0=x, rtol=1e-10, atol=0.0,
-                     maxiter=8000, M=jacobi)
-        if info != 0:
-            raise EstimationError("inverse-iteration CG did not converge "
-                                  "(info=%d)" % info, last_iterate=y)
-        y /= np.sqrt(np.sum(mass * y * y))
-        Ky = Kii @ y + pot * y
-        lam = float(np.sum(y * Ky) / np.sum(mass * y * y))
-        x = y
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            break
-        lam_old = lam
-    else:
-        raise EstimationError("3D inverse iteration did not settle "
-                              "(last %.6g)" % lam, last_iterate=x)
+    with warnings.catch_warnings():
+        # lobpcg only warns when it misses tol; the check below raises
+        warnings.simplefilter("ignore", UserWarning)
+        lam, vec, res_hist = lobpcg(A, x[:, None], B=diags(mass), M=jacobi,
+                                    tol=tol, maxiter=max_iters, largest=False,
+                                    retResidualNormsHistory=True)
+    lam = float(lam[0])
+    x = vec[:, 0] * np.copysign(1.0, vec[:, 0].sum())   # positive mode
+    it = len(res_hist) - 2     # history: start, iterations, returned mode
+    if not res_hist[-1] <= tol:
+        raise EstimationError("3D LOBPCG did not reach residual %.3g in %d "
+                              "iterations (residual %.3g, last %.6g)"
+                              % (tol, it, res_hist[-1], lam), last_iterate=x)
     mode = np.zeros(grid.num_nodes)
     mode[interior] = x
     return EigenvalueReport(value=lam, radii=r, mode=mode, iterations=it,

@@ -188,3 +188,38 @@ def test_full3d_eigenvalue_converges_to_radial():
     assert err_f < err_c < 0.05
     assert err_f <= 0.03
     assert fine.value > radial.value
+
+
+def _shift_invert_reference(metric, rho, c, shape):
+    # smallest eigenvalue of the same pencil, by sparse LU shift-invert on
+    # the symmetrically mass-scaled operator
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
+
+    from masskit.grids import SphericalGrid, grid_operators
+
+    grid = SphericalGrid(r_min=metric.r_min, r_max=rho, shape=shape)
+    vol, K = grid_operators(grid, metric)
+    interior = np.arange(grid.num_nodes) < grid.num_nodes - shape[1] * shape[2]
+    mass = vol[interior]
+    A = K[interior][:, interior] + diags(c * mass)
+    s = diags(1.0 / np.sqrt(mass))
+    return eigsh((s @ A @ s).tocsc(), k=1, sigma=0,
+                 return_eigenvectors=False)[0]
+
+
+@pytest.mark.parametrize("metric, c", [(metrics.euclidean(3), 0.0),
+                                       (metrics.schwarzschild(1.0, 3), 0.005)])
+def test_full3d_eigenvalue_matches_shift_invert_reference(metric, c):
+    rep = rayleigh.eigenvalue_bound_full3d(metric, 8.0, c, shape=(20, 6, 12))
+    ref = _shift_invert_reference(metric, 8.0, c, (20, 6, 12))
+    assert abs(rep.value - ref) <= 1e-10 * abs(ref)
+    assert rep.mode[-1] == 0.0
+    assert rep.mode.min() >= 0.0
+
+
+def test_full3d_eigenvalue_budget_raises_with_iterate():
+    with pytest.raises(EstimationError) as err:
+        rayleigh.eigenvalue_bound_full3d(metrics.euclidean(3), 8.0, 0.0,
+                                         shape=(20, 6, 12), max_iters=3)
+    assert isinstance(err.value.last_iterate, np.ndarray)
