@@ -4,7 +4,8 @@ For radial metrics the equation Delta_g u - f u = 0 reduces per steradian to
 (kappa u')' = f u w with kappa = a^{(n-1)/2}(a+b)^{-1/2} r^{n-1} and
 w = a^{(n-1)/2}(a+b)^{1/2} r^{n-1}.  An adaptive eighth-order integrator
 turns that into reference values far below the mesh solver's truncation
-error, giving an independent check of the elliptic engine.
+error, giving an independent check of the elliptic engine.  Each
+right-hand-side evaluation makes one `radial_kappa_w` call and one `f` call.
 """
 from __future__ import annotations
 
@@ -20,32 +21,29 @@ _RTOL = 1e-12
 _ATOL = 1e-14
 
 
-def _coeff_fns(metric):
+def _coeff_fn(metric, f):
+    """(kappa, w, f) at one radius from one `radial_kappa_w` and one f call."""
     if metric.radial_form is None:
         raise ConfigError("shooting oracle needs a radial metric")
+    fn = f.value if hasattr(f, "value") else f
 
-    def kap(r):
-        return radial_kappa_w(metric, np.atleast_1d(r))[0]
+    def coeffs(r):
+        r = np.atleast_1d(r)
+        kap, w = radial_kappa_w(metric, r)
+        return kap[0], w[0], np.asarray(fn(r), dtype=float)[0]
 
-    def w(r):
-        return radial_kappa_w(metric, np.atleast_1d(r))[1]
-
-    return kap, w
-
-
-def _fval(f, r):
-    vals = f.value(np.atleast_1d(r)) if hasattr(f, "value") else f(np.atleast_1d(r))
-    return np.asarray(vals, dtype=float)
+    return coeffs
 
 
 @dataclass
 class ShootingResult:
-    """Normalized conformal factor from outward integration.
+    """Normalized expansion data from outward integration.
 
     The raw solution starts from (u, kappa u') = (1, 0) at the inner cut;
     dividing by the limit c_inf enforces u -> 1 at infinity, and the
     conserved outer flux Phi gives the expansion coefficient exactly:
-    A = -Phi / ((n - 2) c_inf).
+    A = -Phi / ((n - 2) c_inf).  nfev counts the right-hand-side
+    evaluations of the outward integration.
     """
     n: int
     r_inner: float
@@ -53,29 +51,13 @@ class ShootingResult:
     c_inf: float
     phi: float
     A: float
-    _sol: object
-    _kap: object
-
-    def u(self, r):
-        """Normalized solution values at radii r >= r_inner."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        inside = r <= self.r_support
-        if inside.any():
-            out[inside] = self._sol.sol(r[inside])[0]
-        if (~inside).any():
-            base = self._sol.sol(self.r_support)[0]
-            for idx in np.nonzero(~inside)[0]:
-                tail, _ = quad(lambda s: 1.0 / self._kap(s)[0],
-                               self.r_support, r[idx], limit=200)
-                out[idx] = base + self.phi * tail
-        return out / self.c_inf
+    nfev: int
 
 
 def shoot_conformal_factor(metric, f, support_radius, r_inner=None):
-    """Reference (c_inf, A, u) for Delta_g u - f u = 0, Neumann inner cut."""
+    """Reference (c_inf, A) for Delta_g u - f u = 0, Neumann inner cut."""
     n = metric.n
-    kap, w = _coeff_fns(metric)
+    coeffs = _coeff_fn(metric, f)
     r0 = float(metric.r_min if r_inner is None else r_inner)
     rf = float(support_radius)
     if rf <= r0:
@@ -83,15 +65,16 @@ def shoot_conformal_factor(metric, f, support_radius, r_inner=None):
 
     def rhs(r, y):
         u, p = y
-        return [p / kap(r)[0], _fval(f, r)[0] * u * w(r)[0]]
+        kap, w, fr = coeffs(r)
+        return [p / kap, fr * u * w]
 
     sol = solve_ivp(rhs, (r0, rf), [1.0, 0.0], method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
+                    rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise SolverError("outward integration failed: %s" % sol.message)
     u_f, phi = sol.y[0, -1], sol.y[1, -1]
-    tail, err = quad(lambda s: 1.0 / kap(s)[0], rf, np.inf, limit=200,
-                     epsabs=1e-10, epsrel=1e-10)
+    tail, err = quad(lambda s: 1.0 / radial_kappa_w(metric, [s])[0][0], rf,
+                     np.inf, limit=200, epsabs=1e-10, epsrel=1e-10)
     if err > 1e-9 * max(1.0, abs(tail)):
         raise SolverError("tail quadrature noisy (err %.2e)" % err)
     c_inf = u_f + phi * tail
@@ -99,7 +82,7 @@ def shoot_conformal_factor(metric, f, support_radius, r_inner=None):
         raise SolverError("normalization limit %.3g not positive" % c_inf)
     A = -phi / ((n - 2) * c_inf)
     return ShootingResult(n=n, r_inner=r0, r_support=rf, c_inf=c_inf,
-                          phi=phi, A=A, _sol=sol, _kap=kap)
+                          phi=phi, A=A, nfev=sol.nfev)
 
 
 def shoot_truncated(metric, f, support_radius, R, r_inner=None):
@@ -107,37 +90,31 @@ def shoot_truncated(metric, f, support_radius, R, r_inner=None):
 
     Solves the linear problem by superposing a particular outward solution
     with the homogeneous one; both inherit the Neumann inner condition, so
-    one scalar match at R pins the combination.
+    one scalar match at R pins the combination.  The two are integrated as
+    one system [v_p, p_p, v_h, p_h], sharing each coefficient evaluation.
     """
-    kap, w = _coeff_fns(metric)
+    coeffs = _coeff_fn(metric, f)
     r0 = float(metric.r_min if r_inner is None else r_inner)
     R = float(R)
     if R <= max(r0, float(support_radius)):
         raise ConfigError("truncation radius %.3g too small" % R)
 
-    def rhs_p(r, y):
-        v, p = y
-        fr = _fval(f, r)[0]
-        return [p / kap(r)[0], fr * (1.0 + v) * w(r)[0]]
+    def rhs(r, y):
+        v_p, p_p, v_h, p_h = y
+        kap, w, fr = coeffs(r)
+        return [p_p / kap, fr * (1.0 + v_p) * w, p_h / kap, fr * v_h * w]
 
-    def rhs_h(r, y):
-        v, p = y
-        fr = _fval(f, r)[0]
-        return [p / kap(r)[0], fr * v * w(r)[0]]
-
-    sol_p = solve_ivp(rhs_p, (r0, R), [0.0, 0.0], method="DOP853",
-                      rtol=_RTOL, atol=_ATOL, dense_output=True)
-    sol_h = solve_ivp(rhs_h, (r0, R), [1.0, 0.0], method="DOP853",
-                      rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not (sol_p.success and sol_h.success):
+    sol = solve_ivp(rhs, (r0, R), [0.0, 0.0, 1.0, 0.0], method="DOP853",
+                    rtol=_RTOL, atol=_ATOL, dense_output=True)
+    if not sol.success:
         raise SolverError("truncated-problem integration failed")
-    vh_R = sol_h.y[0, -1]
+    vh_R = sol.y[2, -1]
     if abs(vh_R) < 1e-14:
         raise SolverError("homogeneous solution vanishes at R; cannot match")
-    c = -sol_p.y[0, -1] / vh_R
+    c = -sol.y[0, -1] / vh_R
 
     def v(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return sol_p.sol(r)[0] + c * sol_h.sol(r)[0]
+        y = sol.sol(np.atleast_1d(np.asarray(r, dtype=float)))
+        return y[0] + c * y[2]
 
     return v

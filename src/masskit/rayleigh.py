@@ -14,7 +14,7 @@ tridiagonal system, by preconditioned LOBPCG on the full 3D grid.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded

@@ -253,3 +253,48 @@ def test_solution_json_keys():
     for key in ("A_integral", "A_fit", "B_fit", "remainder_bound",
                 "flux_grad", "min_u", "robin_gap", "exhaustion_diffs"):
         assert key in d
+
+
+def flat_profile(k, r):
+    """v = r u for flat n=3 and f = k^2: v'' = k^2 v, v(1) = v'(1) = 1."""
+    s = k * (r - 1.0)
+    return np.cosh(s) + np.sinh(s) / k, k * np.sinh(s) + np.cosh(s)
+
+
+@pytest.mark.parametrize("k,rf", [(0.3, 4.0), (0.8, 6.0), (1.5, 3.0)])
+def test_shooting_oracle_closed_form_flat(k, rf):
+    sh = oracles.shoot_conformal_factor(metrics.euclidean(3),
+                                        radial.const(k * k), rf)
+    v, dv = flat_profile(k, rf)
+    assert sh.c_inf == pytest.approx(dv, rel=1e-10)
+    assert sh.A == pytest.approx((v - rf * dv) / dv, rel=1e-10)
+
+
+@pytest.mark.parametrize("k,rf,R", [(0.3, 4.0, 16.0), (0.8, 6.0, 8.0),
+                                    (1.5, 3.0, 5.0)])
+def test_truncated_oracle_closed_form_flat(k, rf, R):
+    vref = oracles.shoot_truncated(metrics.euclidean(3), radial.const(k * k),
+                                   rf, R)
+    r = np.linspace(1.0, R, 300)
+    exact = (flat_profile(k, r)[0] / r) / (flat_profile(k, R)[0] / R) - 1.0
+    assert np.abs(vref(r) - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+def test_shooting_evaluates_coefficients_once_per_step(monkeypatch):
+    rf = 6.5
+    expected = oracle_A(3)
+    calls = {"kappa_w": 0, "f": 0}
+    kappa_w = oracles.radial_kappa_w
+
+    def counted_kappa_w(metric, r):
+        calls["kappa_w"] += int(np.max(r) <= rf)
+        return kappa_w(metric, r)
+
+    def f(r):
+        calls["f"] += int(np.max(r) <= rf)
+        return bump().value(r)
+
+    monkeypatch.setattr(oracles, "radial_kappa_w", counted_kappa_w)
+    sh = oracles.shoot_conformal_factor(end_metric(), f, rf)
+    assert sh.A == expected
+    assert calls == {"kappa_w": sh.nfev, "f": sh.nfev}
