@@ -1,15 +1,15 @@
 """Pointwise curvature of end-chart metrics by central differencing.
 
 Metric components are sampled on a second-order stencil (1 + 2 n^2 evaluations
-per point) and fed to the contraction kernels; no symbolic machinery.  The
-default step follows h = min(0.01 r, 0.05), balancing truncation against
-cancellation across the log-radial range.
+per point) and fed to the numpy contraction kernels of ``_kernels_np``; no
+symbolic machinery.  The default step follows h = min(0.01 r, 0.05),
+balancing truncation against cancellation across the log-radial range.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import kernels
+from . import _kernels_np
 from .errors import DegenerateMetricError, DomainError
 
 
@@ -92,7 +92,7 @@ def christoffel_first_kind(metric, X, h=None):
     from central differences of order h^2."""
     g, dg, _ = fd_metric_derivatives(metric, X, h)
     try:
-        return kernels().christoffel_first(g, dg)[0]
+        return _kernels_np.christoffel_first(g, dg)[0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("metric not invertible on the stencil") from exc
 
@@ -101,7 +101,7 @@ def scalar_curvature_bartnik(metric, X, h=None):
     """Scalar curvature batch via the divergence-form contraction identity."""
     g, dg, ddg = fd_metric_derivatives(metric, X, h)
     try:
-        return kernels().scalar_curvature(g, dg, ddg)
+        return _kernels_np.scalar_curvature(g, dg, ddg)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("metric not invertible on the stencil") from exc
 
@@ -111,7 +111,7 @@ def ricci_tensor_fd(metric, X, h=None):
     route by the test-suite invariants rather than here."""
     g, dg, ddg = fd_metric_derivatives(metric, X, h)
     try:
-        return kernels().ricci_tensor(g, dg, ddg)
+        return _kernels_np.ricci_tensor(g, dg, ddg)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("metric not invertible on the stencil") from exc
 

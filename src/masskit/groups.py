@@ -188,7 +188,7 @@ def invariance_gap(metric, group, rng=7, count=20):
     gap = 0.0
     for T in group.generators if group.generators else group.elements[1:]:
         GT = metric.g(X @ T.T)
-        back = np.einsum('ba,qbc,cd->qad', T, GT, T)
+        back = T.T @ GT @ T
         gap = max(gap, float(np.max(np.abs(back - G))))
     return gap
 

@@ -88,18 +88,14 @@ class MetricSpec:
             raise DegenerateMetricError("metric not positive definite (min eig %.3g)" % lam_min)
         return {"max_asymmetry": float(asym), "min_eigenvalue": lam_min}
 
-    def conformal_rescale(self, phi: RProfile, family=None):
-        """Metric phi(r)^{4/(n-2)} g for a positive radial factor phi."""
-        return conformal_product(self, phi, family=family or (self.family + "*conformal"))
-
 
 def _radial_g(form: RadialForm, n):
     def ev(X):
         r = np.sqrt((X ** 2).sum(axis=1))
-        a0, _, b0, _ = form.ab(r)
-        xh = X / r[:, None]
-        g = a0[:, None, None] * np.eye(n)[None]
-        g += b0[:, None, None] * xh[:, :, None] * xh[:, None, :]
+        g = form.a(r)[0][:, None, None] * np.eye(n)[None]
+        if form.b is not None:
+            xh = X / r[:, None]
+            g += form.b(r)[0][:, None, None] * xh[:, :, None] * xh[:, None, :]
         return g
 
     return ev
@@ -233,8 +229,7 @@ def rotate(metric: MetricSpec, Q):
     Q = np.asarray(Q, dtype=float)
 
     def ev(X):
-        G = metric.g(X @ Q.T)
-        return np.einsum('ai,pab,bj->pij', Q, G, Q)
+        return Q.T @ metric.g(X @ Q.T) @ Q
 
     return MetricSpec(n=metric.n, family=metric.family + "*rot", evaluator=ev,
                       params=dict(metric.params), decay_orders=metric.decay_orders,

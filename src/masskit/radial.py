@@ -201,17 +201,6 @@ def window(t0, t1, t2, t3):
     return RProfile(fn)
 
 
-def rescale_arg(profile, s):
-    """p(r/s) as a profile in r."""
-    s = float(s)
-
-    def fn(r):
-        y, dy, ddy = profile(r / s)
-        return y, dy / s, ddy / s ** 2
-
-    return RProfile(fn)
-
-
 def compose(outer, inner):
     """Profile r -> outer(inner(r)) with chain-rule derivatives."""
     fo, fi = as_profile(outer), as_profile(inner)

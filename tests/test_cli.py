@@ -1,7 +1,10 @@
-"""CLI helpers: the threaded mass ladder against the library one."""
+"""CLI helpers and scenes: the threaded mass ladder against the library one,
+and byte-identical outputs across repeats and thread counts."""
+import json
 import types
 
 import numpy as np
+from click.testing import CliRunner
 
 from masskit import adm, cli, metrics
 
@@ -30,3 +33,34 @@ def test_mass_report_matches_adm_mass_serial_and_threaded(tmp_path):
         assert rep.method == "quadrature" == ref.method
         assert np.array_equal(rep.partial_masses, ref.partial_masses)
         assert rep.extrapolated == ref.extrapolated
+
+
+# the converge scene of the benchmark's cli-scenes workload at m = 1: FD
+# scalar curvature through the contraction kernels at three steps, then a
+# mass ladder
+CONVERGE_SCENE = {
+    "schema": 1,
+    "metric": {"family": "schwarzschild", "dimension": 3, "mass": 1.0},
+    "converge": {"operations": [
+        {"kind": "scalar_flatness", "h_values": [0.08, 0.04, 0.02]},
+        {"kind": "mass_ladder", "radii": [8, 16, 32, 64]}]},
+}
+
+
+def _converge_outputs(tmp_path, tag, threads):
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps(CONVERGE_SCENE))
+    out = tmp_path / tag
+    result = CliRunner().invoke(cli.main, [
+        "converge", "--config", str(config), "--out", str(out),
+        "--threads", str(threads), "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name != "run_manifest.json"}
+
+
+def test_converge_outputs_byte_identical_across_repeats_and_threads(tmp_path):
+    first = _converge_outputs(tmp_path, "a", 1)
+    assert "converge_report.json" in first and len(first) >= 3
+    assert _converge_outputs(tmp_path, "b", 1) == first
+    assert _converge_outputs(tmp_path, "c", 2) == first

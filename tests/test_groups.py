@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masskit import adm, metrics
+from masskit import adm, groups, metrics
+from masskit.curvature import sample_directions
 from masskit.errors import ConfigError, RegimeError
 from masskit.groups import (GroupAction, ale_lift, fixed_point_of_finite_group,
                             fundamental_domain_mass, invariance_gap)
@@ -125,6 +126,31 @@ def test_ale_lift_rejects_non_invariant_chart():
     assert invariance_gap(bad, antipodal()) > 0.1
     with pytest.raises(RegimeError, match="not invariant"):
         ale_lift(bad, antipodal())
+
+
+def test_invariance_gap_matches_einsum_reference():
+    # a tensor bump (x.B)(x.B)^T / r^3 that the double rotation moves, so the
+    # gap is O(1) and T^t g(Tx) T mixes every component
+    B = np.random.default_rng(4).standard_normal((4, 4))
+
+    def ev(Y):
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        r = np.sqrt((Y ** 2).sum(axis=1))
+        Z = Y @ B
+        return np.eye(4)[None] + 0.2 * (Z[:, :, None] * Z[:, None, :]
+                                         / r[:, None, None] ** 3)
+
+    metric = metrics.from_evaluator(ev, 4, family="tensor-bump")
+    group = cyclic_four()
+    dirs = sample_directions(4, 20, rng=7)
+    X = np.concatenate([metric.r_min * s * dirs
+                        for s in groups._INVARIANCE_RADII])
+    G = metric.g(X)
+    ref = max(float(np.abs(np.einsum('ba,qbc,cd->qad', T, metric.g(X @ T.T), T)
+                           - G).max())
+              for T in group.generators)
+    assert ref > 0.1
+    assert abs(invariance_gap(metric, group) - ref) <= 1e-13 * ref
 
 
 def test_ale_lift_dimension_mismatch():

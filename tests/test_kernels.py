@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masskit.backend import get_kernels
-
-K = get_kernels("python")
+from masskit import _kernels_np as K
 
 
 def quadratic_jet(A, B, C, X):
@@ -102,6 +100,41 @@ def test_round_sphere_exact_jet():
     Ric = K.ricci_tensor(g, dg, ddg)
     # Einstein: Ric = 2 g for the unit round sphere in three dimensions
     assert np.abs(Ric - 2.0 * g).max() < 1e-12
+
+
+def _scalar_curvature_unfactored(g, dg, ddg):
+    """The divergence-form identity with every contraction as one einsum,
+    the quartic term as a single five-operand contraction."""
+    ginv = np.linalg.inv(g)
+    dginv = -np.einsum('pia,plab,pbj->plij', ginv, dg, ginv)
+    dlog = np.einsum('pij,pkij->pk', ginv, dg)
+    ddlog = (np.einsum('plij,pkij->pkl', dginv, dg)
+             + np.einsum('pij,pklij->pkl', ginv, ddg))
+    G1 = 0.5 * (dg + np.einsum('pjik->pijk', dg) - np.einsum('pkij->pijk', dg))
+    dG1 = 0.5 * (ddg + np.einsum('pljik->plijk', ddg)
+                 - np.einsum('plkij->plijk', ddg))
+    Gc = np.einsum('pij,pijk->pk', ginv, G1)
+    dGc = (np.einsum('plij,pijk->plk', dginv, G1)
+           + np.einsum('pij,plijk->plk', ginv, dG1))
+    P = Gc - 0.5 * dlog
+    dP = dGc - 0.5 * ddlog
+    return (0.5 * np.einsum('pi,pij,pj->p', dlog, ginv, P)
+            + np.einsum('piij,pj->p', dginv, P)
+            + np.einsum('pij,pij->p', ginv, dP)
+            - 0.5 * np.einsum('pij,pi,pj->p', ginv, Gc, dlog)
+            + np.einsum('pab,pcd,pef,pace,pbfd->p', ginv, ginv, ginv, G1, G1))
+
+
+@pytest.mark.parametrize("N", [1, 257])
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 2)])
+def test_scalar_matches_unfactored_contraction(N, n, seed):
+    # |x| ~ 0.5 keeps every sampled g positive definite (condition <= 5)
+    A, B, C = make_coeffs(n, seed)
+    X = 0.5 * np.random.default_rng(seed + 200).standard_normal((N, n))
+    g, dg, ddg = quadratic_jet(A, B, C, X)
+    ref = _scalar_curvature_unfactored(g, dg, ddg)
+    R = K.scalar_curvature(g, dg, ddg)
+    assert np.abs(R - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -90,6 +90,26 @@ def test_rotation_pullback_scalar_curvature():
     assert np.abs(R_rot - R_base).max() < 10.0 * hstep ** 2
 
 
+def test_rotate_matches_einsum_congruence():
+    # Q^T g(Qx) Q against the explicit index contraction Q_ai g_ab Q_bj, on
+    # a non-radial perturbation whose components do not commute with Q
+    rng = np.random.default_rng(21)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    B = rng.standard_normal((3, 3))
+
+    def h(X):
+        r = np.sqrt((X ** 2).sum(axis=1))
+        Y = X @ B
+        return 0.05 * Y[:, :, None] * Y[:, None, :] / r[:, None, None] ** 3
+
+    m = metrics.perturbed(metrics.schwarzschild(1.0, 3), h)
+    U = rng.standard_normal((200, 3))
+    X = rng.uniform(2.0, 10.0, 200)[:, None] * U / np.linalg.norm(U, axis=1,
+                                                                  keepdims=True)
+    ref = np.einsum('ai,pab,bj->pij', Q, m.g(X @ Q.T), Q)
+    assert np.abs(metrics.rotate(m, Q).g(X) - ref).max() <= 1e-14
+
+
 def test_conformal_rescale_scales_values():
     m = metrics.schwarzschild(1.0, 3)
     phi = radial.const(1.0) + radial.power(0.3, -1.0)
