@@ -20,8 +20,8 @@ import numpy as np
 from . import adm, config as scene, density, elliptic, groups, lohkamp
 from . import oracles, reports
 from .curvature import sample_directions, scalar_curvature_bartnik
-from .errors import (AuditFailure, ConfigError, DegenerateMetricError,
-                     DomainError, InternalFault, RegimeError, SolverError)
+from .errors import (ConfigError, DegenerateMetricError, DomainError,
+                     InternalFault, RegimeError, SolverError)
 from .grids import sphere_area
 
 FLUX_TOL = 1e-8
@@ -116,7 +116,7 @@ def _dispatch(command, body, config_path, out, threads, seed):
         run.close("config-error", started, error=exc)
         click.echo("config error: %s" % exc, err=True)
         sys.exit(1)
-    except (RegimeError, AuditFailure, DegenerateMetricError) as exc:
+    except (RegimeError, DegenerateMetricError) as exc:
         run.close("fail", started, error=exc)
         click.echo("regime failure: %s" % exc, err=True)
         sys.exit(2)

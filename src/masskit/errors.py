@@ -26,21 +26,6 @@ class RegimeError(MasskitError):
     """Input violates a proved-regime precondition (e.g. smallness FAILED)."""
 
 
-class AuditFailure(MasskitError):
-    """A pipeline audit inequality failed; carries both sides of the inequality."""
-
-    def __init__(self, name, inequality, lhs, rhs, location=None):
-        self.name = name
-        self.inequality = inequality
-        self.lhs = float(lhs)
-        self.rhs = float(rhs)
-        self.location = location
-        msg = "%s: %s (lhs=%.6g, rhs=%.6g)" % (name, inequality, self.lhs, self.rhs)
-        if location is not None:
-            msg += " at %s" % (location,)
-        super().__init__(msg)
-
-
 class SolverError(MasskitError):
     """Linear or nonlinear solve failed to converge."""
 

@@ -4,8 +4,14 @@ For radial metrics the equation Delta_g u - f u = 0 reduces per steradian to
 (kappa u')' = f u w with kappa = a^{(n-1)/2}(a+b)^{-1/2} r^{n-1} and
 w = a^{(n-1)/2}(a+b)^{1/2} r^{n-1}.  An adaptive eighth-order integrator
 turns that into reference values far below the mesh solver's truncation
-error, giving an independent check of the elliptic engine.  Each
-right-hand-side evaluation makes one `radial_kappa_w` call and one `f` call.
+error, giving an independent check of the elliptic engine.
+
+The radial interval is cut into `_PANELS` equal panels (multiple shooting).
+Every panel's 2x2 fundamental matrix and its particular solution are
+integrated together as one DOP853 system in the panel variable s in [0, 1],
+so each right-hand-side evaluation makes one `radial_kappa_w` call and one
+`f` call at all the panel radii at once; chaining the panel propagators
+gives the state at the outer radius.
 """
 from __future__ import annotations
 
@@ -19,20 +25,53 @@ from .grids import radial_kappa_w
 
 _RTOL = 1e-12
 _ATOL = 1e-14
+_PANELS = 32
 
 
-def _coeff_fn(metric, f):
-    """(kappa, w, f) at one radius from one `radial_kappa_w` and one f call."""
+def _shoot_panels(metric, f, r0, r1, dense_output=False):
+    """Integrate every panel of [r0, r1] as one DOP853 system.
+
+    Panel k runs over [a_k, b_k] with r = (1 - s) a_k + s b_k.  Its state
+    rows are the fundamental matrix columns (u, kappa u') from (1, 0) and
+    from (0, 1), then the particular solution from (0, 0) with source
+    (0, f w).  Returns the edges, the propagators P (panels, 2, 2), the
+    particular end states z (panels, 2) and the solve_ivp result.
+    """
     if metric.radial_form is None:
         raise ConfigError("shooting oracle needs a radial metric")
     fn = f.value if hasattr(f, "value") else f
+    edges = np.linspace(r0, r1, _PANELS + 1)
+    a, b = edges[:-1], edges[1:]
+    h = b - a
 
-    def coeffs(r):
-        r = np.atleast_1d(r)
+    def rhs(s, y):
+        # exact at both ends, unlike a + s h, so the last panel stops at r1
+        r = (1.0 - s) * a + s * b
         kap, w = radial_kappa_w(metric, r)
-        return kap[0], w[0], np.asarray(fn(r), dtype=float)[0]
+        hfw = h * np.asarray(fn(r), dtype=float) * w
+        Y = y.reshape(3, 2, -1)
+        dY = np.empty_like(Y)
+        dY[:, 0] = Y[:, 1] * (h / kap)
+        dY[:, 1] = Y[:, 0] * hfw
+        dY[2, 1] += hfw
+        return dY.ravel()
 
-    return coeffs
+    y0 = np.zeros((3, 2, _PANELS))
+    y0[0, 0] = y0[1, 1] = 1.0
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
+                    rtol=_RTOL, atol=_ATOL, dense_output=dense_output)
+    if not sol.success:
+        raise SolverError("outward integration failed: %s" % sol.message)
+    end = sol.y[:, -1].reshape(3, 2, _PANELS)
+    return edges, end[:2].transpose(2, 1, 0), end[2].T, sol
+
+
+def _chain(P, z, y0):
+    """States (u, kappa u') at every panel edge, y_{k+1} = P_k y_k + z_k."""
+    ys = [np.asarray(y0, dtype=float)]
+    for k in range(len(P)):
+        ys.append(P[k] @ ys[-1] + z[k])
+    return np.array(ys)
 
 
 @dataclass
@@ -42,8 +81,8 @@ class ShootingResult:
     The raw solution starts from (u, kappa u') = (1, 0) at the inner cut;
     dividing by the limit c_inf enforces u -> 1 at infinity, and the
     conserved outer flux Phi gives the expansion coefficient exactly:
-    A = -Phi / ((n - 2) c_inf).  nfev counts the right-hand-side
-    evaluations of the outward integration.
+    A = -Phi / ((n - 2) c_inf).  nfev counts the batched right-hand-side
+    evaluations of the outward integration, each at every panel radius.
     """
     n: int
     r_inner: float
@@ -57,22 +96,12 @@ class ShootingResult:
 def shoot_conformal_factor(metric, f, support_radius, r_inner=None):
     """Reference (c_inf, A) for Delta_g u - f u = 0, Neumann inner cut."""
     n = metric.n
-    coeffs = _coeff_fn(metric, f)
     r0 = float(metric.r_min if r_inner is None else r_inner)
     rf = float(support_radius)
     if rf <= r0:
         raise ConfigError("support radius %.3g inside inner cut %.3g" % (rf, r0))
-
-    def rhs(r, y):
-        u, p = y
-        kap, w, fr = coeffs(r)
-        return [p / kap, fr * u * w]
-
-    sol = solve_ivp(rhs, (r0, rf), [1.0, 0.0], method="DOP853",
-                    rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise SolverError("outward integration failed: %s" % sol.message)
-    u_f, phi = sol.y[0, -1], sol.y[1, -1]
+    _, P, z, sol = _shoot_panels(metric, f, r0, rf)
+    u_f, phi = _chain(P, 0.0 * z, [1.0, 0.0])[-1]
     tail, err = quad(lambda s: 1.0 / radial_kappa_w(metric, [s])[0][0], rf,
                      np.inf, limit=200, epsabs=1e-10, epsrel=1e-10)
     if err > 1e-9 * max(1.0, abs(tail)):
@@ -90,31 +119,28 @@ def shoot_truncated(metric, f, support_radius, R, r_inner=None):
 
     Solves the linear problem by superposing a particular outward solution
     with the homogeneous one; both inherit the Neumann inner condition, so
-    one scalar match at R pins the combination.  The two are integrated as
-    one system [v_p, p_p, v_h, p_h], sharing each coefficient evaluation.
+    one scalar match at R pins the combination.  Both come from the same
+    panel integration: chaining the panel propagators gives each one's state
+    at every panel start, and the dense output carries v inside a panel.
     """
-    coeffs = _coeff_fn(metric, f)
     r0 = float(metric.r_min if r_inner is None else r_inner)
     R = float(R)
     if R <= max(r0, float(support_radius)):
         raise ConfigError("truncation radius %.3g too small" % R)
-
-    def rhs(r, y):
-        v_p, p_p, v_h, p_h = y
-        kap, w, fr = coeffs(r)
-        return [p_p / kap, fr * (1.0 + v_p) * w, p_h / kap, fr * v_h * w]
-
-    sol = solve_ivp(rhs, (r0, R), [0.0, 0.0, 1.0, 0.0], method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not sol.success:
-        raise SolverError("truncated-problem integration failed")
-    vh_R = sol.y[2, -1]
-    if abs(vh_R) < 1e-14:
+    edges, P, z, sol = _shoot_panels(metric, f, r0, R, dense_output=True)
+    y_p = _chain(P, z, [0.0, 0.0])
+    y_h = _chain(P, 0.0 * z, [1.0, 0.0])
+    if abs(y_h[-1, 0]) < 1e-14:
         raise SolverError("homogeneous solution vanishes at R; cannot match")
-    c = -sol.y[0, -1] / vh_R
+    c = -y_p[-1, 0] / y_h[-1, 0]
+    start = (y_p + c * y_h)[:-1]
 
     def v(r):
-        y = sol.sol(np.atleast_1d(np.asarray(r, dtype=float)))
-        return y[0] + c * y[2]
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        k = np.clip(np.searchsorted(edges, r, side="right") - 1,
+                    0, len(P) - 1)
+        s = (r - edges[k]) / (edges[k + 1] - edges[k])
+        y = sol.sol(s).reshape(3, 2, len(P), -1)[:, 0, k, np.arange(r.size)]
+        return y[0] * start[k, 0] + y[1] * start[k, 1] + y[2]
 
     return v

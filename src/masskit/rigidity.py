@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 from . import metrics, radial
 from .adm import adm_mass
 from .curvature import default_step, scalar_curvature_bartnik
-from .density import MIN_R_TARGET, conformal_constant
+from .density import MIN_R_TARGET, _solution_profile, conformal_constant
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
     solve_conformal_factor
 from .errors import ConfigError, RegimeError
@@ -44,12 +44,6 @@ def _default_domain(metric, support):
 
 def _mass_radii(domain):
     return domain.truncation_radii[-1] * _MASS_FRACTIONS
-
-
-def _factor_profile(solution):
-    mask = ~solution.mesh.is_cyl
-    return radial.from_spline(CubicSpline(solution.mesh.r[mask],
-                                          solution.u[mask]))
 
 
 @dataclass
@@ -114,7 +108,7 @@ def rigidity_probe_scalar(metric, eta, bump, c_S=3.0, domain=None,
     if fR.max() > 1e-12 and A >= 0.0:
         raise RegimeError("positive bump produced A = %.3g >= 0 where a "
                           "strictly negative coefficient is forced" % A)
-    factor = (_factor_profile(solution) + 1.0) * 0.5
+    factor = (_solution_profile(solution) + 1.0) * 0.5
     metric_bar = metrics.conformal_product(metric, factor,
                                            family="scalar-probe")
     radii = _mass_radii(dom) if mass_radii is None \
@@ -386,7 +380,7 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
                 hi_t = mid
         tau = lo_t
 
-    u_tau = (_factor_profile(solution) + tau) * (1.0 / (1.0 + tau))
+    u_tau = (_solution_profile(solution) + tau) * (1.0 / (1.0 + tau))
     metric_tilde = metrics.conformal_product(gbar, u_tau, family="ricci-probe")
     m_tilde = m_input + 2.0 * A / (1.0 + tau)
     return RicciProbeReport(tau=tau, min_R_tilde=min_R(tau), m_tilde=m_tilde,

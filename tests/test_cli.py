@@ -47,12 +47,13 @@ CONVERGE_SCENE = {
 }
 
 
-def _converge_outputs(tmp_path, tag, threads):
-    config = tmp_path / "scene.json"
-    config.write_text(json.dumps(CONVERGE_SCENE))
+def _scene_outputs(tmp_path, command, scene, tag, threads):
+    """Run one scene through the CLI; the bytes of each non-manifest file."""
+    config = tmp_path / ("%s.json" % command)
+    config.write_text(json.dumps(scene))
     out = tmp_path / tag
     result = CliRunner().invoke(cli.main, [
-        "converge", "--config", str(config), "--out", str(out),
+        command, "--config", str(config), "--out", str(out),
         "--threads", str(threads), "--seed", "0"])
     assert result.exit_code == 0, result.output
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
@@ -60,7 +61,28 @@ def _converge_outputs(tmp_path, tag, threads):
 
 
 def test_converge_outputs_byte_identical_across_repeats_and_threads(tmp_path):
-    first = _converge_outputs(tmp_path, "a", 1)
+    first = _scene_outputs(tmp_path, "converge", CONVERGE_SCENE, "a", 1)
     assert "converge_report.json" in first and len(first) >= 3
-    assert _converge_outputs(tmp_path, "b", 1) == first
-    assert _converge_outputs(tmp_path, "c", 2) == first
+    assert _scene_outputs(tmp_path, "converge", CONVERGE_SCENE, "b", 1) == first
+    assert _scene_outputs(tmp_path, "converge", CONVERGE_SCENE, "c", 2) == first
+
+
+# the solve-gaussian scene of the benchmark's cli-scenes workload with fixed
+# parameters: the exhaustion solve, its audits and the shooting oracle, whose
+# A is written to solve_report.json
+SOLVE_SCENE = {
+    "schema": 1,
+    "metric": {"family": "euclidean", "dimension": 3},
+    "solve": {"potential": [{"kind": "gaussian", "amplitude": 0.04,
+                             "center": 4.0, "width": 0.5}],
+              "support_radius": 8,
+              "domain": {"truncation_radii": [16, 32, 64]},
+              "oracle": {"enabled": True}},
+}
+
+
+def test_solve_outputs_byte_identical_across_repeats_and_threads(tmp_path):
+    first = _scene_outputs(tmp_path, "solve", SOLVE_SCENE, "a", 1)
+    assert "oracle_A" in json.loads(first["solve_report.json"])
+    assert _scene_outputs(tmp_path, "solve", SOLVE_SCENE, "b", 1) == first
+    assert _scene_outputs(tmp_path, "solve", SOLVE_SCENE, "c", 2) == first

@@ -298,3 +298,18 @@ def test_shooting_evaluates_coefficients_once_per_step(monkeypatch):
     sh = oracles.shoot_conformal_factor(end_metric(), f, rf)
     assert sh.A == expected
     assert calls == {"kappa_w": sh.nfev, "f": sh.nfev}
+
+
+@pytest.mark.parametrize("panels", [1, 64])
+def test_oracle_panel_count_moves_results_at_roundoff(monkeypatch, panels):
+    """One panel is a single outward system; any count must agree with the
+    default to far below the oracle's use as a reference."""
+    g, f, rf, R = end_metric(), bump(), 6.5, 64.0
+    r = np.linspace(g.r_min, R, 641)
+    A = oracles.shoot_conformal_factor(g, f, rf).A
+    v = oracles.shoot_truncated(g, f, rf, R)(r)
+    monkeypatch.setattr(oracles, "_PANELS", panels)
+    assert oracles.shoot_conformal_factor(g, f, rf).A == pytest.approx(
+        A, rel=1e-9)
+    v_p = oracles.shoot_truncated(g, f, rf, R)(r)
+    assert np.abs(v_p - v).max() <= 1e-9 * np.abs(v).max()
