@@ -217,17 +217,22 @@ def extrapolate_ladder(radii, masses, n):
 
 
 def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
-             method="auto", h=None):
-    """MassReport over a geometric radius ladder with extrapolation."""
+             method="auto", h=None, map_fn=map):
+    """MassReport over a geometric radius ladder with extrapolation.
+
+    map_fn maps the surface integral over the radii in ladder order (a
+    worker pool's order-preserving map fans the rungs out); the reduction
+    stays here, so the report does not depend on it.
+    """
     n = metric.n
     if radii is None:
         radii = np.asarray(DEFAULT_LADDER, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3:
         raise ConfigError("mass ladder needs at least 3 radii")
-    masses = np.array([adm_surface_integral(metric, rho, order=order,
-                                            method=method, h=h)
-                       for rho in radii])
+    masses = np.array(list(map_fn(
+        lambda rho: adm_surface_integral(metric, rho, order=order,
+                                         method=method, h=h), radii)))
     areas = radii ** (n - 1) * sphere_area(n)
 
     extrapolated, p_obs, low_confidence = extrapolate_ladder(radii, masses, n)

@@ -22,16 +22,12 @@ from . import oracles, reports
 from .curvature import sample_directions, scalar_curvature_bartnik
 from .errors import (ConfigError, DegenerateMetricError, DomainError,
                      InternalFault, RegimeError, SolverError)
-from .grids import sphere_area
+from .tolerances import (BAND_WITNESS, LAPLACIAN_TOL, MATCH_TOL, MIN_R_TARGET,
+                         RATIO_TOL, WITNESS_R)
 
 FLUX_TOL = 1e-8
-SCALAR_FLOOR = -1e-8
-WITNESS_LEVEL = 1e-6
 ORDER_BAND = (1.8, 2.2)
 ORACLE_RTOL = 1e-4
-RATIO_RTOL = 1e-3
-INVARIANCE_TOL = 1e-12
-FIXED_POINT_TOL = 1e-12
 
 
 class Run:
@@ -138,26 +134,6 @@ def _dispatch(command, body, config_path, out, threads, seed):
                   len(run.manifest.outputs) + 1, run.out_dir))
 
 
-def _mass_report(metric, radii, order, method, run):
-    """Same ladder assembly as adm.adm_mass with the rungs fanned out
-    over the worker pool; a parity test keeps the two in lockstep."""
-    masses = np.array(run.map_ladder(
-        lambda rho: adm.adm_surface_integral(metric, rho, order=order,
-                                             method=method),
-        radii))
-    extrapolated, p_obs, low_conf = adm.extrapolate_ladder(radii, masses,
-                                                           metric.n)
-    areas = radii ** (metric.n - 1) * sphere_area(metric.n)
-    used = method
-    if method == "auto":
-        used = ("closed_form" if metric.radial_form is not None
-                else "quadrature")
-    return adm.MassReport(radii=radii, partial_masses=masses,
-                          extrapolated=extrapolated, observed_order=p_obs,
-                          quadrature_order=order, area_elements=areas,
-                          low_confidence=low_conf, method=used, n=metric.n)
-
-
 def _cmd_mass(cfg, run):
     block = cfg.block("mass")
     metric = scene.build_metric(cfg)
@@ -165,8 +141,9 @@ def _cmd_mass(cfg, run):
     if not np.all(np.diff(radii) > 0):
         raise ConfigError("mass.radii must be strictly increasing")
     order = int(block.get("quadrature_order", adm.DEFAULT_QUADRATURE_ORDER))
-    report = _mass_report(metric, radii, order, block.get("method", "auto"),
-                          run)
+    report = adm.adm_mass(metric, radii, order=order,
+                          method=block.get("method", "auto"),
+                          map_fn=run.map_ladder)
     run.emit_json("mass_report.json", report.to_json_dict())
     run.emit_csv("mass_ladder.csv",
                  ("rho", "partial_mass", "abs_err_vs_extrapolated"),
@@ -240,7 +217,7 @@ def _cmd_deform(cfg, run):
     rungs = report.rungs
     floors = [r.min_R_bar for r in rungs]
     k = int(np.argmin(floors))
-    run.audit("curvature-floor", ">=", floors[k], SCALAR_FLOOR,
+    run.audit("curvature-floor", ">=", floors[k], MIN_R_TARGET,
               location="s=%g" % rungs[k].s)
     # bookkeeping identity: the shifted mass is defined from A_s and tau,
     # so the two recomputations must agree bitwise
@@ -305,13 +282,13 @@ def _cmd_compactify(cfg, run):
                                    n=metric.n)
     superharmonic = lohkamp.check_superharmonic(
         state, num=int(block.get("grid_points", 6001)))
-    run.audit("cap-never-subharmonic", "<=", superharmonic["max_lap"], 1e-10)
+    run.audit("cap-never-subharmonic", "<=", superharmonic["max_lap"],
+              LAPLACIAN_TOL)
     run.audit("cap-superharmonic-in-band", "<=",
-              superharmonic["min_band_lap"], -WITNESS_LEVEL)
+              superharmonic["min_band_lap"], BAND_WITNESS)
     capped, metric_report = lohkamp.lohkamp_metric(state, superharmonic)
-    run.audit("curvature-floor", ">=", metric_report["min_R"], SCALAR_FLOOR)
-    run.audit("curvature-witness", ">", metric_report["witness_R"],
-              WITNESS_LEVEL)
+    run.audit("curvature-floor", ">=", metric_report["min_R"], MIN_R_TARGET)
+    run.audit("curvature-witness", ">", metric_report["witness_R"], WITNESS_R)
     run.audit("flat-outside-cap", "<=", metric_report["flat_gap"], 0.0)
     torus_cfg = block.get("torus", {})
     spec = lohkamp.TorusGlueSpec(
@@ -324,9 +301,9 @@ def _cmd_compactify(cfg, run):
     run.audit("torus-derivative-match", "<=",
               torus_report["derivative_gap"], 0.0)
     run.audit("torus-curvature-floor", ">=", torus_report["min_R"],
-              SCALAR_FLOOR)
+              MIN_R_TARGET)
     run.audit("torus-curvature-witness", ">", torus_report["witness_R"],
-              WITNESS_LEVEL)
+              WITNESS_R)
     run.emit_json("compactify_report.json", {
         "cut": {"s1": state.s1, "s2": state.s2, "epsilon": state.epsilon,
                 "t0": state.t0, "t1": state.t1, "cap": state.cap,
@@ -354,15 +331,14 @@ def _cmd_ale(cfg, run):
     _, audit = groups.ale_lift(
         metric, group,
         radii=None if radii is None else np.asarray(radii, dtype=float))
-    run.audit("chart-invariance", "<=", audit["invariance_gap"],
-              INVARIANCE_TOL)
+    run.audit("chart-invariance", "<=", audit["invariance_gap"], MATCH_TOL)
     if audit["mass_ratio"] is None:
         run.audit("masses-both-vanish", "<=",
                   max(abs(audit["cover_mass"]), abs(audit["quotient_mass"])),
                   1e-10)
     else:
         run.audit("mass-ratio-matches-order", "<=",
-                  audit["ratio_rel_error"], RATIO_RTOL)
+                  audit["ratio_rel_error"], RATIO_TOL)
     payload = dict(audit)
     fixed_cfg = block.get("fixed_point")
     if fixed_cfg is not None:
@@ -377,7 +353,7 @@ def _cmd_ale(cfg, run):
         residual = max(float(np.linalg.norm(T @ point + v - point))
                        for T, v in pairs)
         run.audit("common-fixed-point", "<=", residual,
-                  FIXED_POINT_TOL * max(1.0, float(np.linalg.norm(point))))
+                  MATCH_TOL * max(1.0, float(np.linalg.norm(point))))
     run.emit_json("ale_report.json", payload)
 
 
@@ -434,8 +410,7 @@ def _cmd_converge(cfg, run):
             if not np.all(np.diff(radii) > 0):
                 raise ConfigError("converge.operations[%d].radii must be "
                                   "strictly increasing" % k)
-            report = _mass_report(metric, radii,
-                                  adm.DEFAULT_QUADRATURE_ORDER, "auto", run)
+            report = adm.adm_mass(metric, radii, map_fn=run.map_ladder)
             name = "converge_op%d_mass.csv" % k
             run.emit_csv(name,
                          ("rho", "partial_mass", "abs_err_vs_extrapolated"),

@@ -22,13 +22,13 @@ from scipy.interpolate import CubicSpline
 from . import metrics, radial
 from .adm import adm_mass, residual_flux, trend_slope
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
-    solve_conformal_factor
+    radial_lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError, SolverError
 from .grids import radial_kappa_w, sphere_area
 from .radial import RProfile
+from .tolerances import MIN_R_TARGET
 
 DELTA_FLOOR = 1e-14
-MIN_R_TARGET = -1e-8
 DEFAULT_S_LADDER = (8.0, 16.0, 32.0)
 
 
@@ -208,8 +208,7 @@ def scalar_bounds_audit(interp, num=401):
     q = 2.0 * n / (n + 2.0)
     r_np = np.geomspace(s, 4.0 * s, 2049)
     _, w = radial_kappa_w(interp.metric, r_np)
-    Rq = np.abs(interp.scalar_values(r_np)) ** q
-    norm = (sphere_area(n) * simpson(Rq * w, x=r_np)) ** (1.0 / q)
+    norm = radial_lp_norm(interp.scalar_values(r_np), w, r_np, q, n)
     return {
         "s": s,
         "min_inner": float(R_in.min()),
@@ -274,14 +273,13 @@ def choose_delta(interp, c_S, bisections=60):
     eta = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s)
     r = np.geomspace(s, 4.0 * s, 2049)
     _, w = radial_kappa_w(interp.metric, r)
-    area = sphere_area(n)
-    volume = float(area * simpson(w, x=r))
+    volume = float(sphere_area(n) * simpson(w, x=r))
     Rv = interp.scalar_values(r)
     ev = eta.value(r)
 
     def lhs(delta):
-        neg = ev * np.maximum(delta - Rv, 0.0)
-        return float((area * simpson(neg ** (n / 2.0) * w, x=r)) ** (2.0 / n))
+        return radial_lp_norm(ev * np.maximum(delta - Rv, 0.0), w, r,
+                              n / 2.0, n)
 
     threshold = 0.5 * c_S
     delta0 = (1.0 / s) / (1.0 + volume)
@@ -341,27 +339,24 @@ def _solution_profile(solution):
                                           solution.u[mask]))
 
 
-def _pick_tau(interp, eta, delta, solution, R_max):
-    """Largest tau in [1e-6, 1] keeping the closed-form curvature of the
-    deformed metric above the audit floor; the admissible set is an interval
-    containing 0 because the numerator is affine in tau."""
-    n = interp.n
-    r = np.geomspace(interp.metric.r_min, 0.999 * R_max, 4001)
-    Rv = interp.scalar_values(r)
-    ev = eta.value(r)
-    uv = solution.u_at(r)
-    base_num = ((1.0 - ev) * Rv + delta * ev) * uv
+def pick_tau(n, u, numerator, R):
+    """Largest tau in [1e-6, 1] keeping the curvature of the tau-blend,
+    (1 + tau)^{4/(n-2)} (u + tau)^{-(n+2)/(n-2)} (numerator + tau R), above
+    the audit floor at every sample; returns (tau, its minimum curvature).
 
+    The admissible set is an interval containing 0 because the bracket is
+    affine in tau; RegimeError when even tau = 1e-6 breaks the floor.
+    """
     def min_R(tau):
         pref = (1.0 + tau) ** (4.0 / (n - 2.0)) \
-            * (uv + tau) ** (-(n + 2.0) / (n - 2.0))
-        return float((pref * (base_num + tau * Rv)).min())
+            * (u + tau) ** (-(n + 2.0) / (n - 2.0))
+        return float((pref * (numerator + tau * R)).min())
 
     if min_R(1.0) >= MIN_R_TARGET:
         return 1.0, min_R(1.0)
     lo, hi = 1e-6, 1.0
     if min_R(lo) < MIN_R_TARGET:
-        raise SolverError("no admissible tau: curvature floor %.3g violated "
+        raise RegimeError("no admissible tau: curvature floor %.3g violated "
                           "even at tau = %.0e" % (min_R(lo), lo))
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -400,8 +395,13 @@ def deform_rung(split, s, c_S, radii_factors=(8.0, 16.0, 32.0),
                           % small.ratio)
     solution = solve_conformal_factor(prob)
     A_s = solution.A_integral
-    tau, min_R_bar = _pick_tau(interp, eta, delta, solution,
-                               dom.truncation_radii[-1])
+    # closed-form curvature of the tau-blend over the solved annulus
+    r = np.geomspace(interp.metric.r_min, 0.999 * dom.truncation_radii[-1],
+                     4001)
+    Rv = interp.scalar_values(r)
+    ev = eta.value(r)
+    uv = solution.u_at(r)
+    tau, min_R_bar = pick_tau(n, uv, ((1.0 - ev) * Rv + delta * ev) * uv, Rv)
 
     u_prof = _solution_profile(solution)
     u_tau = (u_prof + tau) * (1.0 / (1.0 + tau))

@@ -20,7 +20,8 @@ from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
 from .errors import (ConfigError, InternalFault, RegimeError, SolverError)
-from .grids import RadialMesh, apply_stiffness, radial_mesh, sphere_area
+from .grids import (RadialMesh, mesh_stiffness, radial_kappa_w, radial_mesh,
+                    sphere_area)
 
 DEFAULT_SOLVE_TOL = 1e-10
 
@@ -126,10 +127,8 @@ def check_smallness(problem, c_S):
     n = problem.domain.n
     r = np.geomspace(problem.domain.r_min, problem.support_radius, 2049)
     fm = np.maximum(-problem.f_values(r), 0.0)
-    from .grids import radial_kappa_w
     _, w = radial_kappa_w(problem.metric, r)
-    integrand = fm ** (n / 2.0) * w
-    lhs = (sphere_area(n) * simpson(integrand, x=r)) ** (2.0 / n)
+    lhs = radial_lp_norm(fm, w, r, n / 2.0, n)
     threshold = 0.5 * c_S
     report = SmallnessReport(lhs=float(lhs), threshold=float(threshold),
                              ratio=float(lhs / threshold), passed=lhs <= threshold,
@@ -154,13 +153,19 @@ class TruncatedSolution:
         return np.interp(sig, self.mesh.coord[mask], self.v[mask])
 
 
-def _solve_tridiag(lower, diag, upper, rhs, tol):
+def tridiag_solve(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with sub/super diagonals lower, upper."""
     M = diag.size
     ab = np.zeros((3, M))
     ab[0, 1:] = upper[: M - 1]
     ab[1] = diag
     ab[2, :-1] = lower[: M - 1]
-    x = solve_banded((1, 1), ab, rhs)
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _solve_tridiag(lower, diag, upper, rhs, tol):
+    M = diag.size
+    x = tridiag_solve(lower, diag, upper, rhs)
     Ax = diag * x
     Ax[:-1] += upper[: M - 1] * x[1:]
     Ax[1:] += lower[: M - 1] * x[:-1]
@@ -173,19 +178,13 @@ def _solve_tridiag(lower, diag, upper, rhs, tol):
 
 def _assemble_and_solve(mesh, fvals, bc_outer, n, tol, kappa_out=None):
     """Solve (K + f wbar) v = -f wbar with the chosen outer closure."""
-    c = mesh.kappa_face / mesh.dcoord
-    M = mesh.num_nodes
-    diag = np.zeros(M)
-    diag[:-1] += c
-    diag[1:] += c
-    lower = -c
-    upper = -c
+    lower, diag, upper = mesh_stiffness(mesh.kappa_face / mesh.dcoord)
     wbar = mesh.wbar
     diag = diag + fvals * wbar
     rhs = -fvals * wbar
     if bc_outer == "dirichlet":
         # eliminate the outer node: v = 0 there
-        x, rnorm = _solve_tridiag(lower[:-1], diag[:-1].copy(), upper[:-1],
+        x, rnorm = _solve_tridiag(lower[:-1], diag[:-1], upper[:-1],
                                   rhs[:-1], tol)
         v = np.concatenate([x, [0.0]])
     else:
@@ -193,7 +192,6 @@ def _assemble_and_solve(mesh, fvals, bc_outer, n, tol, kappa_out=None):
         # node, entering the last balance as an extra diagonal term
         if kappa_out is None:
             kappa_out = mesh.kappa_face[-1]
-        diag = diag.copy()
         diag[-1] += (n - 2.0) * kappa_out
         v, rnorm = _solve_tridiag(lower, diag, upper, rhs, tol)
     return v, rnorm
@@ -210,7 +208,6 @@ def solve_truncated(problem, i=0, R=None, cyl_len=None, bc_outer=None):
     bc = problem.bc_outer if bc_outer is None else bc_outer
     mesh = dom.mesh(problem.metric, R, cyl_len)
     fvals = np.where(mesh.is_cyl, 0.0, problem.f_values(mesh.r))
-    from .grids import radial_kappa_w
     kap_R, _ = radial_kappa_w(problem.metric, np.array([float(R)]))
     v, rnorm = _assemble_and_solve(mesh, fvals, bc, dom.n, problem.tol,
                                    kappa_out=float(kap_R[0]) / float(R))
@@ -331,6 +328,13 @@ def solve_conformal_factor(problem, exhaust_tol=None):
         B_fit=B_fit, remainder_bound=rem, flux_grad=flux,
         flux_u_grad=flux * u_face, min_u=min_u,
         exhaustion_diffs=diffs, robin_gap=robin_gap, diagnostics=diagnostics)
+
+
+def radial_lp_norm(v, w, r, p, n):
+    """(|S^{n-1}| integral |v|^p w dr)^{1/p} by Simpson's rule over radii r;
+    w is the caller's radial volume weight at r."""
+    return float((sphere_area(n) * simpson(np.abs(v) ** p * w, x=r))
+                 ** (1.0 / p))
 
 
 def lp_norm(mesh, vals, p, n):

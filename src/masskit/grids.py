@@ -118,14 +118,13 @@ def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0, r_min=None):
                       r_min=r_min, r_max=float(r_max))
 
 
-def mesh_stiffness(mesh):
-    """Tridiagonal stiffness bands (lower, diag, upper) of -div(kappa grad)."""
-    c = mesh.kappa_face / mesh.dcoord
-    M = mesh.num_nodes
-    diag = np.zeros(M)
+def mesh_stiffness(c):
+    """Tridiagonal bands (lower, diag, upper) of -div(kappa grad) from the
+    face conductances c = kappa_face / (node spacing)."""
+    diag = np.zeros(c.size + 1)
     diag[:-1] += c
     diag[1:] += c
-    return -c.copy(), diag, -c.copy()
+    return -c, diag, -c
 
 
 def apply_stiffness(mesh, v):

@@ -20,13 +20,10 @@ from . import adm as _adm
 from .curvature import sample_directions
 from .errors import ConfigError, RegimeError
 from .grids import sphere_area, sphere_quadrature
+from .tolerances import MATCH_TOL, RATIO_TOL
 
-# matrix-level tolerance for orthogonality, closure, and invariance
-MATCH_TOL = 1e-12
 # eigenvalue margin for "no fixed direction on the sphere"
 FREE_TOL = 1e-8
-# relative tolerance of the cover/quotient mass-ratio audit
-RATIO_TOL = 1e-3
 DEFAULT_CLOSURE_CAP = 512
 # sample radii (in units of r_min) for the invariance audit
 _INVARIANCE_RADII = (2.0, 5.0, 12.0, 30.0)

@@ -19,16 +19,9 @@ from scipy.optimize import brentq
 
 from . import metrics as _metrics
 from .curvature import fd_metric_derivatives
-from .density import MIN_R_TARGET
 from .errors import ConfigError, RegimeError
 from .radial import RProfile, as_profile, compose, conformal_scalar, flat_laplacian
-
-# roundoff gate for "harmonic" and "nonpositive Laplacian" audits
-LAPLACIAN_TOL = 1e-10
-# the transition band must push the Laplacian strictly below this
-BAND_WITNESS = -1e-6
-# minimum positive scalar-curvature witness inside the band
-WITNESS_R = 1e-6
+from .tolerances import BAND_WITNESS, LAPLACIAN_TOL, MIN_R_TARGET, WITNESS_R
 
 
 def lohkamp_zeta(eps):

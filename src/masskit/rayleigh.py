@@ -8,8 +8,9 @@ constant estimate minimizes
 over interior-supported functions (Dirichlet rings at both extremes), so the
 result is an upper estimate of the domain's true constant and is labeled as
 such.  The eigenvalue bound is the smallest generalized eigenvalue of
-K + M_R against the mass matrix: by shifted inverse iteration on the radial
-tridiagonal system, by preconditioned LOBPCG on the full 3D grid.
+K + M_R against the mass matrix: on the radial mesh by LAPACK's symmetric
+tridiagonal eigensolver after a symmetric mass scaling, on the full 3D grid
+by preconditioned LOBPCG.
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 
+from .elliptic import tridiag_solve
 from .errors import ConfigError, EstimationError
-from .grids import apply_stiffness, radial_kappa_w, sphere_area
+from .grids import (SphericalGrid, apply_stiffness, grid_operators,
+                    mesh_stiffness, radial_kappa_w, sphere_area)
 
 SHARP_FLAT_3D = 3.0 * (np.pi / 2.0) ** (4.0 / 3.0)
 
@@ -66,23 +69,27 @@ def bubble_profile(r, lam):
     return np.sqrt(lam / (lam ** 2 + r ** 2))
 
 
-def anchored_bubble(mesh, lam):
-    """Bubble pinned to zero at both rings by a harmonic correction.
-
-    Subtracting the radial harmonic interpolant alpha + beta r^{2-n} that
-    matches the bubble on the two boundary spheres costs only capacity energy,
-    so the quotient of the anchored profile stays within a few percent of the
-    true annulus minimum once lam sits near the geometric middle of the domain.
-    """
-    r = mesh.r
-    rmin, rmax = mesh.r_min, mesh.r_max
-    k = 2.0 - mesh.n
-    b = bubble_profile(r, lam)
+def _anchored_profile(r, rmin, rmax, n, lam):
+    """Bubble at radii r minus the radial harmonic interpolant
+    alpha + beta r^{2-n} matching it on the spheres rmin and rmax, clipped
+    at zero."""
+    k = 2.0 - n
     b0 = bubble_profile(rmin, lam)
     b1 = bubble_profile(rmax, lam)
     beta = (b0 - b1) / (rmin ** k - rmax ** k)
     alpha = b0 - beta * rmin ** k
-    zeta = np.maximum(b - alpha - beta * r ** k, 0.0)
+    return np.maximum(bubble_profile(r, lam) - alpha - beta * r ** k, 0.0)
+
+
+def anchored_bubble(mesh, lam):
+    """Bubble pinned to zero at both rings by a harmonic correction.
+
+    Subtracting the radial harmonic interpolant that matches the bubble on
+    the two boundary spheres costs only capacity energy, so the quotient of
+    the anchored profile stays within a few percent of the true annulus
+    minimum once lam sits near the geometric middle of the domain.
+    """
+    zeta = _anchored_profile(mesh.r, mesh.r_min, mesh.r_max, mesh.n, lam)
     zeta[0] = zeta[-1] = 0.0
     return zeta
 
@@ -113,17 +120,11 @@ def sobolev_estimate(domain, metric, max_iters=600, tol=1e-10):
     # stiffness-preconditioned descent: solving K d = grad turns the unit
     # step into inverse iteration for the nonlinear eigenproblem, and the
     # backtracking keeps the quotient monotone
-    from .grids import mesh_stiffness
-    lo, di, up = mesh_stiffness(mesh)
-    Mi = mesh.num_nodes - 2
-    ab = np.zeros((3, Mi))
-    ab[0, 1:] = up[1: Mi]
-    ab[1] = di[1:-1]
-    ab[2, :-1] = lo[1: Mi]
+    lo, di, up = mesh_stiffness(mesh.kappa_face / mesh.dcoord)
 
     def ksolve(rhs):
         out = np.zeros(mesh.num_nodes)
-        out[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
+        out[1:-1] = tridiag_solve(lo[1:], di[1:-1], up[1:], rhs[1:-1])
         return out
 
     zeta = project(zeta)
@@ -180,8 +181,6 @@ def sobolev_estimate_full3d(metric, r_max, shape=(40, 10, 20),
     spikes), which drives the lattice minimum far below the continuum
     constant and makes it meaningless as a domain estimate.
     """
-    from .grids import SphericalGrid, grid_operators
-
     if metric.n != 3:
         raise ConfigError("full-3D Sobolev estimate is n=3 only, got n=%d"
                           % metric.n)
@@ -204,12 +203,7 @@ def sobolev_estimate_full3d(metric, r_max, shape=(40, 10, 20),
     best_q = np.inf
     best_z = None
     for lam in lams:
-        b = bubble_profile(r, lam)
-        b0 = bubble_profile(grid.r_min, lam)
-        b1 = bubble_profile(grid.r_max, lam)
-        beta = (b0 - b1) / (1.0 / grid.r_min - 1.0 / grid.r_max)
-        alpha = b0 - beta / grid.r_min
-        zeta = np.maximum(b - alpha - beta / r, 0.0)
+        zeta = _anchored_profile(r, grid.r_min, grid.r_max, 3, lam)
         q = quotient(zeta)
         if q < best_q:
             best_q, best_z = q, zeta
@@ -236,8 +230,6 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=(40, 10, 20),
     """
     from scipy.sparse import diags
     from scipy.sparse.linalg import lobpcg
-
-    from .grids import SphericalGrid, grid_operators
 
     if metric.n != 3:
         raise ConfigError("full-3D eigenvalue bound is n=3 only, got n=%d"
@@ -295,7 +287,7 @@ def _ball_mesh_coeffs(metric_or_none, n, rho, num, r_min=None):
     else:
         kap_f, _ = radial_kappa_w(metric_or_none, faces)
         _, w = radial_kappa_w(metric_or_none, r)
-    return r, faces, kap_f, w
+    return r, kap_f, w
 
 
 @dataclass
@@ -311,19 +303,23 @@ class EigenvalueReport:
                 "shift": self.shift}
 
 
-def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048,
-                           max_iters=500, tol=1e-12, r_min=None):
+def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048, r_min=None):
     """Smallest Rayleigh value of (grad energy + c_n R zeta^2) / (zeta^2).
 
     metric None means the flat ball [0, rho] (inner Neumann by radial
     regularity); otherwise the compact annulus [r_min, rho] of the radial
     metric.  scalar_term is c_n R(g) as a callable of r (or a constant).
-    Dirichlet at the outer sphere in both cases.
+    Dirichlet at the outer sphere in both cases.  The pencil A x = lam M x,
+    A = K + diag(R wbar), M = diag(wbar), is scaled symmetrically by
+    M^{-1/2}; LAPACK's tridiagonal bisection and inverse iteration
+    (?stebz/?stein through scipy's eigh_tridiagonal) return its smallest
+    eigenpair.  shift = min(0, min R) - 1 is a strict lower bound of the
+    spectrum, as on the 3D path.
     """
     n = 3 if metric is None else metric.n
     if metric is not None and r_min is None:
         r_min = metric.r_min
-    r, faces, kap_f, w = _ball_mesh_coeffs(metric, n, rho, num, r_min=r_min)
+    r, kap_f, w = _ball_mesh_coeffs(metric, n, rho, num, r_min=r_min)
     h = r[1] - r[0]
     if callable(scalar_term):
         Rv = np.asarray(scalar_term(r), dtype=float)
@@ -334,43 +330,16 @@ def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048,
         # the cell around the inner boundary node is only half as wide
         wbar[0] *= 0.5
 
-    # interior system after eliminating the Dirichlet node at rho; each
-    # interior node keeps both face couplings in its diagonal
+    # interior system after eliminating the Dirichlet node at rho
     M = r.size - 1
-    c = kap_f / h
-    diag = c[:M].copy()
-    diag[1:] += c[: M - 1]
-    lower = -c[: M - 1]
-    upper = -c[: M - 1]
-    diag_full = diag + Rv[:M] * wbar[:M]
+    lower, diag, _ = mesh_stiffness(kap_f / h)
     mass = wbar[:M]
-
-    shift = min(0.0, float(Rv.min())) - 1.0
-    A = diag_full - shift * mass
-    ab = np.zeros((3, M))
-    ab[0, 1:] = upper
-    ab[1] = A
-    ab[2, :-1] = lower
-
-    x = np.sin(np.pi * (r[:M] - r[0] + 0.5 * h) / (rho - r[0] + 0.5 * h))
-    x /= np.sqrt(np.sum(mass * x * x))
-    lam_old = np.inf
-    lam = 0.0
-    it = 0
-    for it in range(1, max_iters + 1):
-        y = solve_banded((1, 1), ab, mass * x)
-        y /= np.sqrt(np.sum(mass * y * y))
-        Ky = diag_full * y
-        Ky[:-1] += upper * y[1:]
-        Ky[1:] += lower * y[:-1]
-        lam = float(np.sum(y * Ky) / np.sum(mass * y * y))
-        x = y
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            break
-        lam_old = lam
-    else:
-        raise EstimationError("inverse iteration did not settle (last %.6g)"
-                              % lam, last_iterate=x)
-    mode = np.concatenate([x, [0.0]])
-    return EigenvalueReport(value=lam, radii=r, mode=mode, iterations=it,
-                            shift=shift)
+    s = 1.0 / np.sqrt(mass)
+    lam, vec = eigh_tridiagonal(diag[:M] / mass + Rv[:M],
+                                lower[: M - 1] * s[:-1] * s[1:],
+                                select="i", select_range=(0, 0))
+    x = vec[:, 0] * s
+    x *= np.copysign(1.0, x.sum())      # positive mode
+    return EigenvalueReport(value=float(lam[0]), radii=r,
+                            mode=np.concatenate([x, [0.0]]), iterations=0,
+                            shift=min(0.0, float(Rv.min())) - 1.0)

@@ -20,11 +20,11 @@ from scipy.interpolate import CubicSpline
 from . import metrics, radial
 from .adm import adm_mass
 from .curvature import default_step, scalar_curvature_bartnik
-from .density import MIN_R_TARGET, _solution_profile, conformal_constant
+from .density import _solution_profile, conformal_constant, pick_tau
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
-    solve_conformal_factor
+    radial_lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError
-from .grids import radial_kappa_w, sphere_area
+from .grids import radial_kappa_w
 from .radial import RProfile
 
 RIC_FLOOR = 1e-10
@@ -316,10 +316,9 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
                           "(lower bound %.3g)" % eig.value)
 
     quad_r = np.linspace(lo, hi, 4001)
-    w_bar = radial_kappa_w(gbar, quad_r)[1]
-    neg = np.minimum(R_fun(quad_r), 0.0)
-    neg_norm = float((np.trapezoid(np.abs(neg) ** (n / 2.0) * w_bar, quad_r)
-                      * sphere_area(n)) ** (2.0 / n))
+    neg_norm = radial_lp_norm(np.minimum(R_fun(quad_r), 0.0),
+                              radial_kappa_w(gbar, quad_r)[1], quad_r,
+                              n / 2.0, n)
     neg_threshold = spec.c_S / 4.0
     if neg_norm > neg_threshold:
         raise RegimeError("negative curvature part too large (%.3g > %.3g); "
@@ -354,36 +353,14 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
 
     delta_min = float(spec.delta_ladder[-1])
     r_tau = np.geomspace(metric.r_min, 0.999 * dom.truncation_radii[-1], 4001)
-    Rv = R_fun(r_tau)
-    tv = spec.eta_tilde.value(r_tau)
     uv = solution.u_at(r_tau)
-    num0 = delta_min * tv * uv
-
-    def min_R(tau):
-        pref = (1.0 + tau) ** (4.0 / (n - 2.0)) \
-            * (uv + tau) ** (-(n + 2.0) / (n - 2.0))
-        return float((pref * (num0 + tau * Rv)).min())
-
-    if min_R(1.0) >= MIN_R_TARGET:
-        tau = 1.0
-    else:
-        lo_t, hi_t = 1e-6, 1.0
-        if min_R(lo_t) < MIN_R_TARGET:
-            raise RegimeError("no admissible tau: curvature floor %.3g "
-                              "violated even at tau = %.0e"
-                              % (min_R(lo_t), lo_t))
-        for _ in range(40):
-            mid = 0.5 * (lo_t + hi_t)
-            if min_R(mid) >= MIN_R_TARGET:
-                lo_t = mid
-            else:
-                hi_t = mid
-        tau = lo_t
+    tau, min_R_tilde = pick_tau(
+        n, uv, delta_min * spec.eta_tilde.value(r_tau) * uv, R_fun(r_tau))
 
     u_tau = (_solution_profile(solution) + tau) * (1.0 / (1.0 + tau))
     metric_tilde = metrics.conformal_product(gbar, u_tau, family="ricci-probe")
     m_tilde = m_input + 2.0 * A / (1.0 + tau)
-    return RicciProbeReport(tau=tau, min_R_tilde=min_R(tau), m_tilde=m_tilde,
+    return RicciProbeReport(tau=tau, min_R_tilde=min_R_tilde, m_tilde=m_tilde,
                             failed=False, solution=solution,
                             metric_tilde=metric_tilde, **base)
 

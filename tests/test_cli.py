@@ -1,5 +1,6 @@
-"""CLI helpers and scenes: the threaded mass ladder against the library one,
-and byte-identical outputs across repeats and thread counts."""
+"""CLI helpers and scenes: the mass ladder fanned out over the CLI's worker
+pool against the serial one, and byte-identical outputs across repeats and
+thread counts."""
 import json
 import types
 
@@ -29,7 +30,7 @@ def test_mass_report_matches_adm_mass_serial_and_threaded(tmp_path):
     cfg = types.SimpleNamespace(sha256="0" * 64)
     for threads in (1, 2):
         run = cli.Run("mass", cfg, str(tmp_path / str(threads)), 0, threads)
-        rep = cli._mass_report(chart, radii, 16, "auto", run)
+        rep = adm.adm_mass(chart, radii, order=16, map_fn=run.map_ladder)
         assert rep.method == "quadrature" == ref.method
         assert np.array_equal(rep.partial_masses, ref.partial_masses)
         assert rep.extrapolated == ref.extrapolated
@@ -86,3 +87,39 @@ def test_solve_outputs_byte_identical_across_repeats_and_threads(tmp_path):
     assert "oracle_A" in json.loads(first["solve_report.json"])
     assert _scene_outputs(tmp_path, "solve", SOLVE_SCENE, "b", 1) == first
     assert _scene_outputs(tmp_path, "solve", SOLVE_SCENE, "c", 2) == first
+
+
+# the mass-schwarzschild scene of the benchmark's cli-scenes workload at
+# m = 1: the closed-form ladder fanned out over the worker pool
+MASS_SCENE = {
+    "schema": 1,
+    "metric": {"family": "schwarzschild", "dimension": 3, "mass": 1.0},
+    "mass": {"radii": [8, 16, 32, 64], "expected": 1.0},
+}
+
+
+def test_mass_outputs_byte_identical_across_repeats_and_threads(tmp_path):
+    first = _scene_outputs(tmp_path, "mass", MASS_SCENE, "a", 1)
+    assert set(first) == {"mass_report.json", "mass_ladder.csv"}
+    assert _scene_outputs(tmp_path, "mass", MASS_SCENE, "b", 1) == first
+    assert _scene_outputs(tmp_path, "mass", MASS_SCENE, "c", 2) == first
+
+
+# the deform-toy scene of the benchmark's cli-scenes workload with a fixed
+# remainder: the deformation ladder, its tau blend and the independent mass
+# check
+DEFORM_SCENE = {
+    "schema": 1,
+    "metric": {"family": "conformally_flat", "dimension": 3,
+               "profile": [{"kind": "schwarzschild", "mass": 1.0},
+                           {"kind": "power", "coefficient": -0.1,
+                            "exponent": -2.0}]},
+    "deform": {"eps_target": 0.01, "c_S": 3.0, "mass": 1.0},
+}
+
+
+def test_deform_outputs_byte_identical_across_repeats_and_threads(tmp_path):
+    first = _scene_outputs(tmp_path, "deform", DEFORM_SCENE, "a", 1)
+    assert set(first) == {"deform_report.json", "deform_trend.csv"}
+    assert _scene_outputs(tmp_path, "deform", DEFORM_SCENE, "b", 1) == first
+    assert _scene_outputs(tmp_path, "deform", DEFORM_SCENE, "c", 2) == first

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 
-from masskit import curvature, density, metrics, radial
+from masskit import curvature, density, metrics, radial, tolerances
 from masskit.adm import trend_slope
 from masskit.errors import ConfigError, RegimeError, SolverError
 from masskit.grids import radial_kappa_w, sphere_area
@@ -170,6 +170,24 @@ def test_delta_floor_failure_raises():
         density.choose_delta(interp, 0.1)
     with pytest.raises(ConfigError):
         density.choose_delta(interp, 0.0)
+
+
+def test_pick_tau_on_synthetic_blends():
+    # n = 3, u = 1: the blend's curvature is (numerator + tau R) / (1 + tau)
+    u = np.ones(5)
+    numerator = np.array([0.0, 1e-3, 0.2, 0.5, 1.0])
+    tau, min_R = density.pick_tau(3, u, numerator, np.zeros(5))
+    assert tau == 1.0
+    assert min_R == 0.0
+    # R = -1 where the numerator is 1e-3: the floor binds near tau = 1e-3
+    R = np.array([0.0, -1.0, 0.0, 0.0, 0.0])
+    tau, min_R = density.pick_tau(3, u, numerator, R)
+    root = (1e-3 - tolerances.MIN_R_TARGET) / (1.0 + tolerances.MIN_R_TARGET)
+    assert tau == pytest.approx(root, abs=1e-11)
+    assert min_R >= tolerances.MIN_R_TARGET
+    # a negative numerator breaks the floor for every admissible tau
+    with pytest.raises(RegimeError, match="no admissible tau"):
+        density.pick_tau(3, u, numerator - 1e-3, R)
 
 
 def test_rung_quantities_pinned():

@@ -145,9 +145,40 @@ def test_varying_potential_on_curved_annulus():
     assert rep.value > 0.0
 
 
-def test_eigenvalue_budget_raises():
-    with pytest.raises(EstimationError):
-        rayleigh.eigenvalue_lower_bound(None, 1.0, 0.0, num=512, max_iters=1)
+def _dense_pencil_reference(metric, rho, c, num):
+    # smallest eigenvalue of the same radial pencil A x = lam M x, assembled
+    # densely and solved as a generalized problem without any mass scaling
+    from scipy.linalg import eigh
+
+    n = 3 if metric is None else metric.n
+    r_min = None if metric is None else metric.r_min
+    r, kap_f, w = rayleigh._ball_mesh_coeffs(metric, n, rho, num, r_min=r_min)
+    h = r[1] - r[0]
+    wbar = w * h
+    if metric is not None:
+        wbar[0] *= 0.5
+    M = r.size - 1                     # the node at rho is Dirichlet
+    cond = kap_f[:M] / h
+    i = np.arange(M - 1)
+    A = np.diag(cond + c * wbar[:M])
+    A[i + 1, i + 1] += cond[:-1]
+    A[i, i + 1] = A[i + 1, i] = -cond[:-1]
+    return eigh(A, np.diag(wbar[:M]), eigvals_only=True,
+                subset_by_index=[0, 0])[0]
+
+
+@pytest.mark.parametrize("metric, rho, c, num", [
+    (None, 1.0, 0.0, 2048),
+    (metrics.euclidean(3), 2.0, 0.0, 2048),
+    (metrics.schwarzschild(1.0, 3), 8.0, 0.005, 4096)],
+    ids=["flat-ball", "flat-annulus", "schwarzschild"])
+def test_radial_eigenvalue_matches_dense_generalized_eigh(metric, rho, c, num):
+    rep = rayleigh.eigenvalue_lower_bound(metric, rho, c, num=num)
+    ref = _dense_pencil_reference(metric, rho, c, num)
+    assert abs(rep.value - ref) <= 1e-8 * abs(ref)
+    assert rep.iterations == 0
+    assert rep.mode[-1] == 0.0
+    assert rep.mode[:-1].min() > 0.0
 
 
 def test_full3d_sobolev_matches_radial_anchor():
