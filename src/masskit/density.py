@@ -40,25 +40,15 @@ def conformal_constant(n):
 def _blend_profiles(inner: RProfile, outer: RProfile, zeta: RProfile):
     """inner where zeta = 0, outer where zeta = 1, graded mix between.
 
-    The plateau branches return the original profile values bitwise, so the
+    The plateau branches return the original profile jets bitwise, so the
     interpolated metric equals its defining branches exactly there.
     """
+    mix = inner + zeta * (outer - inner)
 
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        z0, z1, z2 = zeta(r)
-        a0, a1, a2 = inner(r)
-        b0, b1, b2 = outer(r)
-        d0, d1, d2 = b0 - a0, b1 - a1, b2 - a2
-        mix0 = a0 + z0 * d0
-        mix1 = a1 + z1 * d0 + z0 * d1
-        mix2 = a2 + z2 * d0 + 2.0 * z1 * d1 + z0 * d2
-        lo = z0 <= 0.0
-        hi = z0 >= 1.0
-        y0 = np.where(lo, a0, np.where(hi, b0, mix0))
-        y1 = np.where(lo, a1, np.where(hi, b1, mix1))
-        y2 = np.where(lo, a2, np.where(hi, b2, mix2))
-        return y0, y1, y2
+    def fn(at, k):
+        z = at(zeta, 0)[0]
+        return np.where(z <= 0.0, at(inner, k),
+                        np.where(z >= 1.0, at(outer, k), at(mix, k)))
 
     return RProfile(fn)
 
@@ -86,9 +76,7 @@ class SplitState:
         """Remainder as a metric-like object for flux and decay probes."""
         n = self.n
         if self.is_radial:
-            form = metrics.RadialForm(a=radial.const(1.0) + self.rem_a,
-                                      b=self.rem_b)
-            return metrics.radial_metric(form.a, form.b, n,
+            return metrics.radial_metric(1.0 + self.rem_a, self.rem_b, n,
                                          family="split-remainder",
                                          r_min=self.metric.r_min)
 
@@ -289,7 +277,7 @@ def choose_delta(interp, c_S, bisections=60):
                            volume=volume, bisections=0)
     lo = DELTA_FLOOR
     if lhs(lo) > threshold:
-        raise SolverError(
+        raise RegimeError(
             "no relaxation constant above %.0e satisfies the size bound; "
             "the input curvature is too negative for this regime" % DELTA_FLOOR)
     hi = delta0
@@ -472,8 +460,9 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
                    annulus_nodes=1100):
     """Ladder driver: stop at the first scale whose mass shift is small.
 
-    Raises SolverError when the shift magnitude fails to decrease across
-    three consecutive scales (with the trend attached to the message).
+    Raises RegimeError when the shift magnitude fails to decrease across
+    three consecutive scales (with the trend attached to the message): the
+    remainder then violates the decay assumption the ladder relies on.
     """
     if eps_target <= 0.0:
         raise ConfigError("target mass shift must be positive")
@@ -498,7 +487,7 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
             break
         shifts = [abs(r.mass_shift) for r in rungs]
         if len(shifts) >= 3 and shifts[-1] >= shifts[-2] >= shifts[-3]:
-            raise SolverError("mass shift not decreasing over three scales: "
+            raise RegimeError("mass shift not decreasing over three scales: "
                               + ", ".join("%.3e" % t for t in shifts))
     return DeformReport(m_input=float(m), c_S=float(c_S),
                         eps_target=float(eps_target), rungs=rungs,

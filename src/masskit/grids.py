@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
+from .radial import jets
 
 
 @dataclass
@@ -59,7 +60,7 @@ def radial_kappa_w(metric, r):
     form = metric.radial_form
     if form is None:
         raise ConfigError("metric %r carries no radial form" % metric.family)
-    a0, _, b0, _ = form.ab(r)
+    (a0,), (b0,) = jets((form.a, form.b), r, 0)
     n = metric.n
     kap = a0 ** ((n - 1) / 2.0) * (a0 + b0) ** -0.5 * r ** (n - 1)
     w = a0 ** ((n - 1) / 2.0) * (a0 + b0) ** 0.5 * r ** (n - 1)
@@ -90,7 +91,7 @@ def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0, r_min=None):
     is_cyl[:t.size] = True
 
     form = metric.radial_form
-    a_in = form.ab(np.array([r_min]))[0][0]
+    a_in = form.a.value(r_min)
     section = a_in ** ((n - 1) / 2.0) * r_min ** (n - 1)
 
     # faces: a face is in the cylinder iff its midpoint coordinate is < 0

@@ -20,7 +20,8 @@ from scipy.optimize import brentq
 from . import metrics as _metrics
 from .curvature import fd_metric_derivatives
 from .errors import ConfigError, RegimeError
-from .radial import RProfile, as_profile, compose, conformal_scalar, flat_laplacian
+from .radial import RProfile, as_profile, compose, conformal_scalar, const, \
+    flat_laplacian, identity
 from .tolerances import BAND_WITNESS, LAPLACIAN_TOL, MIN_R_TARGET, WITNESS_R
 
 
@@ -41,19 +42,14 @@ def lohkamp_zeta(eps):
     t1 = 1.0 - 0.25 * eps
     cap = 1.0 - 0.5 * eps
     w = 0.5 * eps
+    t = identity()
+    s = (t - t0) * (1.0 / w)
+    bridge = t0 + w * (s - s * s * s + 0.5 * s * s * s * s)
+    top = const(cap)
 
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        s = np.clip((t - t0) / w, 0.0, 1.0)
-        mid = t0 + w * (s - s ** 3 + 0.5 * s ** 4)
-        d1m = 1.0 - 3.0 * s ** 2 + 2.0 * s ** 3
-        d2m = (-6.0 * s + 6.0 * s ** 2) / w
-        lo = t <= t0
-        hi = t >= t1
-        y = np.where(lo, t, np.where(hi, cap, mid))
-        dy = np.where(lo, 1.0, np.where(hi, 0.0, d1m))
-        ddy = np.where(lo, 0.0, np.where(hi, 0.0, d2m))
-        return y, dy, ddy
+    def fn(at, k):
+        return np.where(at.r <= t0, at(t, k),
+                        np.where(at.r >= t1, at(top, k), at(bridge, k)))
 
     return RProfile(fn)
 

@@ -24,11 +24,8 @@ class RadialForm:
     b: Optional[RProfile] = None
 
     def ab(self, r):
-        a0, a1, _ = self.a(r)
-        if self.b is None:
-            z = np.zeros_like(a0)
-            return a0, a1, z, z
-        b0, b1, _ = self.b(r)
+        """Values and first derivatives (a, a', b, b') at radii r."""
+        (a0, a1), (b0, b1) = radial.jets((self.a, self.b), r, 1)
         return a0, a1, b0, b1
 
 
@@ -92,10 +89,11 @@ class MetricSpec:
 def _radial_g(form: RadialForm, n):
     def ev(X):
         r = np.sqrt((X ** 2).sum(axis=1))
-        g = form.a(r)[0][:, None, None] * np.eye(n)[None]
+        (a0,), (b0,) = radial.jets((form.a, form.b), r, 0)
+        g = a0[:, None, None] * np.eye(n)[None]
         if form.b is not None:
             xh = X / r[:, None]
-            g += form.b(r)[0][:, None, None] * xh[:, :, None] * xh[:, None, :]
+            g += b0[:, None, None] * xh[:, :, None] * xh[:, None, :]
         return g
 
     return ev
@@ -137,20 +135,16 @@ def euclidean(n):
 def conformally_flat(u: RProfile, n, family="conformally_flat", params=None,
                      q=None, decay_orders=None, r_min=1.0):
     """Metric u(r)^{4/(n-2)} delta for a positive radial factor u."""
-    a = u.powc(4.0 / (n - 2))
-    form = RadialForm(a=a)
-    return MetricSpec(n=n, family=family, evaluator=_radial_g(form, n),
-                      params=params or {}, decay_orders=decay_orders, q=q,
-                      radial_form=form, conformal_u=u,
-                      dg_evaluator=_radial_dg(form, n), r_min=r_min)
+    return radial_metric(u.powc(4.0 / (n - 2)), None, n, family=family,
+                         params=params, q=q, decay_orders=decay_orders,
+                         conformal_u=u, r_min=r_min)
 
 
 def schwarzschild(m, n):
     """Spatial Schwarzschild slice (1 + m/(2 r^{n-2}))^{4/(n-2)} delta."""
-    u = radial.const(1.0) + radial.power(0.5 * m, 2 - n)
-    spec = conformally_flat(u, n, family="schwarzschild", params={"m": float(m)},
+    return conformally_flat(schwarzschild_factor(m, n), n,
+                            family="schwarzschild", params={"m": float(m)},
                             q=n + 10.0)
-    return spec
 
 
 def schwarzschild_factor(m, n):

@@ -1,51 +1,138 @@
-"""Radial profile calculus.
+"""Radial profile calculus on truncated Taylor jets.
 
-A profile is a smooth function of the radius r carried together with its first
-two derivatives, so that curvature formulas and cutoff constructions can be
-evaluated in closed form instead of by numerical differentiation.  Profiles are
-combined with exact chain/product rules; every constructor returns a vectorized
-callable ``p(r) -> (y, dy, ddy)``.
+A profile is a smooth function of the radius r that evaluates its jet of any
+requested order k: the Taylor coefficients f^(j)(r) / j!, j = 0..k, stacked
+along a new leading axis.  Profiles combine by jet arithmetic (Griewank and
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13): sums are
+coefficient-wise, products follow the Leibniz rule, constant powers,
+logarithms and exponentials follow their standard recurrences, and
+composition is series composition.  Curvature formulas and cutoffs are exact
+to whatever order they need; a caller that reads only values asks for
+order 0.  ``p(r)`` returns the triple ``(y, dy, ddy)``.
 """
 from __future__ import annotations
+
+from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
 
+def _mul(A, B):
+    """Leibniz product: (AB)_j = sum_i A_i B_{j-i}."""
+    out = A * B[0]
+    for i in range(1, len(B)):
+        out[i:] += A[:-i] * B[i]
+    return out
+
+
+def _powc(A, e):
+    """A^e from j A_0 Y_j = sum_{i=1..j} (e i - (j - i)) A_i Y_{j-i}."""
+    Y = np.empty_like(A)
+    Y[0] = A[0] ** e
+    for j in range(1, len(A)):
+        Y[j] = sum((e * i - (j - i)) * A[i] * Y[j - i]
+                   for i in range(1, j + 1)) / (j * A[0])
+    return Y
+
+
+def _log(A):
+    """log A from j A_0 Y_j = j A_j - sum_{i=1..j-1} (j - i) A_i Y_{j-i}."""
+    Y = np.empty_like(A)
+    Y[0] = np.log(A[0])
+    for j in range(1, len(A)):
+        Y[j] = (A[j] - sum((j - i) * A[i] * Y[j - i]
+                           for i in range(1, j)) / j) / A[0]
+    return Y
+
+
+def _exp(A):
+    """exp A from j Y_j = sum_{i=1..j} i A_i Y_{j-i}."""
+    Y = np.empty_like(A)
+    Y[0] = np.exp(A[0])
+    for j in range(1, len(A)):
+        Y[j] = sum(i * A[i] * Y[j - i] for i in range(1, j + 1)) / j
+    return Y
+
+
+def _compose(O, I):
+    """Series composition: O holds the outer jet taken at I_0."""
+    out = np.zeros_like(I)
+    out[0] = O[0]
+    D = I.copy()
+    D[0] = 0.0
+    P = D
+    for j in range(1, len(I)):
+        out[1:] += O[j] * P[1:]
+        P = _mul(P, D)
+    return out
+
+
+def _deriv(A):
+    """Jet of the derivative, one order shorter: (f')_j = (j + 1) f_{j+1}."""
+    return A[1:] * np.arange(1.0, len(A)).reshape((-1,) + (1,) * (A.ndim - 1))
+
+
+def _var_power(x, e, k):
+    """Jet of v^e at the variable jet v = (x, 1, 0, ...).  Only the
+    first-order term of the powc recurrence survives there:
+    Y_j = Y_{j-1} (e - j + 1) / (j x)."""
+    Y = np.empty((k + 1,) + np.shape(x))
+    Y[0] = x ** e
+    for j in range(1, k + 1):
+        Y[j] = Y[j - 1] * ((e - j + 1) / j) / x
+    return Y
+
+
+def _poly(x, slope, coeffs, k):
+    """Jet of sum_i coeffs[i] v^i at the variable jet v = (x, slope, 0, ...),
+    by Horner's rule; each step is a Leibniz product with v."""
+    Y = np.zeros((k + 1,) + np.shape(x))
+    Y[0] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        Z = Y * x
+        if k:
+            Z[1:] += Y[:-1] * slope
+        Z[0] += c
+        Y = Z
+    return Y
+
+
 class RProfile:
-    """Scalar function of r with exact first and second derivatives.
+    """Scalar function of r evaluated as a truncated Taylor jet.
 
     Parameters
     ----------
     fn : callable
-        Vectorized map r -> (y, dy, ddy), each shaped like r.
+        fn(at, k) -> array of shape (k + 1,) + r.shape holding the Taylor
+        coefficients f^(j)(r) / j!, j = 0..k, at the radii ``at.r``; inside
+        fn, ``at(q, j)`` is the jet of another profile q at the same radii.
     """
 
     def __init__(self, fn):
         self._fn = fn
 
+    def jet(self, r, k):
+        """Taylor coefficients of orders 0..k at radii r."""
+        return _Evaluation(r)(self, k)
+
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        y, dy, ddy = self._fn(r)
-        return np.asarray(y, float), np.asarray(dy, float), np.asarray(ddy, float)
+        """(y, dy, ddy): the value and the first two derivatives."""
+        c = self.jet(r, 2)
+        return c[0], c[1], 2.0 * c[2]
 
     def value(self, r):
-        return self(r)[0]
+        return self.jet(r, 0)[0]
 
     def d1(self, r):
-        return self(r)[1]
+        return self.jet(r, 1)[1]
 
     def d2(self, r):
-        return self(r)[2]
+        return 2.0 * self.jet(r, 2)[2]
 
     def __add__(self, other):
         other = as_profile(other)
-
-        def fn(r):
-            a0, a1, a2 = self(r)
-            b0, b1, b2 = other(r)
-            return a0 + b0, a1 + b1, a2 + b2
-
-        return RProfile(fn)
+        return RProfile(lambda at, k: at(self, k) + at(other, k))
 
     __radd__ = __add__
 
@@ -55,42 +142,47 @@ class RProfile:
     def __mul__(self, other):
         if np.isscalar(other):
             c = float(other)
-
-            def fn(r):
-                a0, a1, a2 = self(r)
-                return c * a0, c * a1, c * a2
-
-            return RProfile(fn)
+            return RProfile(lambda at, k: c * at(self, k))
         other = as_profile(other)
-
-        def fn(r):
-            a0, a1, a2 = self(r)
-            b0, b1, b2 = other(r)
-            return a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2 * a1 * b1 + a0 * b2
-
-        return RProfile(fn)
+        return RProfile(lambda at, k: _mul(at(self, k), at(other, k)))
 
     __rmul__ = __mul__
 
     def powc(self, e):
         """Profile raised to a constant exponent (profile must stay positive)."""
         e = float(e)
-
-        def fn(r):
-            a0, a1, a2 = self(r)
-            y = a0 ** e
-            dy = e * a0 ** (e - 1) * a1
-            ddy = e * (e - 1) * a0 ** (e - 2) * a1 ** 2 + e * a0 ** (e - 1) * a2
-            return y, dy, ddy
-
-        return RProfile(fn)
+        return RProfile(lambda at, k: _powc(at(self, k), e))
 
     def logp(self):
-        def fn(r):
-            a0, a1, a2 = self(r)
-            return np.log(a0), a1 / a0, a2 / a0 - (a1 / a0) ** 2
+        return RProfile(lambda at, k: _log(at(self, k)))
 
-        return RProfile(fn)
+    def deriv(self):
+        """The derivative as a profile; its order-k jet reads order k + 1."""
+        return RProfile(lambda at, k: _deriv(at(self, k + 1)))
+
+
+class _Evaluation:
+    """Jets at fixed radii r.  Each profile is evaluated once, at the
+    highest order asked so far, and its jet is shared by every profile
+    built on it, so a subexpression used twice is computed once."""
+
+    def __init__(self, r):
+        self.r = np.asarray(r, dtype=float)
+        self._memo = {}
+
+    def __call__(self, p, k):
+        c = self._memo.get(p)
+        if c is None or len(c) <= k:
+            c = self._memo[p] = p._fn(self, k)
+        return c[:k + 1]
+
+
+def jets(profiles, r, k):
+    """Jets of order k of several profiles at the same radii; subprofiles
+    they share are evaluated once.  None stands for the zero profile."""
+    at = _Evaluation(r)
+    return [np.zeros((k + 1,) + at.r.shape) if p is None else at(p, k)
+            for p in profiles]
 
 
 def as_profile(x):
@@ -103,112 +195,83 @@ def as_profile(x):
 
 def const(c):
     c = float(c)
+    return RProfile(lambda at, k: _poly(at.r, 0.0, (c,), k))
 
-    def fn(r):
-        z = np.zeros_like(r)
-        return np.full_like(r, c), z, z
 
-    return RProfile(fn)
+def identity():
+    """The variable itself, r -> r."""
+    return RProfile(lambda at, k: _poly(at.r, 1.0, (0.0, 1.0), k))
 
 
 def power(c, a):
-    """c * r**a with exact derivatives."""
+    """c * r**a."""
     c, a = float(c), float(a)
-
-    def fn(r):
-        y = c * r ** a
-        return y, a * y / r, a * (a - 1) * y / r ** 2
-
-    return RProfile(fn)
+    return RProfile(lambda at, k: c * _var_power(at.r, a, k))
 
 
 def gaussian(c, r0, width):
     """c * exp(-((r - r0)/width)**2)."""
     c, r0, width = float(c), float(r0), float(width)
-
-    def fn(r):
-        t = (r - r0) / width
-        y = c * np.exp(-t * t)
-        dy = y * (-2 * t / width)
-        ddy = y * ((4 * t * t - 2) / width ** 2)
-        return y, dy, ddy
-
-    return RProfile(fn)
+    return RProfile(lambda at, k: c * _exp(
+        _poly((at.r - r0) / width, 1.0 / width, (0.0, 0.0, -1.0), k)))
 
 
 def bubble(c, lam=1.0):
     """c * (1 + (lam r)^2)^(-1/2); strictly superharmonic in three dimensions."""
     c, lam = float(c), float(lam)
-
-    def fn(r):
-        s = lam * r
-        q = 1.0 + s * s
-        y = c * q ** -0.5
-        dy = -c * lam * s * q ** -1.5
-        ddy = c * lam * lam * (2 * s * s - 1.0) * q ** -2.5
-        return y, dy, ddy
-
-    return RProfile(fn)
+    return RProfile(lambda at, k: c * _powc(
+        _poly(lam * at.r, lam, (1.0, 0.0, 1.0), k), -0.5))
 
 
 def from_spline(spline):
     """Wrap a scipy spline in r (e.g. CubicSpline) as a profile."""
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-
-    def fn(r):
-        return spline(r), d1(r), d2(r)
-
-    return RProfile(fn)
+    return RProfile(lambda at, k: np.stack(
+        [spline(at.r, j) / factorial(j) for j in range(k + 1)]))
 
 
-def smoothstep(x):
-    """Quintic smoothstep on [0,1] with vanishing first and second derivatives
-    at both ends; returns (value, d/dx, d2/dx2) with clamping outside [0,1]."""
-    x = np.asarray(x, dtype=float)
-    xc = np.clip(x, 0.0, 1.0)
-    y = xc ** 3 * (10.0 + xc * (-15.0 + 6.0 * xc))
-    dy = 30.0 * xc ** 2 * (xc - 1.0) ** 2
-    ddy = 60.0 * xc * (2.0 * xc - 1.0) * (xc - 1.0)
-    inside = (x > 0.0) & (x < 1.0)
-    dy = np.where(inside, dy, 0.0)
-    ddy = np.where(inside, ddy, 0.0)
-    return y, dy, ddy
+_SMOOTHSTEP = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)
+
+
+def _ramps(t, starts, widths, k):
+    """Jets, shaped (k + 1, m) + t.shape, of m quintic smoothstep ramps
+    x^3 (10 - 15 x + 6 x^2) of x = (t - starts[i]) / widths[i]; the first
+    and second derivatives vanish at both ends, and each ramp is the
+    constant 0 or 1 outside its interval."""
+    shape = (-1,) + (1,) * t.ndim
+    widths = widths.reshape(shape)
+    x = (t - starts.reshape(shape)) / widths
+    Y = _poly(np.minimum(np.maximum(x, 0.0), 1.0), 1.0 / widths, _SMOOTHSTEP,
+              k)
+    if k:
+        Y[1:] *= (x > 0.0) & (x < 1.0)
+    return Y
 
 
 def transition(t0, t1):
     """Profile in the variable t rising smoothly from 0 at t0 to 1 at t1."""
-    t0, t1 = float(t0), float(t1)
-    w = t1 - t0
-
-    def fn(t):
-        y, dy, ddy = smoothstep((t - t0) / w)
-        return y, dy / w, ddy / w ** 2
-
-    return RProfile(fn)
+    starts, widths = np.array([t0], float), np.array([t1 - t0], float)
+    return RProfile(lambda at, k: _ramps(at.r, starts, widths, k)[:, 0])
 
 
 def window(t0, t1, t2, t3):
     """Plateau cutoff: 0 outside [t0, t3], 1 on [t1, t2], smoothstep ramps."""
-    up = transition(t0, t1)
-    down = transition(t2, t3)
+    starts = np.array([t0, t2], float)
+    widths = np.array([t1 - t0, t3 - t2], float)
 
-    def fn(t):
-        u0, u1, u2 = up(t)
-        d0, d1, d2 = down(t)
-        return u0 - d0, u1 - d1, u2 - d2
+    def fn(at, k):
+        Y = _ramps(at.r, starts, widths, k)
+        return Y[:, 0] - Y[:, 1]
 
     return RProfile(fn)
 
 
 def compose(outer, inner):
-    """Profile r -> outer(inner(r)) with chain-rule derivatives."""
+    """Profile r -> outer(inner(r))."""
     fo, fi = as_profile(outer), as_profile(inner)
 
-    def fn(r):
-        y, dy, ddy = fi(r)
-        z, dz, ddz = fo(y)
-        return z, dz * dy, ddz * dy * dy + dz * ddy
+    def fn(at, k):
+        I = at(fi, k)
+        return _compose(fo.jet(I[0], k), I)
 
     return RProfile(fn)
 
@@ -233,30 +296,65 @@ def conformal_scalar(u, n):
     cn = 4.0 * (n - 1) / (n - 2)
     ex = -(n + 2.0) / (n - 2.0)
     lap = flat_laplacian(u, n)
+    return lambda r: -cn * u.value(r) ** ex * lap(r)
+
+
+def radial_scalar(a, b, n):
+    """Scalar curvature of a(r) delta + b(r) xhat xhat^T (b may be None).
+
+    The metric is (a + b) dr^2 + a r^2 dOmega^2 = ds^2 + rho^2 dOmega^2 with
+    rho = r sqrt(a) and ds = sqrt(a + b) dr, so
+    R = -2(n-1) rho_ss / rho + (n-1)(n-2)(1 - rho_s^2) / rho^2, evaluated
+    from the order-2 jets of a and b.
+    """
 
     def R(r):
         r = np.asarray(r, dtype=float)
-        u0 = u.value(r)
-        return -cn * u0 ** ex * lap(r)
+        A, B = jets((a, b), r, 2)
+        rho = _mul(_poly(r, 1.0, (0.0, 1.0), 2), _powc(A, 0.5))
+        c = _powc(A[:2] + B[:2], -0.5)
+        rho_s = _mul(_deriv(rho), c)
+        rho_ss = _deriv(rho_s)[0] * c[0]
+        return (n - 1) * (-2.0 * rho_ss / rho[0]
+                          + (n - 2) * (1.0 - rho_s[0] ** 2) / rho[0] ** 2)
 
     return R
 
 
+class RicciProfiles(NamedTuple):
+    """Radial Ricci tensor Ric_ij = alpha(r) delta_ij + beta(r) xhat_i xhat_j.
+
+    Unpacking gives the two profiles; calling the pair at r gives their
+    values (alpha, beta).
+    """
+    alpha: RProfile
+    beta: RProfile
+
+    def __call__(self, r):
+        al, be = jets(self, r, 0)
+        return al[0], be[0]
+
+
 def conformal_ricci_profiles(u, n):
-    """Ricci tensor of u^{4/(n-2)} delta as radial profiles (alpha, beta) with
-    Ric_ij = alpha(r) delta_ij + beta(r) xhat_i xhat_j.
+    """Ricci tensor of u^{4/(n-2)} delta as radial profiles (alpha, beta).
 
     Derived from the conformal transformation law with psi = (2/(n-2)) log u on
-    a flat base: Ric = -(n-2)(Hess psi - dpsi dpsi) - (Lap psi + (n-2)|dpsi|^2) delta.
+    a flat base: Ric = -(n-2)(Hess psi - dpsi dpsi) - (Lap psi + (n-2)|dpsi|^2) delta,
+    so with q = psi'/r, alpha = -(2n-3) q - psi'' - (n-2) psi'^2 and
+    beta = -(n-2)(psi'' - q - psi'^2).
     """
     psi = u.logp() * (2.0 / (n - 2))
+    p1 = psi.deriv()
+    p2 = p1.deriv()
+    q = p1 * power(1.0, -1.0)
+    sq = p1 * p1
 
-    def ab(r):
-        r = np.asarray(r, dtype=float)
-        _, p1, p2 = psi(r)
-        lap = p2 + (n - 1) * p1 / r
-        alpha = -(n - 2) * (p1 / r) - lap - (n - 2) * p1 ** 2
-        beta = -(n - 2) * (p2 - p1 / r - p1 ** 2)
-        return alpha, beta
+    # p2 first: it asks psi for the highest order, so a shared evaluation
+    # computes psi's jet once
+    def alpha(at, k):
+        return -(at(p2, k) + (2 * n - 3) * at(q, k) + (n - 2) * at(sq, k))
 
-    return ab
+    def beta(at, k):
+        return -(n - 2) * (at(p2, k) - at(q, k) - at(sq, k))
+
+    return RicciProfiles(RProfile(alpha), RProfile(beta))

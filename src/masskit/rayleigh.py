@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .elliptic import tridiag_solve
+from .elliptic import lp_norm, tridiag_solve
 from .errors import ConfigError, EstimationError
 from .grids import (SphericalGrid, apply_stiffness, grid_operators,
                     mesh_stiffness, radial_kappa_w, sphere_area)
@@ -52,7 +52,7 @@ def _quotient_parts(mesh, zeta, n):
     p = 2.0 * n / (n - 2.0)
     area = sphere_area(n)
     energy = area * float(zeta @ apply_stiffness(mesh, zeta))
-    denom = (area * float(np.sum(np.abs(zeta) ** p * mesh.wbar))) ** (2.0 / p)
+    denom = lp_norm(mesh, zeta, p, n) ** 2
     return energy, denom
 
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import metrics, radial
 from .adm import adm_mass
-from .curvature import default_step, scalar_curvature_bartnik
 from .density import _solution_profile, conformal_constant, pick_tau
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
     radial_lp_norm, solve_conformal_factor
@@ -168,70 +166,43 @@ class RigidityProbeSpec:
         return floor
 
 
-def _windowed(spline, lo, hi):
-    """Spline values inside (lo, hi), identically zero outside."""
-    d1, d2 = spline.derivative(1), spline.derivative(2)
-
-    def fn(r):
-        r = np.asarray(r, dtype=float)
-        rc = np.clip(r, lo, hi)
-        inside = (r > lo) & (r < hi)
-        return (np.where(inside, spline(rc), 0.0),
-                np.where(inside, d1(rc), 0.0),
-                np.where(inside, d2(rc), 0.0))
-
-    return RProfile(fn)
-
-
-def ricci_perturbed_metric(metric, eta, bump, epsilon, nodes=1201):
+def ricci_perturbed_metric(metric, eta, bump, epsilon):
     """g - epsilon * eta * Ric(g) as a two-profile radial metric.
 
-    The correction profiles are splined once over the bump with clamped ends
-    and vanish identically outside, so the input metric is reproduced bitwise
-    beyond the bump.
+    The radial form is exactly (a - epsilon eta alpha) delta
+    - epsilon eta beta xhat xhat with the jet profiles (alpha, beta) of
+    Ric(g), so every derivative of the perturbed metric is exact.  eta
+    vanishes outside the bump, where the input metric is reproduced
+    bitwise; bump, the support of eta, is taken for the callers and not
+    otherwise needed.
     """
     n = metric.n
     if metric.conformal_u is None:
         raise ConfigError("ricci perturbation needs a conformally flat "
                           "radial input")
-    lo, hi = float(bump[0]), float(bump[1])
-    ab = radial.conformal_ricci_profiles(metric.conformal_u, n)
-    grid = np.linspace(lo, hi, nodes)
-    al, be = ab(grid)
-    ev = eta.value(grid)
-    sp_a = CubicSpline(grid, -epsilon * ev * al, bc_type="clamped")
-    sp_b = CubicSpline(grid, -epsilon * ev * be, bc_type="clamped")
-    a_bar = metric.radial_form.a + _windowed(sp_a, lo, hi)
-    b_bar = _windowed(sp_b, lo, hi)
+    alpha, beta = radial.conformal_ricci_profiles(metric.conformal_u, n)
+    a_bar = metric.radial_form.a - epsilon * eta * alpha
+    b_bar = -epsilon * eta * beta
     return metrics.radial_metric(a_bar, b_bar, n, family="ricci-perturbed",
                                  params=dict(metric.params), q=metric.q,
                                  r_min=metric.r_min)
 
 
-def perturbed_scalar_spline(metric_bar, bump, r_min, nodes=801):
-    """Scalar curvature of the perturbed metric as a windowed profile of r.
+def perturbed_scalar_spline(metric_bar, bump, r_min):
+    """Scalar curvature of the perturbed metric, exactly zero off the bump.
 
-    Samples along an axis with Richardson-extrapolated central differences
-    (two stencils, eliminating the h^2 term) and returns a callable that is
-    exactly zero outside the bump, where the metric is untouched and
-    scalar-flat.
+    Inside (max(lo, r_min), hi) this is the closed-form radial curvature of
+    the metric's radial form (`radial.radial_scalar`); outside, the metric
+    is the untouched scalar-flat input and the value is exactly 0.  The
+    name is kept for its callers; nothing is splined.
     """
-    lo, hi = float(bump[0]), float(bump[1])
-    pad = 0.03 * (hi - lo)
-    gl = max(lo - pad, r_min / 0.985)
-    gh = hi + pad
-    r_grid = np.linspace(gl, gh, nodes)
-    X = np.zeros((r_grid.size, metric_bar.n))
-    X[:, 0] = r_grid
-    h0 = 0.5 * default_step(r_grid)
-    R1 = scalar_curvature_bartnik(metric_bar, X, h=h0)
-    R2 = scalar_curvature_bartnik(metric_bar, X, h=0.5 * h0)
-    sp = CubicSpline(r_grid, (4.0 * R2 - R1) / 3.0)
+    lo, hi = max(float(bump[0]), float(r_min)), float(bump[1])
+    form = metric_bar.radial_form
+    R = radial.radial_scalar(form.a, form.b, metric_bar.n)
 
     def R_fun(r):
         r = np.asarray(r, dtype=float)
-        inside = (r > lo) & (r < hi)
-        return np.where(inside, sp(np.clip(r, lo, hi)), 0.0)
+        return np.where((r > lo) & (r < hi), R(r), 0.0)
 
     return R_fun
 
@@ -239,8 +210,7 @@ def perturbed_scalar_spline(metric_bar, bump, r_min, nodes=801):
 def _ricci_magnitude(metric, r):
     """Pointwise metric norm |Ric(g)|_g along the radius for conformal g."""
     n = metric.n
-    ab = radial.conformal_ricci_profiles(metric.conformal_u, n)
-    al, be = ab(r)
+    al, be = radial.conformal_ricci_profiles(metric.conformal_u, n)(r)
     conf = metric.radial_form.a.value(r)
     return np.sqrt((n - 1) * al ** 2 + (al + be) ** 2) / conf
 
@@ -374,15 +344,11 @@ def ricci_linearity_audit(metric, eta, bump, eps_ladder=(0.01, 0.005),
     epsilon and agreement of the integral with epsilon times the squared
     Ricci content certify the construction to leading order.
     """
-    n = metric.n
     lo, hi = float(bump[0]), float(bump[1])
     if r_probe is None:
         r_probe = 0.5 * (lo + hi)
     quad_r = np.linspace(lo, hi, 4001)
-    ab = radial.conformal_ricci_profiles(metric.conformal_u, n)
-    al, be = ab(quad_r)
-    conf = metric.radial_form.a.value(quad_r)
-    ric2 = ((n - 1) * al ** 2 + (al + be) ** 2) / conf ** 2
+    ric2 = _ricci_magnitude(metric, quad_r) ** 2
     w_g = radial_kappa_w(metric, quad_r)[1]
     content = np.trapezoid(eta.value(quad_r) * ric2 * w_g, quad_r)
 

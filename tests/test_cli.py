@@ -123,3 +123,57 @@ def test_deform_outputs_byte_identical_across_repeats_and_threads(tmp_path):
     assert set(first) == {"deform_report.json", "deform_trend.csv"}
     assert _scene_outputs(tmp_path, "deform", DEFORM_SCENE, "b", 1) == first
     assert _scene_outputs(tmp_path, "deform", DEFORM_SCENE, "c", 2) == first
+
+
+def test_deform_size_bound_failure_exits_as_regime_failure(tmp_path):
+    scene = json.loads(json.dumps(DEFORM_SCENE))
+    scene["deform"]["c_S"] = 0.1
+    config = tmp_path / "deform.json"
+    config.write_text(json.dumps(scene))
+    result = CliRunner().invoke(cli.main, [
+        "deform", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--threads", "1", "--seed", "0"])
+    assert result.exit_code == 2, result.output
+    assert "regime failure" in result.output
+    assert "satisfies the size bound" in result.output
+
+
+# the compactify-harmonic scene of the benchmark's cli-scenes workload at
+# c = -0.25: the Lohkamp cap composed onto a harmonic factor with negative
+# mass, its curvature audits and the torus glue
+COMPACTIFY_SCENE = {
+    "schema": 1,
+    "metric": {"family": "conformally_flat", "dimension": 3,
+               "profile": [{"kind": "const", "value": 1.0},
+                           {"kind": "power", "coefficient": -0.25,
+                            "exponent": -1.0}]},
+    "compactify": {"s1": 8.0},
+}
+
+
+def test_compactify_outputs_byte_identical_across_repeats_and_threads(
+        tmp_path):
+    first = _scene_outputs(tmp_path, "compactify", COMPACTIFY_SCENE, "a", 1)
+    assert json.loads(first["compactify_report.json"])["cut"]["m_bar"] == -0.5
+    assert _scene_outputs(tmp_path, "compactify", COMPACTIFY_SCENE, "b",
+                          1) == first
+    assert _scene_outputs(tmp_path, "compactify", COMPACTIFY_SCENE, "c",
+                          2) == first
+
+
+# the ale-antipodal scene of the benchmark's cli-scenes workload at m = 1:
+# the quotient lift under -I and its cover/quotient mass ratio
+ALE_SCENE = {
+    "schema": 1,
+    "metric": {"family": "schwarzschild", "dimension": 3, "mass": 1.0},
+    "ale": {"generators": [[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                            [0.0, 0.0, -1.0]]]},
+}
+
+
+def test_ale_outputs_byte_identical_across_repeats_and_threads(tmp_path):
+    first = _scene_outputs(tmp_path, "ale", ALE_SCENE, "a", 1)
+    rep = json.loads(first["ale_report.json"])
+    assert abs(rep["mass_ratio"] / rep["group_order"] - 1.0) <= 1e-3
+    assert _scene_outputs(tmp_path, "ale", ALE_SCENE, "b", 1) == first
+    assert _scene_outputs(tmp_path, "ale", ALE_SCENE, "c", 2) == first

@@ -9,7 +9,7 @@ from scipy.integrate import quad, simpson
 
 from masskit import curvature, density, metrics, radial, tolerances
 from masskit.adm import trend_slope
-from masskit.errors import ConfigError, RegimeError, SolverError
+from masskit.errors import ConfigError, RegimeError
 from masskit.grids import radial_kappa_w, sphere_area
 
 C_SOB = 3.0
@@ -166,7 +166,7 @@ def test_delta_bisection_matches_linear_oracle():
 
 def test_delta_floor_failure_raises():
     interp = density.build_interpolated_metric(toy_split(), 8.0)
-    with pytest.raises(SolverError):
+    with pytest.raises(RegimeError, match="no relaxation constant"):
         density.choose_delta(interp, 0.1)
     with pytest.raises(ConfigError):
         density.choose_delta(interp, 0.0)
@@ -274,7 +274,7 @@ def test_growing_shift_aborts_ladder():
     # r^-1/2 remainder violates the decay assumption: shifts grow ~ s^1/2
     u = metrics.schwarzschild_factor(0.5, 3) + radial.power(0.005, -0.5)
     slow = metrics.conformally_flat(u, 3, family="slow")
-    with pytest.raises(SolverError, match="not decreasing"):
+    with pytest.raises(RegimeError, match="not decreasing"):
         density.density_deform(slow, 1e-6, c_S=20.0, m=0.5)
 
 

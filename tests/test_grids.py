@@ -1,7 +1,7 @@
 """FULL3D grid operators against an explicit index-contraction reference."""
 import numpy as np
 
-from masskit import grids, metrics
+from masskit import grids, metrics, radial
 
 
 def test_grid_operators_match_einsum_reference():
@@ -32,3 +32,23 @@ def test_grid_operators_match_einsum_reference():
 
     assert np.abs(vol - vol_ref).max() <= 1e-13 * np.abs(vol_ref).max()
     assert np.abs(K.toarray() - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+
+
+def test_radial_kappa_w_reads_values_only():
+    # the shooting oracle calls radial_kappa_w at every right-hand side, so
+    # it must not ask the radial form for derivatives nobody reads
+    orders = []
+
+    def recorded(p):
+        def fn(at, k):
+            orders.append(k)
+            return at(p, k)
+        return radial.RProfile(fn)
+
+    a = radial.const(1.0) + radial.power(0.5, -1.0)
+    metric = metrics.radial_metric(recorded(a),
+                                   recorded(radial.gaussian(0.1, 2.0, 0.5)), 3)
+    r = np.linspace(1.0, 4.0, 7)
+    kap, w = grids.radial_kappa_w(metric, r)
+    assert orders == [0, 0]
+    assert kap.shape == w.shape == r.shape
