@@ -11,11 +11,10 @@ Richardson-extrapolated to the limit with a measured correction order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics as _metrics
 from .curvature import default_step
 from .errors import ConfigError, DomainError, InternalFault
 from .grids import sphere_area, sphere_quadrature
@@ -115,25 +114,24 @@ def _first_derivatives(metric, X, h=None):
     return dg
 
 
-def _flux_from_dg(dg, U):
-    """Un-normalized per-point integrand (d_j g_ij - d_i g_jj) nu^i."""
-    div = np.einsum('pjij->pi', dg)
-    grad_tr = np.einsum('pijj->pi', dg)
-    return np.einsum('pi,pi->p', div - grad_tr, U)
+def surface_flux(metric, rho, nodes, h=None):
+    """Raw flux integral of (d_j g_ij - d_i g_jj) nu^i over {r = rho}.
 
-
-def surface_flux(metric, rho, order=DEFAULT_QUADRATURE_ORDER, h=None):
-    """Raw flux integral of (d_j g_ij - d_i g_jj) nu^i over {r = rho}."""
-    n = metric.n
+    nodes = (U, w) holds unit normals and weights on S^{n-1}: the whole
+    rule of `sphere_quadrature`, or a subset of it such as the orbit
+    representatives of a fundamental domain.  Every mass flux goes
+    through here, so every one checks the chart boundary.
+    """
     if rho <= metric.r_min:
         raise DomainError("sphere radius %.4g outside chart (r_min=%.4g)"
                           % (rho, metric.r_min))
-    U, w = sphere_quadrature(n, order)
-    X = rho * U
-    dg = _first_derivatives(metric, X, h=h)
-    vals = _flux_from_dg(dg, U)
+    U, w = nodes
+    dg = _first_derivatives(metric, rho * U, h=h)
+    div = np.einsum('pjij->pi', dg)
+    grad_tr = np.einsum('pijj->pi', dg)
+    vals = np.einsum('pi,pi->p', div - grad_tr, U)
     # fixed-order reduction for determinism, rho^{n-1} area scaling
-    return float(np.sum(vals * w)) * rho ** (n - 1)
+    return float(np.sum(vals * w)) * rho ** (metric.n - 1)
 
 
 def _closed_form_partial(metric, rho):
@@ -142,10 +140,8 @@ def _closed_form_partial(metric, rho):
     The angular integral collapses exactly; the normalized flux equals
     (1/2) rho^{n-1} (b(rho)/rho - a'(rho)).
     """
-    form = metric.radial_form
-    a0, a1, b0, _ = form.ab(np.array([rho]))
-    n = metric.n
-    return 0.5 * rho ** (n - 1) * (b0[0] / rho - a1[0])
+    _, a1, b0, _ = metric.radial_form.ab(np.array([rho]))
+    return 0.5 * rho ** (metric.n - 1) * (b0[0] / rho - a1[0])
 
 
 def adm_surface_integral(metric, rho, order=DEFAULT_QUADRATURE_ORDER,
@@ -168,7 +164,7 @@ def adm_surface_integral(metric, rho, order=DEFAULT_QUADRATURE_ORDER,
         return _closed_form_partial(metric, rho)
     n = metric.n
     norm = 2.0 * (n - 1) * sphere_area(n)
-    return surface_flux(metric, rho, order=order, h=h) / norm
+    return surface_flux(metric, rho, sphere_quadrature(n, order), h=h) / norm
 
 
 def _estimate_order(radii, masses, n):
@@ -255,9 +251,9 @@ def residual_flux(field, radii, order=DEFAULT_QUADRATURE_ORDER, h=None):
     A vanishing limit certifies that the subtracted profile carried the
     entire mass.
     """
-    radii = np.asarray(radii, dtype=float)
-    return np.array([surface_flux(field, rho, order=order, h=h)
-                     for rho in radii])
+    nodes = sphere_quadrature(field.n, order)
+    return np.array([surface_flux(field, rho, nodes, h=h)
+                     for rho in np.asarray(radii, dtype=float)])
 
 
 def residual_flux_pass(radii, fluxes, tol=1e-3):

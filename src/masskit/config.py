@@ -23,6 +23,7 @@ from jsonschema.validators import validator_for
 from . import metrics, radial
 from .elliptic import DomainModel
 from .errors import ConfigError
+from .grids import MIN_QUADRATURE_ORDER
 
 SCHEMA_VERSION = 1
 
@@ -72,7 +73,8 @@ SCENE_SCHEMA = {
             "required": ["radii"],
             "properties": {
                 "radii": _LADDER,
-                "quadrature_order": {"type": "integer", "minimum": 4},
+                "quadrature_order": {"type": "integer",
+                                     "minimum": MIN_QUADRATURE_ORDER},
                 "method": {"enum": ["auto", "quadrature", "closed_form"]},
                 "expected": _NUM,
                 "rtol": _NONNEG,

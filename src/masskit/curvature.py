@@ -116,22 +116,6 @@ def ricci_tensor_fd(metric, X, h=None):
         raise DegenerateMetricError("metric not invertible on the stencil") from exc
 
 
-def scalar_curvature_conformal(n, R_base, phi, lap_phi):
-    """Closed-form scalar curvature of phi^{4/(n-2)} g given R(g) and Delta_g phi.
-
-    No differencing happens here; callers supply the Laplacian.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if np.any(phi <= 0.0):
-        raise DegenerateMetricError("conformal factor must be positive (min %.3g)"
-                                    % float(phi.min()))
-    R_base = np.asarray(R_base, dtype=float)
-    lap_phi = np.asarray(lap_phi, dtype=float)
-    ex = -(n + 2.0) / (n - 2.0)
-    cn = 4.0 * (n - 1.0) / (n - 2.0)
-    return phi ** ex * (-cn * lap_phi + R_base * phi)
-
-
 def sample_directions(n, count, rng=None):
     """Deterministic unit directions for audits (seeded Gaussian projection)."""
     rng = np.random.default_rng(0 if rng is None else rng) \

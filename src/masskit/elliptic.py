@@ -277,7 +277,6 @@ def solve_conformal_factor(problem, exhaust_tol=None):
     diffs = []
     prev = None
     lengths = dom.cylinder_lengths if dom.has_toy_end else (0.0,)
-    last = None
     for i, L in enumerate(lengths):
         for R in dom.truncation_radii:
             sol = solve_truncated(problem, i=i, R=R, cyl_len=L,
@@ -290,7 +289,6 @@ def solve_conformal_factor(problem, exhaust_tol=None):
                                 "residual": sol.residual,
                                 "min_u": float(1.0 + sol.v.min()),
                                 "energy": sol.energy})
-            last = sol
     if exhaust_tol is not None and diffs and diffs[-1] > exhaust_tol:
         raise SolverError("exhaustion not settled: last step moved %.3g > %.3g"
                           % (diffs[-1], exhaust_tol))

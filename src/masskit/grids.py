@@ -11,9 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import gamma, roots_jacobi
 
 from .errors import ConfigError
 from .radial import jets
+
+# lowest sphere-quadrature order; the scene schema reads it
+MIN_QUADRATURE_ORDER = 8
+# cap on the nodes x n^3 first derivatives of a flux sum: 2^25 float64
+# entries, 256 MiB
+FLUX_ENTRY_LIMIT = 2 ** 25
 
 
 @dataclass
@@ -36,7 +43,7 @@ class RadialMesh:
     r: np.ndarray              # physical radius per node (r_min on the cylinder)
     is_cyl: np.ndarray         # bool mask, (M,)
     kappa_face: np.ndarray     # (M-1,), flux coefficient at faces
-    w_half: np.ndarray         # (M, 2), lumped weight of the (left, right) half cells
+    wbar: np.ndarray           # (M,), lumped weight of the two half cells
     r_min: float = 1.0
     r_max: float = 0.0
     tier: str = "RADIAL"
@@ -44,10 +51,6 @@ class RadialMesh:
     @property
     def num_nodes(self):
         return self.coord.size
-
-    @property
-    def wbar(self):
-        return self.w_half.sum(axis=1)
 
     @property
     def dcoord(self):
@@ -104,18 +107,16 @@ def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0, r_min=None):
     kap_ann, _ = radial_kappa_w(metric, r_face)
     kappa_face[~cylf] = kap_ann / r_face
 
-    # lumped half-cell weights, side-aware at the junction
+    # lumped half-cell weights (left half, then right), side-aware at the
+    # junction
     d = np.diff(coord)
-    w_half = np.zeros((coord.size, 2))
     _, w_ann = radial_kappa_w(metric, r)
     w_sigma = w_ann * r
-    for i in range(coord.size):
-        if i > 0:
-            w_half[i, 0] = 0.5 * d[i - 1] * (section if mid[i - 1] < 0 else w_sigma[i])
-        if i < coord.size - 1:
-            w_half[i, 1] = 0.5 * d[i] * (section if mid[i] < 0 else w_sigma[i])
+    wbar = np.zeros(coord.size)
+    wbar[1:] += 0.5 * d * np.where(cylf, section, w_sigma[1:])
+    wbar[:-1] += 0.5 * d * np.where(cylf, section, w_sigma[:-1])
     return RadialMesh(n=n, coord=coord, r=r, is_cyl=is_cyl,
-                      kappa_face=kappa_face, w_half=w_half,
+                      kappa_face=kappa_face, wbar=wbar,
                       r_min=r_min, r_max=float(r_max))
 
 
@@ -165,7 +166,7 @@ class SphericalGrid:
 
     @property
     def spacings(self):
-        Nr, Nth, Nph = self.shape
+        _, Nth, Nph = self.shape
         return (self.sigma[1] - self.sigma[0], np.pi / Nth, 2.0 * np.pi / Nph)
 
     def points(self):
@@ -270,52 +271,44 @@ def grid_operators(grid, metric):
 
 
 def sphere_quadrature(n, order):
-    """Product quadrature nodes/weights on the unit sphere S^{n-1}.
+    """Product quadrature nodes/weights on the unit sphere S^{n-1}, any n.
 
-    Gauss-Legendre in the polar angles, trapezoid in the periodic longitude;
-    supports n = 3 and n = 4.  Returns (U, w) with U of shape (Q, n) unit
-    vectors and sum(w) = |S^{n-1}|.
+    The trapezoid in the periodic longitude gives S^1; then S^k is built from
+    S^{k-1} for k = 2..n-1 as x = (sqrt(1 - t^2) y, t), with Gauss-Jacobi
+    nodes t = cos(theta_k) for the weight (1 - t^2)^{(k-2)/2} of
+    dsigma_k = (1 - t^2)^{(k-2)/2} dt dsigma_{k-1} (Stroud, *Approximate
+    Calculation of Multiple Integrals*, 1971).  Exact for polynomials of
+    degree < 2 order.  The last coordinate is the cosine of the outermost
+    polar angle, which varies slowest.  Returns (U, w) with U of shape
+    (2 order^{n-1}, n) unit vectors and sum(w) = |S^{n-1}|.
+
+    A flux sum over the rule holds nodes x n^3 first derivatives, so a rule
+    whose array would exceed FLUX_ENTRY_LIMIT entries is refused before any
+    array is built.
     """
     order = int(order)
-    if order < 8:
-        raise ConfigError("quadrature order %d below the minimum 8" % order)
+    if order < MIN_QUADRATURE_ORDER:
+        raise ConfigError("quadrature order %d below the minimum %d"
+                          % (order, MIN_QUADRATURE_ORDER))
+    count = 2 * order ** (n - 1)
+    if count * n ** 3 > FLUX_ENTRY_LIMIT:
+        raise ConfigError(
+            "sphere quadrature at n=%d, order %d has %d nodes; their %d first "
+            "derivatives exceed the limit of %d entries"
+            % (n, order, count, count * n ** 3, FLUX_ENTRY_LIMIT))
     nphi = 2 * order
     phi = np.arange(nphi) * 2.0 * np.pi / nphi
-    wphi = np.full(nphi, 2.0 * np.pi / nphi)
-    if n == 3:
-        x, wx = np.polynomial.legendre.leggauss(order)
-        st = np.sqrt(1.0 - x ** 2)
-        U = np.empty((order * nphi, 3))
-        W = np.empty(order * nphi)
-        k = 0
-        for i in range(order):
-            U[k:k + nphi, 0] = st[i] * np.cos(phi)
-            U[k:k + nphi, 1] = st[i] * np.sin(phi)
-            U[k:k + nphi, 2] = x[i]
-            W[k:k + nphi] = wx[i] * wphi
-            k += nphi
-        return U, W
-    if n == 4:
-        xc, wc = np.polynomial.legendre.leggauss(order)   # chi in [0, pi]
-        chi = 0.5 * np.pi * (xc + 1.0)
-        wchi = 0.5 * np.pi * wc * np.sin(chi) ** 2
-        xt, wt = np.polynomial.legendre.leggauss(order)   # cos(theta)
-        st = np.sqrt(1.0 - xt ** 2)
-        pts, wts = [], []
-        for i in range(order):
-            for j in range(order):
-                u = np.empty((nphi, 4))
-                u[:, 0] = np.sin(chi[i]) * st[j] * np.cos(phi)
-                u[:, 1] = np.sin(chi[i]) * st[j] * np.sin(phi)
-                u[:, 2] = np.sin(chi[i]) * xt[j]
-                u[:, 3] = np.cos(chi[i])
-                pts.append(u)
-                wts.append(np.full(nphi, wchi[i] * wt[j]) * wphi)
-        return np.concatenate(pts), np.concatenate(wts)
-    raise ConfigError("sphere quadrature implemented for n in {3, 4}, got n=%d" % n)
+    U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    w = np.full(nphi, 2.0 * np.pi / nphi)
+    for k in range(2, n):
+        t, wt = roots_jacobi(order, 0.5 * (k - 2), 0.5 * (k - 2))
+        U = np.column_stack(
+            [(np.sqrt(1.0 - t ** 2)[:, None, None] * U).reshape(-1, k),
+             np.repeat(t, len(U))])
+        w = np.outer(wt, w).ravel()
+    return U, w
 
 
 def sphere_area(n):
     """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
-    from scipy.special import gamma
     return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)

@@ -5,9 +5,11 @@ invariant end chart into a quotient end with 1/|G| of the asymptotic
 volume.  `ale_lift` verifies the invariance, lifts the chart to its cover,
 and audits that the cover mass equals |G| times the quotient mass, where
 the quotient side is integrated independently over a lexicographic
-fundamental domain of the sphere.  `fixed_point_of_finite_group` locates
-the common fixed point of a finite group of Euclidean isometries from the
-orbit centroid of the origin.
+fundamental domain of the sphere: the orbit representatives among the
+nodes of `grids.sphere_quadrature` (any n), summed by the same
+`adm.surface_flux` as every other mass flux.
+`fixed_point_of_finite_group` locates the common fixed point of a finite
+group of Euclidean isometries from the orbit centroid of the origin.
 """
 from __future__ import annotations
 
@@ -138,8 +140,8 @@ def fundamental_domain_mass(metric, group, radii=None,
 
     Keeps the sphere nodes that are lexicographically largest in their
     group orbit (one representative per orbit for a free action), sums the
-    mass flux over those nodes with the full-sphere normalization, and
-    extrapolates the radius ladder.  Independent of any cover-side mass
+    mass flux over those nodes with `adm.surface_flux` and the full-sphere
+    normalization, and extrapolates the radius ladder.  Independent of any cover-side mass
     computation: for an invariant metric the result is the cover mass
     divided by the group order.
     """
@@ -156,13 +158,9 @@ def fundamental_domain_mass(metric, group, radii=None,
     keep = np.ones(len(U), dtype=bool)
     for T in group.elements[1:]:
         keep &= _lex_ge(U, U @ T.T)
-    norm = 2.0 * (n - 1) * sphere_area(n)
-    Uk, wk = U[keep], w[keep]
-    masses = np.empty(radii.size)
-    for i, rho in enumerate(radii):
-        dg = _adm._first_derivatives(metric, rho * Uk)
-        vals = _adm._flux_from_dg(dg, Uk)
-        masses[i] = float(np.sum(vals * wk)) * rho ** (n - 1) / norm
+    nodes = U[keep], w[keep]
+    masses = np.array([_adm.surface_flux(metric, rho, nodes)
+                       for rho in radii]) / (2.0 * (n - 1) * sphere_area(n))
     mass, p_obs, low_confidence = _adm.extrapolate_ladder(radii, masses, n)
     return {
         "mass": mass,

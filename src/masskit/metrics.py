@@ -102,7 +102,7 @@ def _radial_g(form: RadialForm, n):
 def _radial_dg(form: RadialForm, n):
     def ev(X):
         r = np.sqrt((X ** 2).sum(axis=1))
-        a0, a1, b0, b1 = form.ab(r)
+        _, a1, b0, b1 = form.ab(r)
         xh = X / r[:, None]
         eye = np.eye(n)
         # d_k g_ij = a' xh_k delta_ij + b' xh_k xh_i xh_j
@@ -191,27 +191,16 @@ def from_evaluator(evaluator, n, family="composite", params=None, q=None,
 
 
 def conformal_product(base: MetricSpec, phi: RProfile, family="conformal"):
-    """phi(r)^{4/(n-2)} * base, preserving radial structure when present."""
+    """phi(r)^{4/(n-2)} * base for a radial base metric."""
     n = base.n
-    e = 4.0 / (n - 2)
-    fac = phi.powc(e)
-
-    if base.radial_form is not None:
-        a = fac * base.radial_form.a
-        b = None if base.radial_form.b is None else fac * base.radial_form.b
-        u = None
-        if base.conformal_u is not None:
-            u = base.conformal_u * phi
-        return radial_metric(a, b, n, family=family, params=dict(base.params),
-                             q=base.q, decay_orders=base.decay_orders,
-                             conformal_u=u, r_min=base.r_min)
-
-    def ev(X):
-        r = np.sqrt((X ** 2).sum(axis=1))
-        return fac.value(r)[:, None, None] * base.g(X)
-
-    return MetricSpec(n=n, family=family, evaluator=ev, params=dict(base.params),
-                      decay_orders=base.decay_orders, q=base.q, r_min=base.r_min)
+    fac = phi.powc(4.0 / (n - 2))
+    form = base.radial_form
+    b = None if form.b is None else fac * form.b
+    u = None if base.conformal_u is None else base.conformal_u * phi
+    return radial_metric(fac * form.a, b, n, family=family,
+                         params=dict(base.params), q=base.q,
+                         decay_orders=base.decay_orders, conformal_u=u,
+                         r_min=base.r_min)
 
 
 def rotate(metric: MetricSpec, Q):

@@ -100,7 +100,6 @@ def sobolev_estimate(domain, metric, max_iters=600, tol=1e-10):
     L = domain.cylinder_lengths[-1] if domain.has_toy_end else 0.0
     mesh = domain.mesh(metric, domain.truncation_radii[-1], L)
     p = 2.0 * n / (n - 2.0)
-    area = sphere_area(n)
     wbar = mesh.wbar
 
     # deterministic start: bubble spread across the middle of the domain

@@ -261,7 +261,7 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
         raise ConfigError("ricci probe needs a conformally flat radial input")
     spec.validate(metric)
     lo, hi = float(spec.bump[0]), float(spec.bump[1])
-    tlo, thi = float(spec.bump_tilde[0]), float(spec.bump_tilde[1])
+    thi = float(spec.bump_tilde[1])
     cn = conformal_constant(n)
 
     flat_r = np.linspace(metric.r_min * 1.01, thi, 2001)

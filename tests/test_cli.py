@@ -177,3 +177,34 @@ def test_ale_outputs_byte_identical_across_repeats_and_threads(tmp_path):
     assert abs(rep["mass_ratio"] / rep["group_order"] - 1.0) <= 1e-3
     assert _scene_outputs(tmp_path, "ale", ALE_SCENE, "b", 1) == first
     assert _scene_outputs(tmp_path, "ale", ALE_SCENE, "c", 2) == first
+
+
+# the same scene at n = 5: the fundamental domain keeps 65,536 of the
+# 131,072 nodes of the order-16 sphere rule
+ALE_SCENE_5D = {
+    "schema": 1,
+    "metric": {"family": "schwarzschild", "dimension": 5, "mass": 1.0},
+    "ale": {"generators": [(-np.eye(5)).tolist()]},
+}
+
+
+def test_ale_runs_at_dimension_five(tmp_path):
+    first = _scene_outputs(tmp_path, "ale", ALE_SCENE_5D, "a", 1)
+    rep = json.loads(first["ale_report.json"])
+    assert rep["nodes_total"] == 131072 and rep["nodes_kept"] == 65536
+    assert rep["ratio_rel_error"] <= 1e-12
+    assert _scene_outputs(tmp_path, "ale", ALE_SCENE_5D, "b", 2) == first
+
+
+def test_ale_at_dimension_seven_exits_as_configuration_error(tmp_path):
+    scene = {"schema": 1,
+             "metric": {"family": "schwarzschild", "dimension": 7,
+                        "mass": 1.0},
+             "ale": {"generators": [(-np.eye(7)).tolist()]}}
+    config = tmp_path / "ale.json"
+    config.write_text(json.dumps(scene))
+    result = CliRunner().invoke(cli.main, [
+        "ale", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--threads", "1", "--seed", "0"])
+    assert result.exit_code == 1, result.output
+    assert "33554432 nodes" in result.output

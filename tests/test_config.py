@@ -16,6 +16,10 @@ def test_scene_schema_is_valid_against_its_metaschema():
     ({"schema": 1}, "at $: 'metric' is a required property"),
     ({"schema": 1, "metric": {"family": "euclidean", "dimension": 2}},
      "at $.metric.dimension: 2 is less than the minimum of 3"),
+    # the schema reads the floor of grids.sphere_quadrature
+    ({"schema": 1, "metric": {"family": "euclidean", "dimension": 3},
+      "mass": {"radii": [8, 16, 32], "quadrature_order": 4}},
+     "at $.mass.quadrature_order: 4 is less than the minimum of 8"),
 ])
 def test_schema_error_names_the_field(tmp_path, scene, message):
     path = tmp_path / "scene.json"

@@ -4,9 +4,8 @@ import pytest
 
 from masskit import metrics, radial
 from masskit.curvature import (christoffel_first_kind, decay_audit,
-                               ricci_tensor_fd, scalar_curvature_bartnik,
-                               scalar_curvature_conformal)
-from masskit.errors import DegenerateMetricError, DomainError
+                               ricci_tensor_fd, scalar_curvature_bartnik)
+from masskit.errors import DomainError
 
 
 def round_sphere(n=3):
@@ -92,12 +91,9 @@ def test_christoffel_first_kind_shape_and_identity():
 
 def test_conformal_closed_form_matches_fd():
     phi = radial.bubble(np.sqrt(2.0), 1.0)
-    lap = radial.flat_laplacian(phi, 3)
     r = np.array([0.5, 1.2])
-    R = scalar_curvature_conformal(3, 0.0, phi.value(r), lap(r))
+    R = radial.conformal_scalar(phi, 3)(r)
     assert np.abs(R - 6.0).max() < 1e-12
-    with pytest.raises(DegenerateMetricError):
-        scalar_curvature_conformal(3, 0.0, np.array([-1.0]), np.array([0.0]))
 
 
 def test_domain_margin_enforced():

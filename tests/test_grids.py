@@ -1,7 +1,11 @@
-"""FULL3D grid operators against an explicit index-contraction reference."""
+"""FULL3D grid operators against an explicit index-contraction reference,
+the radial mesh weights against a per-node loop, and the sphere rule
+against the moments of the round sphere."""
 import numpy as np
+import pytest
 
 from masskit import grids, metrics, radial
+from masskit.errors import ConfigError
 
 
 def test_grid_operators_match_einsum_reference():
@@ -52,3 +56,83 @@ def test_radial_kappa_w_reads_values_only():
     kap, w = grids.radial_kappa_w(metric, r)
     assert orders == [0, 0]
     assert kap.shape == w.shape == r.shape
+
+
+def test_radial_mesh_weights_match_per_node_loop():
+    # a toy-end cylinder and a curved annulus: both weight branches and the
+    # side-aware junction node
+    metric = metrics.schwarzschild(1.0, 4)
+    mesh = grids.radial_mesh(metric, 40.0, 300, cyl_len=2.0, cyl_num=25)
+    r_min = metric.r_min
+    section = metric.radial_form.a.value(r_min) ** 1.5 * r_min ** 3
+    _, w_ann = grids.radial_kappa_w(metric, mesh.r)
+    w_sigma = w_ann * mesh.r
+    d = np.diff(mesh.coord)
+    mid = 0.5 * (mesh.coord[:-1] + mesh.coord[1:])
+    ref = np.zeros((mesh.num_nodes, 2))
+    for i in range(mesh.num_nodes):
+        if i > 0:
+            ref[i, 0] = 0.5 * d[i - 1] * (section if mid[i - 1] < 0
+                                          else w_sigma[i])
+        if i < mesh.num_nodes - 1:
+            ref[i, 1] = 0.5 * d[i] * (section if mid[i] < 0 else w_sigma[i])
+    assert mesh.is_cyl.sum() == 25
+    assert np.array_equal(mesh.wbar, ref.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sphere_rule_integrates_low_moments(n):
+    U, w = grids.sphere_quadrature(n, 8)
+    area = grids.sphere_area(n)
+    assert U.shape == (2 * 8 ** (n - 1), n)
+    assert np.abs((U ** 2).sum(axis=1) - 1.0).max() <= 1e-15
+    assert abs(w.sum() - area) <= 1e-13 * area
+    assert abs(w @ U[:, 0] ** 2 - area / n) <= 1e-13 * area
+    assert abs(w @ U[:, 0] ** 4 - 3.0 * area / (n * (n + 2))) <= 1e-13 * area
+    assert abs(w @ (U[:, 0] * U[:, 1])) <= 1e-13 * area
+
+
+def _legendre_sphere_rule(order):
+    """The n = 3 product rule as a per-latitude loop: Gauss-Legendre in
+    cos(theta), trapezoid in the longitude."""
+    nphi = 2 * order
+    phi = np.arange(nphi) * 2.0 * np.pi / nphi
+    wphi = np.full(nphi, 2.0 * np.pi / nphi)
+    x, wx = np.polynomial.legendre.leggauss(order)
+    st = np.sqrt(1.0 - x ** 2)
+    U = np.empty((order * nphi, 3))
+    W = np.empty(order * nphi)
+    k = 0
+    for i in range(order):
+        U[k:k + nphi, 0] = st[i] * np.cos(phi)
+        U[k:k + nphi, 1] = st[i] * np.sin(phi)
+        U[k:k + nphi, 2] = x[i]
+        W[k:k + nphi] = wx[i] * wphi
+        k += nphi
+    return U, W
+
+
+@pytest.mark.parametrize("order", [8, 16, 64])
+def test_sphere_rule_matches_legendre_rule_at_n3(order):
+    U, w = grids.sphere_quadrature(3, order)
+    U_ref, w_ref = _legendre_sphere_rule(order)
+    # the Jacobi and Legendre roots agree to an ulp; sqrt(1 - t^2) scales
+    # that by t / sqrt(1 - t^2), which reaches 27 next to the poles at
+    # order 64, so the full nodes are compared at the lower orders
+    assert np.abs(U[:, 2] - U_ref[:, 2]).max() <= 1e-15
+    if order <= 16:
+        assert np.abs(U - U_ref).max() <= 1e-15
+    assert np.abs(w - w_ref).max() <= 1e-13 * w_ref.max()
+
+
+def test_sphere_rule_order_floor_and_size_guard():
+    with pytest.raises(ConfigError, match="below the minimum 8"):
+        grids.sphere_quadrature(3, grids.MIN_QUADRATURE_ORDER - 1)
+    # n = 4 at order 64 fills the flux array exactly to the limit
+    assert 2 * 64 ** 3 * 4 ** 3 == grids.FLUX_ENTRY_LIMIT
+    for n, order, count in ((6, 16, 2097152), (7, 8, 524288)):
+        with pytest.raises(ConfigError) as err:
+            grids.sphere_quadrature(n, order)
+        msg = str(err.value)
+        assert "n=%d, order %d has %d nodes" % (n, order, count) in msg
+        assert "limit of 33554432 entries" in msg

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from masskit import adm, groups, metrics
 from masskit.curvature import sample_directions
-from masskit.errors import ConfigError, RegimeError
+from masskit.errors import ConfigError, DomainError, RegimeError
 from masskit.groups import (GroupAction, ale_lift, fixed_point_of_finite_group,
                             fundamental_domain_mass, invariance_gap)
 
@@ -81,6 +81,14 @@ def test_fundamental_domain_halves_for_antipodal_group():
     assert np.max(np.abs(rep.partial_masses - 2.0 * fd["partial_masses"])) \
         <= 1e-12
     assert abs(fd["mass"] - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("radii", [(0.5, 0.7, 0.9), (1.0, 2.0, 4.0)])
+def test_fundamental_domain_refuses_spheres_outside_the_chart(radii):
+    # Schwarzschild m=1 has r_min = 1: a rung at or inside it has no flux
+    with pytest.raises(DomainError, match="outside chart"):
+        fundamental_domain_mass(metrics.schwarzschild(1.0, 3),
+                                antipodal(3), radii=np.array(radii))
 
 
 def test_ale_lift_trivial_group():
