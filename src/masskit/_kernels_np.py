@@ -16,15 +16,40 @@ expanded into algebraic contractions of (g, dg, ddg); the Ricci path uses the
 standard second-kind Christoffel formula.  Both routes agree to machine
 precision on exact derivative inputs.
 
-Congruences such as g^{-1} dg g^{-1} are batched matmuls, and the quartic
-Christoffel term is contracted in two-operand stages: numpy runs an einsum of
-three or more operands as one loop over all of their indices unless asked to
-plan a path, and planning on every call costs more than the contraction at
-the few dozen points of a ``converge`` refinement.
+Every contraction is a batched matmul of reshaped operands: the contracted
+slots are made adjacent and flattened, so each point costs a few small GEMMs
+and no einsum loops over index tuples.  Second derivatives enter only through
+traces of ddg against g^{-1}, so neither kernel builds the (N, n, n, n, n)
+derivatives of the Christoffel symbols; the Ricci kernel reads just the two
+traces d_c G^c_ab and d_a G^c_cb.
 """
 from __future__ import annotations
 
 import numpy as np
+
+
+def _trace(ginv, ddg, x, y):
+    """g^uv contracted into slots x (u) and y (v) of ddg, slots 1..4; the
+    result is indexed by the remaining two slots in order."""
+    N, n = ginv.shape[:2]
+    rest = [s for s in range(1, 5) if s not in (x, y)]
+    D = ddg.transpose(0, *rest, x, y).reshape(N, n * n, n * n)
+    return (D @ ginv.reshape(N, n * n, 1)).reshape(N, n, n)
+
+
+def _christoffel(g, dg):
+    """g^{-1}, dginv[p, l] = d_l g^{-1} = -g^{-1} (d_l g) g^{-1}, G1 and Gc
+    as returned by `christoffel_first`, and S[p, a, b, c] = G^c_ab."""
+    N, n = g.shape[:2]
+    ginv = np.linalg.inv(g)
+    # both factors of the congruence as one GEMM per point over all l
+    dgR = (dg.reshape(N, n * n, n) @ ginv).reshape(N, n, n, n)
+    dginv = -(ginv @ dgR.transpose(0, 2, 1, 3).reshape(N, n, n * n))
+    G1 = 0.5 * (dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1))
+    G1f = G1.reshape(N, n * n, n)
+    Gc = (ginv.reshape(N, 1, n * n) @ G1f)[:, 0]
+    S = (G1f @ ginv.transpose(0, 2, 1)).reshape(N, n, n, n)
+    return ginv, dginv.reshape(N, n, n, n).transpose(0, 2, 1, 3), G1, Gc, S
 
 
 def christoffel_first(g, dg):
@@ -35,56 +60,57 @@ def christoffel_first(g, dg):
     G1 : (N, n, n, n) with G1[p, i, j, k] = 1/2 (d_i g_jk + d_j g_ik - d_k g_ij)
     Gc : (N, n) with Gc[p, k] = g^{ij} G1[p, i, j, k]
     """
-    G1 = 0.5 * (dg + np.einsum('pjik->pijk', dg) - np.einsum('pkij->pijk', dg))
-    ginv = np.linalg.inv(g)
-    Gc = np.einsum('pij,pijk->pk', ginv, G1)
-    return G1, Gc
-
-
-def _dchristoffel_first(ddg):
-    # dG1[p, l, i, j, k] = d_l G1[i, j, k]
-    return 0.5 * (ddg + np.einsum('pljik->plijk', ddg)
-                  - np.einsum('plkij->plijk', ddg))
+    return _christoffel(g, dg)[2:4]
 
 
 def scalar_curvature(g, dg, ddg):
     """Scalar curvature batch via the expanded divergence-form identity."""
-    ginv = np.linalg.inv(g)
-    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
-    dlog = np.einsum('pij,pkij->pk', ginv, dg)
-    ddlog = (np.einsum('plij,pkij->pkl', dginv, dg)
-             + np.einsum('pij,pklij->pkl', ginv, ddg))
-    G1 = 0.5 * (dg + np.einsum('pjik->pijk', dg) - np.einsum('pkij->pijk', dg))
-    dG1 = _dchristoffel_first(ddg)
-    Gc = np.einsum('pij,pijk->pk', ginv, G1)
-    dGc = (np.einsum('plij,pijk->plk', dginv, G1)
-           + np.einsum('pij,plijk->plk', ginv, dG1))
+    ginv, dginv, G1, Gc, S = _christoffel(g, dg)
+    N, n = g.shape[:2]
+    dgf, dginvf = dg.reshape(N, n, n * n), dginv.reshape(N, n, n * n)
+    G1f = G1.reshape(N, n * n, n)
+    M = _trace(ginv, ddg, 3, 4)
+    dlog = (dgf @ ginv.reshape(N, n * n, 1))[..., 0]
     P = Gc - 0.5 * dlog
-    dP = dGc - 0.5 * ddlog
-    # quadratic term g^ab g^cd g^ef G_ace G_bfd: pairs (a,b)(c,d)(e,f), the
-    # second factor's last two slots crossed (first-kind symbols are not
-    # symmetric there); contracted one inverse metric at a time
-    T = np.einsum('pab,pace->pbce', ginv, G1)
-    T = np.einsum('pcd,pbce->pbde', ginv, T)
-    T = T @ ginv[:, None]
-    R = (0.5 * np.einsum('pi,pij,pj->p', dlog, ginv, P)
-         + np.einsum('piij,pj->p', dginv, P)
-         + np.einsum('pij,pij->p', ginv, dP)
-         - 0.5 * np.einsum('pij,pi,pj->p', ginv, Gc, dlog)
-         + np.einsum('pbdf,pbfd->p', T, G1))
-    return R
+    # d_l Gc_k - 1/2 d_k d_l log|g|, with g^ij d_l G1_ijk traced per ddg term
+    dP = (dginvf @ G1f
+          + 0.5 * (_trace(ginv, ddg, 2, 3) + _trace(ginv, ddg, 3, 2) - M)
+          - 0.5 * (dgf @ dginvf.transpose(0, 2, 1) + M))
+    # quadratic term g^ab g^cd g^ef G_ace G_bfd = U[b, c, f] G^c_bf with U
+    # the first-kind symbols raised in the first and last slots (they are
+    # not symmetric in the last two, so the pairing is crossed)
+    U = ginv.transpose(0, 2, 1) @ (G1f @ ginv).reshape(N, n, n * n)
+    quad = (U.reshape(N, n, n, n) * S.transpose(0, 1, 3, 2)).sum(axis=(1, 2, 3))
+    return (0.5 * (dlog * (ginv @ P[..., None])[..., 0]).sum(axis=1)
+            + (np.trace(dginv, axis1=1, axis2=2) * P).sum(axis=1)
+            + (ginv * dP).sum(axis=(1, 2))
+            - 0.5 * (Gc * (ginv @ dlog[..., None])[..., 0]).sum(axis=1)
+            + quad)
 
 
 def ricci_tensor(g, dg, ddg):
-    """Symmetric Ricci tensor batch from second-kind Christoffel symbols."""
-    ginv = np.linalg.inv(g)
-    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
-    G1 = 0.5 * (dg + np.einsum('pjik->pijk', dg) - np.einsum('pkij->pijk', dg))
-    dG1 = _dchristoffel_first(ddg)
-    G2 = np.einsum('pck,pabk->pcab', ginv, G1)
-    dG2 = (np.einsum('plck,pabk->plcab', dginv, G1)
-           + np.einsum('pck,plabk->plcab', ginv, dG1))
-    Ric = (np.einsum('pccab->pab', dG2) - np.einsum('paccb->pab', dG2)
-           + np.einsum('pccd,pdab->pab', G2, G2)
-           - np.einsum('pcad,pdcb->pab', G2, G2))
-    return 0.5 * (Ric + np.einsum('pab->pba', Ric))
+    """Symmetric Ricci tensor batch from second-kind Christoffel symbols,
+
+    Ric_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb,
+
+    with d_l G^c_ab = (d_l g^ck) G_abk + g^ck d_l G_abk read only along the
+    two traces the formula takes: div[a, b] = d_c G^c_ab and
+    grad[a, b] = d_a G^c_cb.
+    """
+    ginv, dginv, G1, _, S = _christoffel(g, dg)
+    N, n = g.shape[:2]
+    G1f = G1.reshape(N, n * n, n)
+    # H[a, b] = g^ck d_c d_a g_bk, which is also g^ck d_a d_c g_bk because
+    # ddg is symmetric in its two derivative slots
+    H = _trace(ginv, ddg, 1, 4)
+    div = (G1f @ np.trace(dginv, axis1=1, axis2=2)[..., None]).reshape(N, n, n)
+    div += 0.5 * (H + H.transpose(0, 2, 1) - _trace(ginv, ddg, 1, 2))
+    grad = (dginv.reshape(N, n, n * n)
+            @ G1.transpose(0, 1, 3, 2).reshape(N, n * n, n))
+    grad += 0.5 * (H + _trace(ginv, ddg, 3, 4) - _trace(ginv, ddg, 3, 2))
+    quad = (S.reshape(N, n * n, n)
+            @ np.trace(S, axis1=1, axis2=3)[..., None]).reshape(N, n, n)
+    quad -= (S.reshape(N, n, n * n)
+             @ S.transpose(0, 2, 3, 1).reshape(N, n, n * n).transpose(0, 2, 1))
+    Ric = div - grad + quad
+    return 0.5 * (Ric + Ric.transpose(0, 2, 1))

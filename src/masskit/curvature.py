@@ -87,33 +87,30 @@ def fd_metric_derivatives(metric, X, h=None):
     return g0, dg, ddg
 
 
-def christoffel_first_kind(metric, X, h=None):
-    """First-kind Christoffel symbols G1[p,i,j,k] and contractions Gc[p,k]
-    from central differences of order h^2."""
-    g, dg, _ = fd_metric_derivatives(metric, X, h)
+def _fd_kernel(kernel, metric, X, h):
+    g, dg, ddg = fd_metric_derivatives(metric, X, h)
     try:
-        return _kernels_np.christoffel_first(g, dg)[0]
+        return kernel(g, dg, ddg)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError("metric not invertible on the stencil") from exc
+
+
+def christoffel_first_kind(metric, X, h=None):
+    """First-kind Christoffel symbols G1[p,i,j,k] from central differences
+    of order h^2."""
+    return _fd_kernel(lambda g, dg, _: _kernels_np.christoffel_first(g, dg)[0],
+                      metric, X, h)
 
 
 def scalar_curvature_bartnik(metric, X, h=None):
     """Scalar curvature batch via the divergence-form contraction identity."""
-    g, dg, ddg = fd_metric_derivatives(metric, X, h)
-    try:
-        return _kernels_np.scalar_curvature(g, dg, ddg)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError("metric not invertible on the stencil") from exc
+    return _fd_kernel(_kernels_np.scalar_curvature, metric, X, h)
 
 
 def ricci_tensor_fd(metric, X, h=None):
     """Symmetric Ricci tensor batch; trace is checked against the scalar
     route by the test-suite invariants rather than here."""
-    g, dg, ddg = fd_metric_derivatives(metric, X, h)
-    try:
-        return _kernels_np.ricci_tensor(g, dg, ddg)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError("metric not invertible on the stencil") from exc
+    return _fd_kernel(_kernels_np.ricci_tensor, metric, X, h)
 
 
 def sample_directions(n, count, rng=None):

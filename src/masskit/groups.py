@@ -22,6 +22,7 @@ from . import adm as _adm
 from .curvature import sample_directions
 from .errors import ConfigError, RegimeError
 from .grids import sphere_area, sphere_quadrature
+from .metrics import congruence
 from .tolerances import MATCH_TOL, RATIO_TOL
 
 # eigenvalue margin for "no fixed direction on the sphere"
@@ -182,8 +183,7 @@ def invariance_gap(metric, group, rng=7, count=20):
     G = metric.g(X)
     gap = 0.0
     for T in group.generators if group.generators else group.elements[1:]:
-        GT = metric.g(X @ T.T)
-        back = T.T @ GT @ T
+        back = congruence(T)(metric.g(X @ T.T))
         gap = max(gap, float(np.max(np.abs(back - G))))
     return gap
 

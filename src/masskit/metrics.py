@@ -105,15 +105,18 @@ def _radial_dg(form: RadialForm, n):
         _, a1, b0, b1 = form.ab(r)
         xh = X / r[:, None]
         eye = np.eye(n)
+        a1, b1, bor = (c[:, None, None] for c in (a1, b1, b0 / r))
         # d_k g_ij = a' xh_k delta_ij + b' xh_k xh_i xh_j
-        #            + (b/r)(delta_ki xh_j + delta_kj xh_i - 2 xh_k xh_i xh_j)
-        dg = a1[:, None, None, None] * xh[:, :, None, None] * eye[None, None]
-        xxx = xh[:, :, None, None] * xh[:, None, :, None] * xh[:, None, None, :]
-        dg = dg + b1[:, None, None, None] * xxx
-        bor = (b0 / r)[:, None, None, None]
-        dg = dg + bor * (eye[None, :, :, None] * xh[:, None, None, :]
-                         + eye[None, :, None, :] * xh[:, None, :, None]
-                         - 2.0 * xxx)
+        #            + (b/r)(delta_ki xh_j + delta_kj xh_i - 2 xh_k xh_i xh_j),
+        # filled one k at a time: the temporaries are (N, n, n) slices, so
+        # the peak stays near the (N, n, n, n) result in a large flux sum
+        dg = np.empty((X.shape[0], n, n, n))
+        for k in range(n):
+            xk = xh[:, k, None, None]
+            xxx = xk * xh[:, :, None] * xh[:, None, :]
+            dg[:, k] = a1 * xk * eye + b1 * xxx
+            dg[:, k] += bor * (eye[k, :, None] * xh[:, None, :]
+                               + eye[k] * xh[:, :, None] - 2.0 * xxx)
         return dg
 
     return ev
@@ -203,17 +206,24 @@ def conformal_product(base: MetricSpec, phi: RProfile, family="conformal"):
                          r_min=base.r_min)
 
 
+def congruence(Q):
+    """The batched pullback G -> Q^t G Q of (N, n, n) arrays, as one GEMM of
+    the flattened G against kron(Q, Q)[(a, b), (i, j)] = Q_ai Q_bj."""
+    QQ = np.kron(Q, Q)
+    return lambda G: (G.reshape(len(G), -1) @ QQ).reshape(G.shape)
+
+
 def rotate(metric: MetricSpec, Q):
     """Pullback of the metric under the chart rotation x -> Q x.
 
     (Q* g)_ij(x) = Q_ai g_ab(Qx) Q_bj; scalar invariants satisfy
-    R(Q* g)(x) = R(g)(Qx).
+    R(Q* g)(x) = R(g)(Qx).  The evaluator applies the congruence in its
+    Kronecker form, g(QX).reshape(N, n^2) @ kron(Q, Q), with kron(Q, Q)
+    built once here.
     """
     Q = np.asarray(Q, dtype=float)
-
-    def ev(X):
-        return Q.T @ metric.g(X @ Q.T) @ Q
-
-    return MetricSpec(n=metric.n, family=metric.family + "*rot", evaluator=ev,
+    pull = congruence(Q)
+    return MetricSpec(n=metric.n, family=metric.family + "*rot",
+                      evaluator=lambda X: pull(metric.g(X @ Q.T)),
                       params=dict(metric.params), decay_orders=metric.decay_orders,
                       q=metric.q, r_min=metric.r_min)

@@ -4,6 +4,8 @@ The two curvature routes (divergence-form scalar and Ricci trace) must agree
 to roundoff whenever they see the same exact (g, dg, ddg) triple; quadratic
 metrics make that triple exact with no differencing involved.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,3 +150,93 @@ def test_trace_identity_property(seed, n):
     tr = np.einsum('pij,pij->p', np.linalg.inv(g), Ric)
     scale = 1.0 + np.abs(R).max()
     assert np.abs(R - tr).max() < 1e-10 * scale
+
+
+def _scalar_curvature_einsum(g, dg, ddg):
+    """The divergence-form identity contracted by two-operand einsums, the
+    quartic term staged one inverse metric at a time."""
+    ginv = np.linalg.inv(g)
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    dlog = np.einsum('pij,pkij->pk', ginv, dg)
+    ddlog = (np.einsum('plij,pkij->pkl', dginv, dg)
+             + np.einsum('pij,pklij->pkl', ginv, ddg))
+    G1 = 0.5 * (dg + np.einsum('pjik->pijk', dg) - np.einsum('pkij->pijk', dg))
+    dG1 = 0.5 * (ddg + np.einsum('pljik->plijk', ddg)
+                 - np.einsum('plkij->plijk', ddg))
+    Gc = np.einsum('pij,pijk->pk', ginv, G1)
+    dGc = (np.einsum('plij,pijk->plk', dginv, G1)
+           + np.einsum('pij,plijk->plk', ginv, dG1))
+    P = Gc - 0.5 * dlog
+    dP = dGc - 0.5 * ddlog
+    T = np.einsum('pab,pace->pbce', ginv, G1)
+    T = np.einsum('pcd,pbce->pbde', ginv, T)
+    T = T @ ginv[:, None]
+    return (0.5 * np.einsum('pi,pij,pj->p', dlog, ginv, P)
+            + np.einsum('piij,pj->p', dginv, P)
+            + np.einsum('pij,pij->p', ginv, dP)
+            - 0.5 * np.einsum('pij,pi,pj->p', ginv, Gc, dlog)
+            + np.einsum('pbdf,pbfd->p', T, G1))
+
+
+def _ricci_tensor_einsum(g, dg, ddg):
+    """Ricci from the full derivative of the second-kind symbols, dG2[l, c,
+    a, b] = d_l G^c_ab, and einsum traces of it."""
+    ginv = np.linalg.inv(g)
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    G1 = 0.5 * (dg + np.einsum('pjik->pijk', dg) - np.einsum('pkij->pijk', dg))
+    dG1 = 0.5 * (ddg + np.einsum('pljik->plijk', ddg)
+                 - np.einsum('plkij->plijk', ddg))
+    G2 = np.einsum('pck,pabk->pcab', ginv, G1)
+    dG2 = (np.einsum('plck,pabk->plcab', dginv, G1)
+           + np.einsum('pck,plabk->plcab', ginv, dG1))
+    Ric = (np.einsum('pccab->pab', dG2) - np.einsum('paccb->pab', dG2)
+           + np.einsum('pccd,pdab->pab', G2, G2)
+           - np.einsum('pcad,pdcb->pab', G2, G2))
+    return 0.5 * (Ric + np.einsum('pab->pba', Ric))
+
+
+def _jet_batch(n, seed, N):
+    # |x| ~ 0.5 keeps every sampled g positive definite
+    A, B, C = make_coeffs(n, seed)
+    X = 0.5 * np.random.default_rng(seed + 300).standard_normal((N, n))
+    return quadratic_jet(A, B, C, X)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 2), (5, 4)])
+def test_kernels_match_einsum_contractions(n, seed):
+    g, dg, ddg = _jet_batch(n, seed, 64)
+    R_ref = _scalar_curvature_einsum(g, dg, ddg)
+    Ric_ref = _ricci_tensor_einsum(g, dg, ddg)
+    R = K.scalar_curvature(g, dg, ddg)
+    Ric = K.ricci_tensor(g, dg, ddg)
+    assert np.abs(R - R_ref).max() <= 1e-13 * np.abs(R_ref).max()
+    assert np.abs(Ric - Ric_ref).max() <= 1e-13 * np.abs(Ric_ref).max()
+    G1, Gc = K.christoffel_first(g, dg)
+    Gc_ref = np.einsum('pij,pijk->pk', np.linalg.inv(g), G1)
+    assert np.abs(Gc - Gc_ref).max() <= 1e-13 * np.abs(Gc_ref).max()
+
+
+def test_kernel_rows_do_not_depend_on_batch_size():
+    # `converge` calls the kernels on a few dozen points, the FD path on
+    # thousands: a row must not change with the batch around it
+    g, dg, ddg = _jet_batch(3, 1, 8192)
+    R = K.scalar_curvature(g, dg, ddg)
+    Ric = K.ricci_tensor(g, dg, ddg)
+    for N in (1, 7):
+        assert (np.abs(K.scalar_curvature(g[:N], dg[:N], ddg[:N]) - R[:N]).max()
+                <= 1e-15 * np.abs(R).max())
+        assert (np.abs(K.ricci_tensor(g[:N], dg[:N], ddg[:N]) - Ric[:N]).max()
+                <= 1e-15 * np.abs(Ric).max())
+
+
+def test_ricci_kernel_peak_memory():
+    # the full (N, n, n, n, n) derivative of the second-kind symbols, which
+    # the trace-only contraction never builds, put the peak at 20.8 MiB
+    g, dg, ddg = _jet_batch(3, 5, 8192)
+    tracemalloc.start()
+    try:
+        K.ricci_tensor(g, dg, ddg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20.8 * 2 ** 20

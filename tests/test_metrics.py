@@ -110,6 +110,53 @@ def test_rotate_matches_einsum_congruence():
     assert np.abs(metrics.rotate(m, Q).g(X) - ref).max() <= 1e-14
 
 
+def test_rotate_matches_einsum_congruence_n4():
+    # the Kronecker GEMM against Q_ai g_ab Q_bj in four dimensions, on a
+    # tensor bump that no rotation leaves invariant
+    rng = np.random.default_rng(22)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    B = rng.standard_normal((4, 4))
+
+    def h(X):
+        r = np.sqrt((X ** 2).sum(axis=1))
+        Y = X @ B
+        return 0.05 * Y[:, :, None] * Y[:, None, :] / r[:, None, None] ** 4
+
+    m = metrics.perturbed(metrics.schwarzschild(1.0, 4), h)
+    U = rng.standard_normal((200, 4))
+    X = rng.uniform(2.0, 10.0, 200)[:, None] * U / np.linalg.norm(U, axis=1,
+                                                                  keepdims=True)
+    ref = np.einsum('ai,pab,bj->pij', Q, m.g(X @ Q.T), Q)
+    assert np.abs(metrics.rotate(m, Q).g(X) - ref).max() <= 1e-14
+
+
+def _radial_dg_reference(form, n, X):
+    """d_k g_ij of a(r) delta + b(r) xhat xhat^T as whole-array products."""
+    r = np.sqrt((X ** 2).sum(axis=1))
+    _, a1, b0, b1 = form.ab(r)
+    xh = X / r[:, None]
+    eye = np.eye(n)
+    dg = a1[:, None, None, None] * xh[:, :, None, None] * eye[None, None]
+    xxx = xh[:, :, None, None] * xh[:, None, :, None] * xh[:, None, None, :]
+    dg = dg + b1[:, None, None, None] * xxx
+    bor = (b0 / r)[:, None, None, None]
+    return dg + bor * (eye[None, :, :, None] * xh[:, None, None, :]
+                       + eye[None, :, None, :] * xh[:, None, :, None]
+                       - 2.0 * xxx)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_radial_dg_matches_whole_array_formula(n):
+    a = radial.const(1.0) + radial.power(0.5, 2.0 - n)
+    b = radial.gaussian(0.2, 3.0, 1.0)
+    U = np.random.default_rng(n).standard_normal((300, n))
+    X = np.geomspace(1.5, 40.0, 300)[:, None] * U / np.linalg.norm(
+        U, axis=1, keepdims=True)
+    for m in (metrics.radial_metric(a, b, n), metrics.schwarzschild(1.0, n)):
+        ref = _radial_dg_reference(m.radial_form, n, X)
+        assert np.abs(m.dg(X) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_conformal_rescale_scales_values():
     m = metrics.schwarzschild(1.0, 3)
     phi = radial.const(1.0) + radial.power(0.3, -1.0)
