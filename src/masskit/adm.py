@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import default_step
+from .curvature import fd_first_derivatives
 from .errors import ConfigError, DomainError, InternalFault
 from .grids import sphere_area, sphere_quadrature
 
@@ -92,29 +92,14 @@ class MassReport:
         return rows
 
 
-def _first_derivatives(metric, X, h=None):
-    """dg[p, k, i, j] = d_k g_ij at points X, analytic when available."""
+def _first_derivatives(metric, X):
+    """dg[p, k, i, j] = d_k g_ij at points X, analytic when available, else
+    from the first-difference stencil."""
     dg = metric.dg(X)
-    if dg is not None:
-        return dg
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    N, n = X.shape
-    r = np.sqrt((X ** 2).sum(axis=1))
-    hv = default_step(r) if h is None else np.full(N, float(h))
-    if np.any(r < metric.r_min + hv):
-        raise DomainError("surface radius too close to the chart boundary "
-                          "r_min=%.4g" % metric.r_min)
-    dg = np.empty((N, n, n, n))
-    for k in range(n):
-        P = X.copy()
-        M = X.copy()
-        P[:, k] += hv
-        M[:, k] -= hv
-        dg[:, k] = (metric.g(P) - metric.g(M)) / (2.0 * hv)[:, None, None]
-    return dg
+    return fd_first_derivatives(metric, X) if dg is None else dg
 
 
-def surface_flux(metric, rho, nodes, h=None):
+def surface_flux(metric, rho, nodes):
     """Raw flux integral of (d_j g_ij - d_i g_jj) nu^i over {r = rho}.
 
     nodes = (U, w) holds unit normals and weights on S^{n-1}: the whole
@@ -126,7 +111,7 @@ def surface_flux(metric, rho, nodes, h=None):
         raise DomainError("sphere radius %.4g outside chart (r_min=%.4g)"
                           % (rho, metric.r_min))
     U, w = nodes
-    dg = _first_derivatives(metric, rho * U, h=h)
+    dg = _first_derivatives(metric, rho * U)
     div = np.einsum('pjij->pi', dg)
     grad_tr = np.einsum('pijj->pi', dg)
     vals = np.einsum('pi,pi->p', div - grad_tr, U)
@@ -145,7 +130,7 @@ def _closed_form_partial(metric, rho):
 
 
 def adm_surface_integral(metric, rho, order=DEFAULT_QUADRATURE_ORDER,
-                         method="auto", h=None):
+                         method="auto"):
     """Partial mass m(rho): the normalized flux through {r = rho}.
 
     method "auto" uses the exact angular reduction when the metric carries
@@ -164,7 +149,7 @@ def adm_surface_integral(metric, rho, order=DEFAULT_QUADRATURE_ORDER,
         return _closed_form_partial(metric, rho)
     n = metric.n
     norm = 2.0 * (n - 1) * sphere_area(n)
-    return surface_flux(metric, rho, sphere_quadrature(n, order), h=h) / norm
+    return surface_flux(metric, rho, sphere_quadrature(n, order)) / norm
 
 
 def _estimate_order(radii, masses, n):
@@ -213,7 +198,7 @@ def extrapolate_ladder(radii, masses, n):
 
 
 def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
-             method="auto", h=None, map_fn=map):
+             method="auto", map_fn=map):
     """MassReport over a geometric radius ladder with extrapolation.
 
     map_fn maps the surface integral over the radii in ladder order (a
@@ -228,7 +213,7 @@ def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
         raise ConfigError("mass ladder needs at least 3 radii")
     masses = np.array(list(map_fn(
         lambda rho: adm_surface_integral(metric, rho, order=order,
-                                         method=method, h=h), radii)))
+                                         method=method), radii)))
     areas = radii ** (n - 1) * sphere_area(n)
 
     extrapolated, p_obs, low_confidence = extrapolate_ladder(radii, masses, n)
@@ -243,7 +228,7 @@ def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
                       low_confidence=low_confidence, method=used_method, n=n)
 
 
-def residual_flux(field, radii, order=DEFAULT_QUADRATURE_ORDER, h=None):
+def residual_flux(field, radii):
     """Un-normalized fluxes of a difference field on a radius ladder.
 
     `field` is a metric-like evaluator holding the difference part (stored
@@ -251,8 +236,8 @@ def residual_flux(field, radii, order=DEFAULT_QUADRATURE_ORDER, h=None):
     A vanishing limit certifies that the subtracted profile carried the
     entire mass.
     """
-    nodes = sphere_quadrature(field.n, order)
-    return np.array([surface_flux(field, rho, nodes, h=h)
+    nodes = sphere_quadrature(field.n, DEFAULT_QUADRATURE_ORDER)
+    return np.array([surface_flux(field, rho, nodes)
                      for rho in np.asarray(radii, dtype=float)])
 
 
@@ -267,24 +252,19 @@ def residual_flux_pass(radii, fluxes, tol=1e-3):
     return True
 
 
-def trend_slope(radii, values, floor=1e-14):
-    """Log-log slope of |values| against radii, ignoring sub-floor entries."""
+def trend_slope(radii, values):
+    """Log-log slope of |values| against radii, ignoring entries at or
+    below 1e-14."""
     radii = np.asarray(radii, dtype=float)
     values = np.abs(np.asarray(values, dtype=float))
-    keep = values > floor
+    keep = values > 1e-14
     if keep.sum() < 2:
         return 0.0
     return float(np.polyfit(np.log(radii[keep]), np.log(values[keep]), 1)[0])
 
 
-def ale_mass(cover_metric, group_order, radii=None,
-             order=DEFAULT_QUADRATURE_ORDER, method="auto",
-             return_report=False):
+def ale_mass(cover_metric, group_order):
     """Quotient mass: the cover mass divided by the group order."""
     if group_order < 1:
         raise ConfigError("group order must be a positive integer")
-    report = adm_mass(cover_metric, radii=radii, order=order, method=method)
-    value = report.extrapolated / group_order
-    if return_report:
-        return value, report
-    return value
+    return adm_mass(cover_metric).extrapolated / group_order

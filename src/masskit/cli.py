@@ -23,7 +23,7 @@ from .curvature import sample_directions, scalar_curvature_bartnik
 from .errors import (ConfigError, DegenerateMetricError, DomainError,
                      InternalFault, RegimeError, SolverError)
 from .tolerances import (BAND_WITNESS, LAPLACIAN_TOL, MATCH_TOL, MIN_R_TARGET,
-                         RATIO_TOL, WITNESS_R)
+                         RATIO_TOL, VANISHING_MASS, WITNESS_R)
 
 FLUX_TOL = 1e-8
 ORDER_BAND = (1.8, 2.2)
@@ -80,31 +80,18 @@ class Run:
                            self.manifest.to_json_dict())
 
 
-def _resolve_threads(option, cfg):
-    if option is not None:
-        return max(1, int(option))
-    env = os.environ.get("MASSKIT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("MASSKIT_THREADS=%r is not an integer" % env)
-    if cfg.threads is not None:
-        return max(1, int(cfg.threads))
-    return 1
-
-
 def _dispatch(command, body, config_path, out, threads, seed):
     try:
         cfg = scene.load_config(config_path)
-        n_threads = _resolve_threads(threads, cfg)
     except ConfigError as exc:
         click.echo("config error: %s" % exc, err=True)
         sys.exit(1)
+    if threads is None:
+        threads = 1 if cfg.threads is None else cfg.threads
     run = Run(command, cfg,
               out_dir=out or cfg.output,
               seed=cfg.seed if seed is None else int(seed),
-              threads=n_threads)
+              threads=max(1, int(threads)))
     started = time.perf_counter()
     try:
         body(cfg, run)
@@ -335,7 +322,7 @@ def _cmd_ale(cfg, run):
     if audit["mass_ratio"] is None:
         run.audit("masses-both-vanish", "<=",
                   max(abs(audit["cover_mass"]), abs(audit["quotient_mass"])),
-                  1e-10)
+                  VANISHING_MASS)
     else:
         run.audit("mass-ratio-matches-order", "<=",
                   audit["ratio_rel_error"], RATIO_TOL)
@@ -369,8 +356,10 @@ def _scalar_refinement(metric, op, seed, run):
         lambda h: float(np.abs(scalar_curvature_bartnik(metric, X,
                                                         h=h)).max()),
         h_values)
+    # an exactly flat metric has zero error at every step: no order
     orders = [float(np.log(errs[i] / errs[i + 1])
                     / np.log(h_values[i] / h_values[i + 1]))
+              if errs[i] > 0.0 and errs[i + 1] > 0.0 else None
               for i in range(len(errs) - 1)]
     return h_values, errs, orders
 
@@ -392,10 +381,11 @@ def _cmd_converge(cfg, run):
             rows += [(h_values[i + 1], errs[i + 1], orders[i])
                      for i in range(len(orders))]
             run.emit_csv(name, ("h", "max_abs_R", "observed_order"), rows)
-            run.audit("scalar-order-low#%d" % k, ">=", orders[-1],
-                      ORDER_BAND[0])
-            run.audit("scalar-order-high#%d" % k, "<=", orders[-1],
-                      ORDER_BAND[1])
+            if orders[-1] is not None:
+                run.audit("scalar-order-low#%d" % k, ">=", orders[-1],
+                          ORDER_BAND[0])
+                run.audit("scalar-order-high#%d" % k, "<=", orders[-1],
+                          ORDER_BAND[1])
             if "ceiling" in op:
                 run.audit("scalar-ceiling#%d" % k, "<=", errs[-1],
                           float(op["ceiling"]))
@@ -432,8 +422,8 @@ def _scene_options(fn):
                       help="Override the config seed for sampled audit "
                            "points.")(fn)
     fn = click.option("--threads", type=int, default=None,
-                      help="Worker threads for ladder fan-out "
-                           "(MASSKIT_THREADS is the fallback).")(fn)
+                      help="Worker threads for ladder fan-out (default: "
+                           "the config's 'threads', else 1).")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
                       help="Output directory (default: the config's "
                            "'output').")(fn)

@@ -2,25 +2,25 @@
 
 The pipeline splits off the leading conformal profile carrying the mass,
 interpolates the remainder away across [2s, 3s] on a growing scale ladder,
-audits the curvature bounds the interpolation must satisfy, picks a
-relaxation constant delta_s, solves for a conformal correction u_s, and
-tunes tau so the deformed metric
+picks a relaxation constant delta_s, solves for a conformal correction u_s,
+and tunes tau so the deformed metric
 
     g_bar = ((u_s + tau)/(1 + tau))^{4/(n-2)} ghat_s
 
 keeps nonnegative scalar curvature at audit points while the mass moves by
-2 A_s / (1 + tau), which shrinks along the ladder.
+2 A_s / (1 + tau), which shrinks along the ladder.  `scalar_ladder_audit`
+reports the curvature bounds the interpolation must satisfy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from . import metrics, radial
-from .adm import adm_mass, residual_flux, trend_slope
+from .adm import DEFAULT_LADDER, adm_mass, residual_flux, trend_slope
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
     radial_lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError, SolverError
@@ -30,6 +30,10 @@ from .tolerances import MIN_R_TARGET
 
 DELTA_FLOOR = 1e-14
 DEFAULT_S_LADDER = (8.0, 16.0, 32.0)
+# halvings of choose_delta's bisection below the ceiling value
+_DELTA_BISECTIONS = 60
+# the input's closed-form scalar curvature must stay at or above this
+_INPUT_R_FLOOR = -1e-10
 
 
 def conformal_constant(n):
@@ -116,10 +120,10 @@ def split_schwarzschild(metric, m):
                       rem_a=rem_a, rem_b=rem_b)
 
 
-def split_residual_report(split, radii=(8.0, 16.0, 32.0, 64.0)):
-    """Flux and sup-decay of the remainder; the flux limit vanishes exactly
-    when the split mass matches the input mass."""
-    radii = np.asarray(radii, dtype=float)
+def split_residual_report(split):
+    """Flux and sup-decay of the remainder on the default mass ladder; the
+    flux limit vanishes exactly when the split mass matches the input mass."""
+    radii = np.asarray(DEFAULT_LADDER, dtype=float)
     fluxes = residual_flux(split.remainder_field(), radii)
     sup = split.remainder_sup(radii)
     norm = 2.0 * (split.n - 1) * sphere_area(split.n)
@@ -178,7 +182,7 @@ def build_interpolated_metric(split, s):
                            u_eff=u_eff)
 
 
-def scalar_bounds_audit(interp, num=401):
+def scalar_bounds_audit(interp):
     """Sampled curvature bounds for one interpolation scale.
 
     Reports the minimum over the untouched region {r <= 2s}, the transition
@@ -187,9 +191,9 @@ def scalar_bounds_audit(interp, num=401):
     """
     s, n = interp.s, interp.n
     r_min = interp.metric.r_min
-    r_in = np.geomspace(r_min, 2.0 * s, num)
-    r_tr = np.linspace(s, 4.0 * s, 4 * num)
-    r_out = np.geomspace(3.0 * s, 12.0 * s, num)
+    r_in = np.geomspace(r_min, 2.0 * s, 401)
+    r_tr = np.linspace(s, 4.0 * s, 1604)
+    r_out = np.geomspace(3.0 * s, 12.0 * s, 401)
     R_in = interp.scalar_values(r_in)
     R_tr = interp.scalar_values(r_tr)
     R_out = interp.scalar_values(r_out)
@@ -248,7 +252,7 @@ class DeltaReport:
                 "ceiling_margin": self.ceiling_margin}
 
 
-def choose_delta(interp, c_S, bisections=60):
+def choose_delta(interp, c_S):
     """Largest relaxation constant passing the negative-part size bound.
 
     Starts from the ceiling value delta0 = s^{-1}/(1 + volume) and bisects
@@ -281,7 +285,7 @@ def choose_delta(interp, c_S, bisections=60):
             "no relaxation constant above %.0e satisfies the size bound; "
             "the input curvature is too negative for this regime" % DELTA_FLOOR)
     hi = delta0
-    for _ in range(bisections):
+    for _ in range(_DELTA_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if lhs(mid) <= threshold:
             lo = mid
@@ -289,7 +293,7 @@ def choose_delta(interp, c_S, bisections=60):
             hi = mid
     return DeltaReport(delta=lo, delta0=delta0, lhs=lhs(lo),
                        threshold=threshold, ceiling=1.0 / s, volume=volume,
-                       bisections=bisections)
+                       bisections=_DELTA_BISECTIONS)
 
 
 @dataclass
@@ -306,8 +310,6 @@ class RungResult:
     min_u_tau: float
     end_norm: float
     metric_bar: metrics.MetricSpec
-    u_tau: RProfile
-    audit: dict = field(default_factory=dict)
 
     @property
     def mass_shift(self):
@@ -355,12 +357,10 @@ def pick_tau(n, u, numerator, R):
     return lo, min_R(lo)
 
 
-def deform_rung(split, s, c_S, radii_factors=(8.0, 16.0, 32.0),
-                annulus_nodes=1100):
+def deform_rung(split, s, c_S, annulus_nodes=1100):
     """Run one ladder scale: interpolate, relax, solve, pick tau, deform."""
     n = split.n
     interp = build_interpolated_metric(split, s)
-    audit = scalar_bounds_audit(interp)
     dreport = choose_delta(interp, c_S)
     delta = dreport.delta
     eta = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s)
@@ -372,7 +372,7 @@ def deform_rung(split, s, c_S, radii_factors=(8.0, 16.0, 32.0),
         return cn * eta.value(r) * (Rfun(r) - delta)
 
     dom = DomainModel(n=n, r_min=split.metric.r_min,
-                      truncation_radii=tuple(k * s for k in radii_factors),
+                      truncation_radii=(8.0 * s, 16.0 * s, 32.0 * s),
                       annulus_nodes=annulus_nodes)
     prob = EllipticProblem(interp.metric, f, support_radius=4.0 * s,
                            domain=dom)
@@ -407,7 +407,7 @@ def deform_rung(split, s, c_S, radii_factors=(8.0, 16.0, 32.0),
     return RungResult(s=s, delta_report=dreport, solution=solution, A_s=A_s,
                       tau=tau, m_bar=m_bar, min_R_bar=min_R_bar,
                       min_u_tau=min_u_tau, end_norm=end_norm,
-                      metric_bar=metric_bar, u_tau=u_tau, audit=audit)
+                      metric_bar=metric_bar)
 
 
 @dataclass
@@ -442,22 +442,22 @@ class DeformReport:
         }
 
 
-def audit_nonnegative_scalar(metric, r_max, num=2001, floor=-1e-10):
-    """RegimeError unless the radial closed-form curvature stays above floor."""
+def audit_nonnegative_scalar(metric, r_max):
+    """RegimeError unless the radial closed-form curvature stays at or above
+    _INPUT_R_FLOOR on 2001 geometric radii up to r_max."""
     if metric.conformal_u is None:
         raise ConfigError("curvature audit needs a conformal radial input")
-    r = np.geomspace(metric.r_min, r_max, num)
+    r = np.geomspace(metric.r_min, r_max, 2001)
     Rv = radial.conformal_scalar(metric.conformal_u, metric.n)(r)
     m = float(Rv.min())
-    if m < floor:
+    if m < _INPUT_R_FLOOR:
         raise RegimeError("input scalar curvature dips to %.3g < %.3g; the "
-                          "deformation needs R >= 0" % (m, floor))
+                          "deformation needs R >= 0" % (m, _INPUT_R_FLOOR))
     return m
 
 
 def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
-                   m=None, radii_factors=(8.0, 16.0, 32.0),
-                   annulus_nodes=1100):
+                   m=None, annulus_nodes=1100):
     """Ladder driver: stop at the first scale whose mass shift is small.
 
     Raises RegimeError when the shift magnitude fails to decrease across
@@ -479,8 +479,7 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
     rungs = []
     achieved = False
     for s in s_ladder:
-        rung = deform_rung(split, s, c_S, radii_factors=radii_factors,
-                           annulus_nodes=annulus_nodes)
+        rung = deform_rung(split, s, c_S, annulus_nodes=annulus_nodes)
         rungs.append(rung)
         if abs(rung.mass_shift) <= eps_target:
             achieved = True

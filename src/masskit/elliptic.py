@@ -23,7 +23,8 @@ from .errors import (ConfigError, InternalFault, RegimeError, SolverError)
 from .grids import (RadialMesh, mesh_stiffness, radial_kappa_w, radial_mesh,
                     sphere_area)
 
-DEFAULT_SOLVE_TOL = 1e-10
+# relative residual budget of every tridiagonal solve
+SOLVE_TOL = 1e-10
 
 
 @dataclass
@@ -89,8 +90,10 @@ class EllipticProblem:
     support_radius: float
     domain: DomainModel
     bc_outer: str = "dirichlet"
-    tol: float = DEFAULT_SOLVE_TOL
-    smallness: SmallnessReport = None
+    # set by check_smallness
+    smallness: SmallnessReport = field(default=None, init=False)
+    # residual budget of every solve: a class constant, not a field
+    tol = SOLVE_TOL
 
     def __post_init__(self):
         if self.metric.n != self.domain.n:
@@ -163,7 +166,7 @@ def tridiag_solve(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _solve_tridiag(lower, diag, upper, rhs, tol):
+def _solve_tridiag(lower, diag, upper, rhs):
     M = diag.size
     x = tridiag_solve(lower, diag, upper, rhs)
     Ax = diag * x
@@ -171,13 +174,14 @@ def _solve_tridiag(lower, diag, upper, rhs, tol):
     Ax[1:] += lower[: M - 1] * x[:-1]
     rnorm = float(np.abs(Ax - rhs).max())
     scale = float(np.abs(rhs).max()) or 1.0
-    if rnorm > tol * max(1.0, scale):
+    if rnorm > SOLVE_TOL * max(1.0, scale):
         raise SolverError("linear solve residual %.2e above budget" % rnorm)
     return x, rnorm
 
 
-def _assemble_and_solve(mesh, fvals, bc_outer, n, tol, kappa_out=None):
-    """Solve (K + f wbar) v = -f wbar with the chosen outer closure."""
+def _assemble_and_solve(mesh, fvals, bc_outer, n, kappa_out):
+    """Solve (K + f wbar) v = -f wbar with the chosen outer closure;
+    kappa_out is the log-radius flux coefficient of the Robin closure."""
     lower, diag, upper = mesh_stiffness(mesh.kappa_face / mesh.dcoord)
     wbar = mesh.wbar
     diag = diag + fvals * wbar
@@ -185,15 +189,13 @@ def _assemble_and_solve(mesh, fvals, bc_outer, n, tol, kappa_out=None):
     if bc_outer == "dirichlet":
         # eliminate the outer node: v = 0 there
         x, rnorm = _solve_tridiag(lower[:-1], diag[:-1], upper[:-1],
-                                  rhs[:-1], tol)
+                                  rhs[:-1])
         v = np.concatenate([x, [0.0]])
     else:
         # robin closure in log radius: d_sigma v = -(n-2) v at the outer
         # node, entering the last balance as an extra diagonal term
-        if kappa_out is None:
-            kappa_out = mesh.kappa_face[-1]
         diag[-1] += (n - 2.0) * kappa_out
-        v, rnorm = _solve_tridiag(lower, diag, upper, rhs, tol)
+        v, rnorm = _solve_tridiag(lower, diag, upper, rhs)
     return v, rnorm
 
 
@@ -209,8 +211,8 @@ def solve_truncated(problem, i=0, R=None, cyl_len=None, bc_outer=None):
     mesh = dom.mesh(problem.metric, R, cyl_len)
     fvals = np.where(mesh.is_cyl, 0.0, problem.f_values(mesh.r))
     kap_R, _ = radial_kappa_w(problem.metric, np.array([float(R)]))
-    v, rnorm = _assemble_and_solve(mesh, fvals, bc, dom.n, problem.tol,
-                                   kappa_out=float(kap_R[0]) / float(R))
+    v, rnorm = _assemble_and_solve(mesh, fvals, bc, dom.n,
+                                   float(kap_R[0]) / float(R))
     dv = np.diff(v)
     energy = float(sphere_area(dom.n)
                    * np.sum(mesh.kappa_face * dv * dv / mesh.dcoord))

@@ -44,9 +44,8 @@ class RadialMesh:
     is_cyl: np.ndarray         # bool mask, (M,)
     kappa_face: np.ndarray     # (M-1,), flux coefficient at faces
     wbar: np.ndarray           # (M,), lumped weight of the two half cells
-    r_min: float = 1.0
-    r_max: float = 0.0
-    tier: str = "RADIAL"
+    r_min: float
+    r_max: float
 
     @property
     def num_nodes(self):
@@ -145,11 +144,9 @@ class SphericalGrid:
     r_min: float
     r_max: float
     shape: tuple                      # (Nr, Nth, Nph)
-    sigma: np.ndarray = field(default=None)
-    theta: np.ndarray = field(default=None)
-    phi: np.ndarray = field(default=None)
-    n: int = 3
-    tier: str = "FULL3D"
+    sigma: np.ndarray = field(init=False)
+    theta: np.ndarray = field(init=False)
+    phi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         Nr, Nth, Nph = self.shape

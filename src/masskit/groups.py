@@ -23,12 +23,13 @@ from .curvature import sample_directions
 from .errors import ConfigError, RegimeError
 from .grids import sphere_area, sphere_quadrature
 from .metrics import congruence
-from .tolerances import MATCH_TOL, RATIO_TOL
+from .tolerances import MATCH_TOL, RATIO_TOL, VANISHING_MASS
 
 # eigenvalue margin for "no fixed direction on the sphere"
 FREE_TOL = 1e-8
 DEFAULT_CLOSURE_CAP = 512
-# sample radii (in units of r_min) for the invariance audit
+# sample radii (in units of r_min) for the invariance audit, each along
+# 20 directions drawn with seed 7
 _INVARIANCE_RADII = (2.0, 5.0, 12.0, 30.0)
 
 
@@ -135,8 +136,7 @@ def _lex_ge(A, B):
     return out | ~decided
 
 
-def fundamental_domain_mass(metric, group, radii=None,
-                            order=_adm.DEFAULT_QUADRATURE_ORDER):
+def fundamental_domain_mass(metric, group, radii=None):
     """Quotient-end mass by flux quadrature over a fundamental domain.
 
     Keeps the sphere nodes that are lexicographically largest in their
@@ -155,7 +155,7 @@ def fundamental_domain_mass(metric, group, radii=None,
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3:
         raise ConfigError("mass ladder needs at least 3 radii")
-    U, w = sphere_quadrature(n, order)
+    U, w = sphere_quadrature(n, _adm.DEFAULT_QUADRATURE_ORDER)
     keep = np.ones(len(U), dtype=bool)
     for T in group.elements[1:]:
         keep &= _lex_ge(U, U @ T.T)
@@ -171,14 +171,14 @@ def fundamental_domain_mass(metric, group, radii=None,
         "low_confidence": low_confidence,
         "nodes_kept": int(keep.sum()),
         "nodes_total": int(len(U)),
-        "quadrature_order": int(order),
+        "quadrature_order": _adm.DEFAULT_QUADRATURE_ORDER,
     }
 
 
-def invariance_gap(metric, group, rng=7, count=20):
+def invariance_gap(metric, group):
     """Largest violation of T^t g(Tx) T = g(x) over seeded sample points."""
     n = metric.n
-    dirs = sample_directions(n, count, rng=rng)
+    dirs = sample_directions(n, 20, rng=7)
     X = np.concatenate([metric.r_min * s * dirs for s in _INVARIANCE_RADII])
     G = metric.g(X)
     gap = 0.0
@@ -188,8 +188,7 @@ def invariance_gap(metric, group, rng=7, count=20):
     return gap
 
 
-def ale_lift(metric, group, radii=None,
-             order=_adm.DEFAULT_QUADRATURE_ORDER):
+def ale_lift(metric, group, radii=None):
     """Lift an invariant quotient chart to its cover and audit the masses.
 
     The chart metric must satisfy T^t g(Tx) T = g(x) for every group
@@ -208,13 +207,13 @@ def ale_lift(metric, group, radii=None,
                           "largest conjugation gap %.3g exceeds %.1g"
                           % (gap, MATCH_TOL))
     cover = dataclasses.replace(metric, family=metric.family + "-cover")
-    cover_rep = _adm.adm_mass(cover, radii=radii, order=order)
-    fd = fundamental_domain_mass(metric, group, radii=radii, order=order)
+    cover_rep = _adm.adm_mass(cover, radii=radii)
+    fd = fundamental_domain_mass(metric, group, radii=radii)
     cover_mass = cover_rep.mass
     quot_mass = fd["mass"]
 
-    if abs(quot_mass) <= 1e-10:
-        if abs(cover_mass) > 1e-10 * group.order:
+    if abs(quot_mass) <= VANISHING_MASS:
+        if abs(cover_mass) > VANISHING_MASS * group.order:
             raise RegimeError(
                 "quotient flux vanishes but cover mass %.3g does not"
                 % cover_mass)
@@ -237,7 +236,7 @@ def ale_lift(metric, group, radii=None,
         "ratio_rel_error": rel_err,
         "ale_mass": cover_mass / group.order,
         "radii": list(fd["radii"]),
-        "quadrature_order": int(order),
+        "quadrature_order": _adm.DEFAULT_QUADRATURE_ORDER,
         "nodes_kept": fd["nodes_kept"],
         "nodes_total": fd["nodes_total"],
     }

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import metrics as _metrics
-from .curvature import fd_metric_derivatives
+from .curvature import fd_first_derivatives
 from .errors import ConfigError, RegimeError
 from .radial import RProfile, as_profile, compose, conformal_scalar, const, \
     flat_laplacian, identity
@@ -345,9 +345,8 @@ def torus_glue(metric, spec):
     G_lo = metric.g(lo)
     G_hi = metric.g(hi)
     periodicity_gap = float(np.max(np.abs(G_lo - G_hi)))
-    _, dG_lo, _ = fd_metric_derivatives(metric, lo)
-    _, dG_hi, _ = fd_metric_derivatives(metric, hi)
-    derivative_gap = float(np.max(np.abs(dG_lo - dG_hi)))
+    derivative_gap = float(np.max(np.abs(fd_first_derivatives(metric, lo)
+                                         - fd_first_derivatives(metric, hi))))
     if periodicity_gap > 0 or derivative_gap > 0:
         raise RegimeError(
             "face pairs are not periodic: value gap %.3g, derivative gap "

@@ -73,12 +73,14 @@ class MetricSpec:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.asarray(self.dg_evaluator(X), dtype=float)
 
-    def check_pointwise(self, X, tol=1e-12):
-        """Symmetry and positive-definiteness audit at sample points."""
+    def check_pointwise(self, X):
+        """Symmetry (to 1e-12) and positive-definiteness audit at sample
+        points."""
         G = self.g(X)
         asym = np.abs(G - np.swapaxes(G, -1, -2)).max()
-        if asym > tol:
-            raise DegenerateMetricError("metric asymmetry %.3g exceeds %.3g" % (asym, tol))
+        if asym > 1e-12:
+            raise DegenerateMetricError("metric asymmetry %.3g exceeds 1e-12"
+                                        % asym)
         ev = np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))
         lam_min = float(ev.min())
         if lam_min <= 0.0:
@@ -136,11 +138,10 @@ def euclidean(n):
 
 
 def conformally_flat(u: RProfile, n, family="conformally_flat", params=None,
-                     q=None, decay_orders=None, r_min=1.0):
+                     q=None, r_min=1.0):
     """Metric u(r)^{4/(n-2)} delta for a positive radial factor u."""
     return radial_metric(u.powc(4.0 / (n - 2)), None, n, family=family,
-                         params=params, q=q, decay_orders=decay_orders,
-                         conformal_u=u, r_min=r_min)
+                         params=params, q=q, conformal_u=u, r_min=r_min)
 
 
 def schwarzschild(m, n):
@@ -165,9 +166,10 @@ def radial_metric(a: RProfile, b: Optional[RProfile], n, family="radial",
                       dg_evaluator=_radial_dg(form, n), r_min=r_min)
 
 
-def perturbed(base: MetricSpec, h_evaluator, family="perturbed", params=None,
-              dh_evaluator=None, q=None, decay_orders=None):
-    """base + h for a batched symmetric perturbation evaluator h(X)."""
+def perturbed(base: MetricSpec, h_evaluator, family="perturbed",
+              dh_evaluator=None):
+    """base + h for a batched symmetric perturbation evaluator h(X); the
+    result keeps the base's decay orders and q."""
     n = base.n
 
     def ev(X):
@@ -178,19 +180,16 @@ def perturbed(base: MetricSpec, h_evaluator, family="perturbed", params=None,
         def dg_ev(X):
             return base.dg(X) + np.asarray(dh_evaluator(X), dtype=float)
 
-    return MetricSpec(n=n, family=family, evaluator=ev, params=params or {},
-                      decay_orders=decay_orders or base.decay_orders,
-                      q=q if q is not None else base.q, dg_evaluator=dg_ev,
-                      r_min=base.r_min)
+    return MetricSpec(n=n, family=family, evaluator=ev,
+                      decay_orders=base.decay_orders, q=base.q,
+                      dg_evaluator=dg_ev, r_min=base.r_min)
 
 
-def from_evaluator(evaluator, n, family="composite", params=None, q=None,
-                   decay_orders=None, dg_evaluator=None, radial_form=None,
-                   conformal_u=None, r_min=1.0):
+def from_evaluator(evaluator, n, family="composite", decay_orders=None,
+                   r_min=1.0):
+    """Metric from a bare component evaluator; derivatives by differences."""
     return MetricSpec(n=n, family=family, evaluator=evaluator,
-                      params=params or {}, decay_orders=decay_orders, q=q,
-                      dg_evaluator=dg_evaluator, radial_form=radial_form,
-                      conformal_u=conformal_u, r_min=r_min)
+                      decay_orders=decay_orders, r_min=r_min)
 
 
 def conformal_product(base: MetricSpec, phi: RProfile, family="conformal"):

@@ -93,10 +93,11 @@ class ShootingResult:
     nfev: int
 
 
-def shoot_conformal_factor(metric, f, support_radius, r_inner=None):
-    """Reference (c_inf, A) for Delta_g u - f u = 0, Neumann inner cut."""
+def shoot_conformal_factor(metric, f, support_radius):
+    """Reference (c_inf, A) for Delta_g u - f u = 0, Neumann inner cut at
+    the chart's r_min."""
     n = metric.n
-    r0 = float(metric.r_min if r_inner is None else r_inner)
+    r0 = float(metric.r_min)
     rf = float(support_radius)
     if rf <= r0:
         raise ConfigError("support radius %.3g inside inner cut %.3g" % (rf, r0))
@@ -114,8 +115,8 @@ def shoot_conformal_factor(metric, f, support_radius, r_inner=None):
                           phi=phi, A=A, nfev=sol.nfev)
 
 
-def shoot_truncated(metric, f, support_radius, R, r_inner=None):
-    """Reference v on [r_inner, R] with v(R) = 0 and zero inner slope.
+def shoot_truncated(metric, f, support_radius, R):
+    """Reference v on [r_min, R] with v(R) = 0 and zero inner slope.
 
     Solves the linear problem by superposing a particular outward solution
     with the homogeneous one; both inherit the Neumann inner condition, so
@@ -123,7 +124,7 @@ def shoot_truncated(metric, f, support_radius, R, r_inner=None):
     panel integration: chaining the panel propagators gives each one's state
     at every panel start, and the dense output carries v inside a panel.
     """
-    r0 = float(metric.r_min if r_inner is None else r_inner)
+    r0 = float(metric.r_min)
     R = float(R)
     if R <= max(r0, float(support_radius)):
         raise ConfigError("truncation radius %.3g too small" % R)

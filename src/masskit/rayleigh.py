@@ -26,6 +26,10 @@ from .grids import (SphericalGrid, apply_stiffness, grid_operators,
                     mesh_stiffness, radial_kappa_w, sphere_area)
 
 SHARP_FLAT_3D = 3.0 * (np.pi / 2.0) ** (4.0 / 3.0)
+# residual norm the 3D LOBPCG mode must reach
+_LOBPCG_TOL = 1e-10
+# default full-3D grid (Nr, Nth, Nph)
+FULL3D_SHAPE = (40, 10, 20)
 
 
 @dataclass
@@ -94,7 +98,7 @@ def anchored_bubble(mesh, lam):
     return zeta
 
 
-def sobolev_estimate(domain, metric, max_iters=600, tol=1e-10):
+def sobolev_estimate(domain, metric, max_iters=600):
     """Upper estimate of the domain Sobolev constant by projected descent."""
     n = domain.n
     L = domain.cylinder_lengths[-1] if domain.has_toy_end else 0.0
@@ -146,7 +150,7 @@ def sobolev_estimate(domain, metric, max_iters=600, tol=1e-10):
         if not improved:
             converged = True
             break
-        if abs(Q - Qc) <= tol * abs(Q):
+        if abs(Q - Qc) <= 1e-10 * abs(Q):
             zeta, Q = cand, Qc
             converged = True
             break
@@ -163,16 +167,16 @@ def sobolev_estimate(domain, metric, max_iters=600, tol=1e-10):
                          converged=converged)
 
 
-def sobolev_estimate_full3d(metric, r_max, shape=(40, 10, 20),
-                            num_lam=9):
+def sobolev_estimate_full3d(metric, r_max):
     """Upper Sobolev estimate through the full 3D annulus operators.
 
-    Evaluates the critical quotient on a deterministic ladder of anchored
-    bubble profiles (lam geometric across the domain) assembled with the
-    3D volume weights and stiffness, and returns the smallest value.  Each
-    candidate is a genuine smooth test function, so the result is a valid
-    upper estimate of the domain constant and doubles as a cross-check of
-    the 3D operator assembly against the radial mesh.
+    Evaluates the critical quotient on a deterministic ladder of nine
+    anchored bubble profiles (lam geometric across the domain) assembled
+    with the 3D volume weights and stiffness on the FULL3D_SHAPE grid, and
+    returns the smallest value.  Each candidate is a genuine smooth test
+    function, so the result is a valid upper estimate of the domain constant
+    and doubles as a cross-check of the 3D operator assembly against the
+    radial mesh.
 
     Unconstrained lattice minimization is deliberately not attempted: at
     the critical exponent the discrete quotient concentrates at grid scale
@@ -183,7 +187,8 @@ def sobolev_estimate_full3d(metric, r_max, shape=(40, 10, 20),
     if metric.n != 3:
         raise ConfigError("full-3D Sobolev estimate is n=3 only, got n=%d"
                           % metric.n)
-    grid = SphericalGrid(r_min=metric.r_min, r_max=float(r_max), shape=shape)
+    grid = SphericalGrid(r_min=metric.r_min, r_max=float(r_max),
+                         shape=FULL3D_SHAPE)
     vol, K = grid_operators(grid, metric)
     X = grid.points()
     r = np.sqrt((X ** 2).sum(axis=1))
@@ -198,7 +203,7 @@ def sobolev_estimate_full3d(metric, r_max, shape=(40, 10, 20),
         return energy / denom
 
     lams = np.exp(np.linspace(np.log(2.0 * grid.r_min),
-                              np.log(0.5 * grid.r_max), int(num_lam)))
+                              np.log(0.5 * grid.r_max), 9))
     best_q = np.inf
     best_z = None
     for lam in lams:
@@ -211,11 +216,11 @@ def sobolev_estimate_full3d(metric, r_max, shape=(40, 10, 20),
                                                Nr, Nth, Nph)
     return SobolevReport(c_S=float(best_q), kind="upper-estimate", radii=r,
                          profile=best_z, domain_label=label,
-                         iterations=int(num_lam), converged=True)
+                         iterations=len(lams), converged=True)
 
 
-def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=(40, 10, 20),
-                            max_iters=200, tol=1e-10):
+def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
+                            max_iters=200):
     """Smallest Rayleigh value of the curvature-shifted energy on the 3D grid.
 
     Same quantity as the radial `eigenvalue_lower_bound` (inner boundary
@@ -223,9 +228,10 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=(40, 10, 20),
     functions on the log-radius x latitude x longitude grid.  LOBPCG
     (Knyazev 2001) from a radial sine start solves A x = lam M x, A = K +
     diag(R vol), M = diag(vol), with the Jacobi preconditioner of A - shift M
-    (shift = min(0, min R) - 1 keeps it positive).  tol bounds the residual
-    norm |A x - lam M x| of the M-normalized mode; missing it within
-    max_iters iterations raises EstimationError with the last iterate.
+    (shift = min(0, min R) - 1 keeps it positive).  The residual norm
+    |A x - lam M x| of the M-normalized mode must reach 1e-10; missing it
+    within max_iters iterations raises EstimationError with the last
+    iterate.
     """
     from scipy.sparse import diags
     from scipy.sparse.linalg import lobpcg
@@ -257,15 +263,17 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=(40, 10, 20),
         # lobpcg only warns when it misses tol; the check below raises
         warnings.simplefilter("ignore", UserWarning)
         lam, vec, res_hist = lobpcg(A, x[:, None], B=diags(mass), M=jacobi,
-                                    tol=tol, maxiter=max_iters, largest=False,
+                                    tol=_LOBPCG_TOL, maxiter=max_iters,
+                                    largest=False,
                                     retResidualNormsHistory=True)
     lam = float(lam[0])
     x = vec[:, 0] * np.copysign(1.0, vec[:, 0].sum())   # positive mode
     it = len(res_hist) - 2     # history: start, iterations, returned mode
-    if not res_hist[-1] <= tol:
+    if not res_hist[-1] <= _LOBPCG_TOL:
         raise EstimationError("3D LOBPCG did not reach residual %.3g in %d "
                               "iterations (residual %.3g, last %.6g)"
-                              % (tol, it, res_hist[-1], lam), last_iterate=x)
+                              % (_LOBPCG_TOL, it, res_hist[-1], lam),
+                              last_iterate=x)
     mode = np.zeros(grid.num_nodes)
     mode[interior] = x
     return EigenvalueReport(value=lam, radii=r, mode=mode, iterations=it,
@@ -302,13 +310,13 @@ class EigenvalueReport:
                 "shift": self.shift}
 
 
-def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048, r_min=None):
+def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048):
     """Smallest Rayleigh value of (grad energy + c_n R zeta^2) / (zeta^2).
 
     metric None means the flat ball [0, rho] (inner Neumann by radial
-    regularity); otherwise the compact annulus [r_min, rho] of the radial
-    metric.  scalar_term is c_n R(g) as a callable of r (or a constant).
-    Dirichlet at the outer sphere in both cases.  The pencil A x = lam M x,
+    regularity); otherwise the compact annulus [metric.r_min, rho] of the
+    radial metric.  scalar_term is c_n R(g) as a callable of r (or a
+    constant).  Dirichlet at the outer sphere in both cases.  The pencil A x = lam M x,
     A = K + diag(R wbar), M = diag(wbar), is scaled symmetrically by
     M^{-1/2}; LAPACK's tridiagonal bisection and inverse iteration
     (?stebz/?stein through scipy's eigh_tridiagonal) return its smallest
@@ -316,8 +324,7 @@ def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048, r_min=None):
     spectrum, as on the 3D path.
     """
     n = 3 if metric is None else metric.n
-    if metric is not None and r_min is None:
-        r_min = metric.r_min
+    r_min = None if metric is None else metric.r_min
     r, kap_f, w = _ball_mesh_coeffs(metric, n, rho, num, r_min=r_min)
     h = r[1] - r[0]
     if callable(scalar_term):

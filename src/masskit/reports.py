@@ -124,11 +124,11 @@ class RunManifest:
     config_hash: str
     seed: int
     threads: int
-    status: str = "ok"
-    outcomes: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    wall_clock: float = 0.0
-    error: dict | None = None
+    status: str = field(default="ok", init=False)
+    outcomes: list = field(default_factory=list, init=False)
+    outputs: list = field(default_factory=list, init=False)
+    wall_clock: float = field(default=0.0, init=False)
+    error: dict | None = field(default=None, init=False)
 
     def audit(self, name, op, lhs, rhs, location=None):
         """Record the inequality; returns True when it holds."""

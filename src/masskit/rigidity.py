@@ -27,6 +27,10 @@ from .radial import RProfile
 
 RIC_FLOOR = 1e-10
 FLATNESS_TOL = 1e-9
+# Sobolev constant both probes size their potentials against
+PROBE_C_S = 3.0
+# perturbation sizes of the Ricci linearity audit
+_LINEARITY_EPS = (0.01, 0.005)
 
 # mass-measurement fractions of the outermost truncation radius, kept inside
 # the solved annulus so the bar metric's spline never extrapolates
@@ -65,15 +69,16 @@ class ScalarProbeReport:
                 "min_factor": self.min_factor}
 
 
-def rigidity_probe_scalar(metric, eta, bump, c_S=3.0, domain=None,
-                          mass_radii=None):
+def rigidity_probe_scalar(metric, eta, bump):
     """Certificate that a nonnegative curvature bump forces a mass drop.
 
     Solves with potential c_n * eta * R(g) (closed-form curvature of the
-    conformal input), requires eta * R >= 0, and builds the half-shifted
-    metric ((u+1)/2)^{4/(n-2)} g.  The report carries the coefficient A < 0
-    next to the measured masses; their gap reproduces A because the averaged
-    factor halves the doubled shift.
+    conformal input) on the default domain of the bump, requires
+    eta * R >= 0 and the size bound against PROBE_C_S, and builds the
+    half-shifted metric ((u+1)/2)^{4/(n-2)} g.  The report carries the
+    coefficient A < 0 next to the masses measured on the domain's mass
+    radii; their gap reproduces A because the averaged factor halves the
+    doubled shift.
     """
     n = metric.n
     if metric.conformal_u is None:
@@ -95,9 +100,9 @@ def rigidity_probe_scalar(metric, eta, bump, c_S=3.0, domain=None,
         r = np.asarray(r, dtype=float)
         return cn * eta.value(r) * Rfun(r)
 
-    dom = domain or _default_domain(metric, hi)
+    dom = _default_domain(metric, hi)
     prob = EllipticProblem(metric, f, support_radius=hi, domain=dom)
-    small = check_smallness(prob, c_S)
+    small = check_smallness(prob, PROBE_C_S)
     if not small.passed:
         raise RegimeError("nonnegative bump failed the size bound "
                           "(ratio %.3g); inconsistent potential" % small.ratio)
@@ -109,8 +114,7 @@ def rigidity_probe_scalar(metric, eta, bump, c_S=3.0, domain=None,
     factor = (_solution_profile(solution) + 1.0) * 0.5
     metric_bar = metrics.conformal_product(metric, factor,
                                            family="scalar-probe")
-    radii = _mass_radii(dom) if mass_radii is None \
-        else np.asarray(mass_radii, dtype=float)
+    radii = _mass_radii(dom)
     m_input = adm_mass(metric, radii=radii).extrapolated
     m_bar = adm_mass(metric_bar, radii=radii).extrapolated
     return ScalarProbeReport(A=A, A_fit=solution.A_fit, m_input=m_input,
@@ -133,8 +137,6 @@ class RigidityProbeSpec:
     bump_tilde: tuple
     epsilon: float = 0.08
     delta_ladder: tuple = (1e-2, 1e-3, 1e-4)
-    c_S: float = 3.0
-    domain: Optional[DomainModel] = None
 
     def validate(self, metric):
         lo, hi = float(self.bump[0]), float(self.bump[1])
@@ -289,12 +291,12 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
     neg_norm = radial_lp_norm(np.minimum(R_fun(quad_r), 0.0),
                               radial_kappa_w(gbar, quad_r)[1], quad_r,
                               n / 2.0, n)
-    neg_threshold = spec.c_S / 4.0
+    neg_threshold = PROBE_C_S / 4.0
     if neg_norm > neg_threshold:
         raise RegimeError("negative curvature part too large (%.3g > %.3g); "
                           "shrink the perturbation" % (neg_norm, neg_threshold))
 
-    dom = spec.domain or _default_domain(metric, thi)
+    dom = _default_domain(metric, thi)
     A_values = []
     solution = None
     for delta in spec.delta_ladder:
@@ -303,7 +305,7 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
             return cn * (R_fun(r) - d * spec.eta_tilde.value(r))
 
         prob = EllipticProblem(gbar, f, support_radius=thi, domain=dom)
-        small = check_smallness(prob, spec.c_S)
+        small = check_smallness(prob, PROBE_C_S)
         if not small.passed:
             raise RegimeError("relaxed potential fails the size bound at "
                               "delta %.3g (ratio %.3g)" % (delta, small.ratio))
@@ -335,25 +337,24 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
                             metric_tilde=metric_tilde, **base)
 
 
-def ricci_linearity_audit(metric, eta, bump, eps_ladder=(0.01, 0.005),
-                          r_probe=None):
+def ricci_linearity_audit(metric, eta, bump):
     """First-order response audit for the Ricci perturbation.
 
-    For each epsilon the scalar curvature of the perturbed metric is sampled
-    at the bump center and integrated against the volume weight; linearity in
-    epsilon and agreement of the integral with epsilon times the squared
-    Ricci content certify the construction to leading order.
+    For each epsilon of _LINEARITY_EPS the scalar curvature of the perturbed
+    metric is sampled at the bump center and integrated against the volume
+    weight; linearity in epsilon and agreement of the integral with epsilon
+    times the squared Ricci content certify the construction to leading
+    order.
     """
     lo, hi = float(bump[0]), float(bump[1])
-    if r_probe is None:
-        r_probe = 0.5 * (lo + hi)
+    r_probe = 0.5 * (lo + hi)
     quad_r = np.linspace(lo, hi, 4001)
     ric2 = _ricci_magnitude(metric, quad_r) ** 2
     w_g = radial_kappa_w(metric, quad_r)[1]
     content = np.trapezoid(eta.value(quad_r) * ric2 * w_g, quad_r)
 
     probe_values, integrals, first_order = [], [], []
-    for eps in eps_ladder:
+    for eps in _LINEARITY_EPS:
         gb = ricci_perturbed_metric(metric, eta, bump, float(eps))
         R_fun = perturbed_scalar_spline(gb, bump, metric.r_min)
         probe_values.append(float(R_fun(np.array([r_probe]))[0]))
@@ -362,9 +363,9 @@ def ricci_linearity_audit(metric, eta, bump, eps_ladder=(0.01, 0.005),
         integrals.append(lhs)
         first_order.append(lhs / (float(eps) * content))
 
-    scaled = np.asarray(probe_values) / np.asarray(eps_ladder, dtype=float)
+    scaled = np.asarray(probe_values) / np.asarray(_LINEARITY_EPS)
     linear_deviation = float(np.abs(scaled / scaled[0] - 1.0).max())
-    return {"eps_ladder": list(map(float, eps_ladder)),
+    return {"eps_ladder": list(_LINEARITY_EPS),
             "probe_values": probe_values, "integrals": integrals,
             "first_order_ratios": first_order,
             "linear_deviation": linear_deviation}

@@ -17,3 +17,5 @@ BAND_WITNESS = -1e-6
 MATCH_TOL = 1e-12
 # relative tolerance of the cover/quotient mass-ratio audit
 RATIO_TOL = 1e-3
+# cover and quotient masses both at or below this count as vanishing
+VANISHING_MASS = 1e-10

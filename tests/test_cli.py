@@ -208,3 +208,26 @@ def test_ale_at_dimension_seven_exits_as_configuration_error(tmp_path):
         "--threads", "1", "--seed", "0"])
     assert result.exit_code == 1, result.output
     assert "33554432 nodes" in result.output
+
+
+def test_converge_on_exactly_flat_metric_writes_empty_orders(tmp_path):
+    # every FD error of the flat metric is exactly 0, so no order exists
+    scene = {"schema": 1,
+             "metric": {"family": "euclidean", "dimension": 3},
+             "converge": {"operations": [
+                 {"kind": "scalar_flatness",
+                  "h_values": [0.08, 0.04, 0.02]}]}}
+    config = tmp_path / "converge.json"
+    config.write_text(json.dumps(scene))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, [
+        "converge", "--config", str(config), "--out", str(out),
+        "--threads", "1", "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    rows = (out / "converge_op0_scalar.csv").read_text().splitlines()
+    assert rows[0] == "h,max_abs_R,observed_order"
+    assert [row.split(",")[1:] for row in rows[1:]] == [["0", ""]] * 3
+    report = json.loads((out / "converge_report.json").read_text())
+    assert report["operations"][0]["observed_orders"] == [None, None]
