@@ -241,17 +241,6 @@ def residual_flux(field, radii):
                      for rho in np.asarray(radii, dtype=float)])
 
 
-def residual_flux_pass(radii, fluxes, tol=1e-3):
-    """True when the last flux is below tol and the tail is not growing."""
-    radii = np.asarray(radii, dtype=float)
-    fluxes = np.asarray(fluxes, dtype=float)
-    if abs(fluxes[-1]) > tol:
-        return False
-    if fluxes.size >= 2 and abs(fluxes[-1]) > abs(fluxes[0]) + tol:
-        return False
-    return True
-
-
 def trend_slope(radii, values):
     """Log-log slope of |values| against radii, ignoring entries at or
     below 1e-14."""
@@ -261,10 +250,3 @@ def trend_slope(radii, values):
     if keep.sum() < 2:
         return 0.0
     return float(np.polyfit(np.log(radii[keep]), np.log(values[keep]), 1)[0])
-
-
-def ale_mass(cover_metric, group_order):
-    """Quotient mass: the cover mass divided by the group order."""
-    if group_order < 1:
-        raise ConfigError("group order must be a positive integer")
-    return adm_mass(cover_metric).extrapolated / group_order

@@ -52,6 +52,9 @@ def fd_first_derivatives(metric, X):
         P[:, k] += hv
         M[:, k] -= hv
         dg[:, k] = (metric.g(P) - metric.g(M)) / (2.0 * hv)[:, None, None]
+    # a non-finite sample leaves a non-finite difference
+    if not np.isfinite(dg).all():
+        raise DegenerateMetricError("metric evaluation returned non-finite values")
     return dg
 
 

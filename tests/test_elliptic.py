@@ -280,24 +280,34 @@ def test_truncated_oracle_closed_form_flat(k, rf, R):
     assert np.abs(vref(r) - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
-def test_shooting_evaluates_coefficients_once_per_step(monkeypatch):
+def test_shooting_evaluates_coefficients_once_per_attempt(monkeypatch):
     rf = 6.5
     expected = oracle_A(3)
-    calls = {"kappa_w": 0, "f": 0}
+    calls = {"kappa_w": [], "f": []}
     kappa_w = oracles.radial_kappa_w
 
     def counted_kappa_w(metric, r):
-        calls["kappa_w"] += int(np.max(r) <= rf)
+        if np.max(r) <= rf:
+            calls["kappa_w"].append(np.size(r))
         return kappa_w(metric, r)
 
     def f(r):
-        calls["f"] += int(np.max(r) <= rf)
+        if np.max(r) <= rf:
+            calls["f"].append(np.size(r))
         return bump().value(r)
 
     monkeypatch.setattr(oracles, "radial_kappa_w", counted_kappa_w)
     sh = oracles.shoot_conformal_factor(end_metric(), f, rf)
     assert sh.A == expected
-    assert calls == {"kappa_w": sh.nfev, "f": sh.nfev}
+    # two evaluations before the first step, then 12 per DOP853 attempt at
+    # 11 distinct abscissas (the last stage sits at the step's end)
+    attempts, rest = divmod(sh.nfev - 2, 12)
+    assert rest == 0
+    batch = 11 * oracles._PANELS
+    for sizes in calls.values():
+        assert len(sizes) <= attempts + 2
+        assert sizes.count(batch) == attempts
+        assert set(sizes) <= {batch, oracles._PANELS}
 
 
 @pytest.mark.parametrize("panels", [1, 64])

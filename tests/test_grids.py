@@ -39,7 +39,7 @@ def test_grid_operators_match_einsum_reference():
 
 
 def test_radial_kappa_w_reads_values_only():
-    # the shooting oracle calls radial_kappa_w at every right-hand side, so
+    # the shooting oracle calls radial_kappa_w before every step attempt, so
     # it must not ask the radial form for derivatives nobody reads
     orders = []
 

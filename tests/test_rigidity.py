@@ -210,6 +210,62 @@ def test_shooting_oracle_matches_single_system_reference(problem, bound):
     assert abs(A / ref - 1.0) <= bound
 
 
+def euclidean_gaussian_problem():
+    return metrics.euclidean(3), radial.gaussian(0.15, 3.0, 0.7), 6.5
+
+
+def schwarzschild_four_problem():
+    return metrics.schwarzschild(0.8, 4), radial.gaussian(0.15, 3.0, 0.7), 6.5
+
+
+def plain_dop853(*args, method, prefetch, dense, **options):
+    """solve_ivp as the oracle calls it, with scipy's own DOP853: no
+    coefficient is prefetched, so every right-hand side evaluates its own."""
+    assert method is oracles._PrefetchDOP853
+    return solve_ivp(*args, method="DOP853", **options)
+
+
+@pytest.mark.parametrize("problem", [euclidean_gaussian_problem,
+                                     schwarzschild_four_problem,
+                                     ricci_oracle_problem])
+def test_prefetching_stepper_matches_plain_dop853(monkeypatch, problem):
+    metric, f, rf = problem()
+    R = 64.0
+    r = np.linspace(metric.r_min, R, 641)
+
+    def shoot():
+        sh = oracles.shoot_conformal_factor(metric, f, rf)
+        v = oracles.shoot_truncated(metric, f, rf, R)(r)
+        return (sh.A, sh.c_inf, sh.phi, sh.nfev), v
+
+    fast, v_fast = shoot()
+    monkeypatch.setattr(oracles, "solve_ivp", plain_dop853)
+    plain, v_plain = shoot()
+    assert fast == plain
+    assert np.array_equal(v_fast, v_plain)
+
+
+def test_ricci_oracle_retries_read_prefetched_coefficients(monkeypatch):
+    # the cutoffs' C^2 breakpoints reject steps; each retry prefetches its
+    # own abscissas, so only the two initial-step evaluations miss
+    metric, f, rf = ricci_oracle_problem()
+    sizes = []
+    kappa_w = oracles.radial_kappa_w
+
+    def counted_kappa_w(metric, r):
+        sizes.append(np.size(r))
+        return kappa_w(metric, r)
+
+    monkeypatch.setattr(oracles, "radial_kappa_w", counted_kappa_w)
+    for dense in (False, True):
+        sizes.clear()
+        sol = oracles._shoot_panels(metric, f, metric.r_min, rf, dense)[3]
+        misses = sizes.count(oracles._PANELS)
+        attempts = len(sizes) - misses
+        assert misses <= 2
+        assert attempts > len(sol.t) - 1
+
+
 def test_ricci_probe_report_serializes():
     d = ricci_report().to_json_dict()
     assert d["failed"] is False
