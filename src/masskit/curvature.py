@@ -116,13 +116,6 @@ def _fd_kernel(kernel, metric, X, h=None):
         raise DegenerateMetricError("metric not invertible on the stencil") from exc
 
 
-def christoffel_first_kind(metric, X):
-    """First-kind Christoffel symbols G1[p,i,j,k] from central differences
-    of order h^2."""
-    return _fd_kernel(lambda g, dg, _: _kernels_np.christoffel_first(g, dg)[0],
-                      metric, X)
-
-
 def scalar_curvature_bartnik(metric, X, h=None):
     """Scalar curvature batch via the divergence-form contraction identity."""
     return _fd_kernel(_kernels_np.scalar_curvature, metric, X, h)

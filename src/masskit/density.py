@@ -8,8 +8,7 @@ and tunes tau so the deformed metric
     g_bar = ((u_s + tau)/(1 + tau))^{4/(n-2)} ghat_s
 
 keeps nonnegative scalar curvature at audit points while the mass moves by
-2 A_s / (1 + tau), which shrinks along the ladder.  `scalar_ladder_audit`
-reports the curvature bounds the interpolation must satisfy.
+2 A_s / (1 + tau), which shrinks along the ladder.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from . import metrics, radial
-from .adm import DEFAULT_LADDER, adm_mass, residual_flux, trend_slope
+from .adm import adm_mass
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
     radial_lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError, SolverError
@@ -76,34 +75,6 @@ class SplitState:
     def is_radial(self):
         return self.rem_a is not None
 
-    def remainder_field(self):
-        """Remainder as a metric-like object for flux and decay probes."""
-        n = self.n
-        if self.is_radial:
-            return metrics.radial_metric(1.0 + self.rem_a, self.rem_b, n,
-                                         family="split-remainder",
-                                         r_min=self.metric.r_min)
-
-        def ev(X):
-            return np.eye(n)[None] + self.metric.g(X) - self.base.g(X)
-
-        return metrics.from_evaluator(ev, n, family="split-remainder",
-                                      r_min=self.metric.r_min)
-
-    def remainder_sup(self, radii):
-        """Componentwise sup of the remainder on spheres (radial exact)."""
-        radii = np.asarray(radii, dtype=float)
-        if self.is_radial:
-            out = np.abs(self.rem_a.value(radii))
-            if self.rem_b is not None:
-                out = out + np.abs(self.rem_b.value(radii))
-            return out
-        sup = []
-        for rho in radii:
-            X = np.eye(self.n) * rho
-            sup.append(np.abs(self.metric.g(X) - self.base.g(X)).max())
-        return np.asarray(sup)
-
 
 def split_schwarzschild(metric, m):
     """Write g as (1 + m/(2 r^{n-2}))^{4/(n-2)} delta plus a remainder."""
@@ -118,22 +89,6 @@ def split_schwarzschild(metric, m):
         rem_b = metric.radial_form.b
     return SplitState(metric=metric, m=float(m), factor=u_m, base=base,
                       rem_a=rem_a, rem_b=rem_b)
-
-
-def split_residual_report(split):
-    """Flux and sup-decay of the remainder on the default mass ladder; the
-    flux limit vanishes exactly when the split mass matches the input mass."""
-    radii = np.asarray(DEFAULT_LADDER, dtype=float)
-    fluxes = residual_flux(split.remainder_field(), radii)
-    sup = split.remainder_sup(radii)
-    norm = 2.0 * (split.n - 1) * sphere_area(split.n)
-    return {
-        "radii": radii,
-        "fluxes": fluxes,
-        "flux_mass_limit": float(fluxes[-1] / norm),
-        "sup_h": sup,
-        "sup_slope": trend_slope(radii, sup),
-    }
 
 
 @dataclass
@@ -180,50 +135,6 @@ def build_interpolated_metric(split, s):
                                  r_min=split.metric.r_min)
     return InterpolatedEnd(split=split, s=s, zeta=zeta, metric=spec,
                            u_eff=u_eff)
-
-
-def scalar_bounds_audit(interp):
-    """Sampled curvature bounds for one interpolation scale.
-
-    Reports the minimum over the untouched region {r <= 2s}, the transition
-    maximum of |R| scaled by s^n, the sup over the exact-conformal tail
-    {r >= 3s}, and the L^{2n/(n+2)} norm of R over the transition annulus.
-    """
-    s, n = interp.s, interp.n
-    r_min = interp.metric.r_min
-    r_in = np.geomspace(r_min, 2.0 * s, 401)
-    r_tr = np.linspace(s, 4.0 * s, 1604)
-    r_out = np.geomspace(3.0 * s, 12.0 * s, 401)
-    R_in = interp.scalar_values(r_in)
-    R_tr = interp.scalar_values(r_tr)
-    R_out = interp.scalar_values(r_out)
-    q = 2.0 * n / (n + 2.0)
-    r_np = np.geomspace(s, 4.0 * s, 2049)
-    _, w = radial_kappa_w(interp.metric, r_np)
-    norm = radial_lp_norm(interp.scalar_values(r_np), w, r_np, q, n)
-    return {
-        "s": s,
-        "min_inner": float(R_in.min()),
-        "transition_sup_scaled": float(np.abs(R_tr).max() * s ** n),
-        "outer_sup": float(np.abs(R_out).max()),
-        "transition_lp_norm": float(norm),
-    }
-
-
-def scalar_ladder_audit(split, s_ladder=DEFAULT_S_LADDER):
-    """Scaling exponents across the s ladder for the interpolation bounds."""
-    reports = [scalar_bounds_audit(build_interpolated_metric(split, s))
-               for s in s_ladder]
-    s_arr = np.asarray(s_ladder, dtype=float)
-    norms = np.array([rep["transition_lp_norm"] for rep in reports])
-    return {
-        "s_ladder": s_arr,
-        "norms": norms,
-        "norm_exponent": trend_slope(s_arr, norms),
-        "scaled_sup": float(max(rep["transition_sup_scaled"]
-                                for rep in reports)),
-        "reports": reports,
-    }
 
 
 @dataclass

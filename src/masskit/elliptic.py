@@ -341,15 +341,3 @@ def lp_norm(mesh, vals, p, n):
     """(integral |vals|^p d mu)^{1/p} over the composite mesh."""
     return float((sphere_area(n)
                   * np.sum(np.abs(vals) ** p * mesh.wbar)) ** (1.0 / p))
-
-
-def energy_norm_bound(problem, solution, c_S):
-    """Numerical form of the a-priori bound on v against the source norm."""
-    n = problem.domain.n
-    mesh = solution.mesh
-    fvals = np.where(mesh.is_cyl, 0.0, problem.f_values(mesh.r))
-    p_crit = 2.0 * n / (n - 2.0)
-    p_dual = 2.0 * n / (n + 2.0)
-    lhs = lp_norm(mesh, solution.v, p_crit, n)
-    rhs = 2.0 / c_S * lp_norm(mesh, fvals, p_dual, n)
-    return {"lhs": lhs, "rhs": rhs, "passed": lhs <= rhs}

@@ -10,7 +10,8 @@ result is an upper estimate of the domain's true constant and is labeled as
 such.  The eigenvalue bound is the smallest generalized eigenvalue of
 K + M_R against the mass matrix: on the radial mesh by LAPACK's symmetric
 tridiagonal eigensolver after a symmetric mass scaling, on the full 3D grid
-by preconditioned LOBPCG.
+by preconditioned LOBPCG started from the Rayleigh-Ritz mode over the radial
+grid functions, which is already the ground state when the metric is radial.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .elliptic import lp_norm, tridiag_solve
 from .errors import ConfigError, EstimationError
@@ -226,14 +227,17 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     Same quantity as the radial `eigenvalue_lower_bound` (inner boundary
     Neumann-natural, outer sphere Dirichlet) but minimized over all grid
     functions on the log-radius x latitude x longitude grid.  LOBPCG
-    (Knyazev 2001) from a radial sine start solves A x = lam M x, A = K +
-    diag(R vol), M = diag(vol), with the Jacobi preconditioner of A - shift M
-    (shift = min(0, min R) - 1 keeps it positive).  The residual norm
-    |A x - lam M x| of the M-normalized mode must reach 1e-10; missing it
-    within max_iters iterations raises EstimationError with the last
-    iterate.
+    (Knyazev 2001) solves A x = lam M x, A = K + diag(R vol), M = diag(vol),
+    with the Jacobi preconditioner of A - shift M (shift = min(0, min R) - 1
+    keeps it positive).  Its start is the Rayleigh-Ritz mode of the pencil
+    over the radial grid functions, P = kron(I, 1) on the interior rings:
+    on a radial metric K P and M P are P times sin(theta)-weighted 1D
+    operators, so the ground state lies in range(P) and LOBPCG stops at
+    iteration 0.  The residual norm |A x - lam M x| of the M-normalized mode
+    must reach 1e-10; missing it within max_iters iterations raises
+    EstimationError with the last iterate.
     """
-    from scipy.sparse import diags
+    from scipy.sparse import diags, identity, kron
     from scipy.sparse.linalg import lobpcg
 
     if metric.n != 3:
@@ -257,12 +261,14 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     shift = min(0.0, float(Rv.min())) - 1.0
     jacobi = diags(1.0 / (A.diagonal() - shift * mass))
 
-    ri = r[interior]
-    x = np.sin(np.pi * (grid.r_max - ri) / (grid.r_max - grid.r_min))
+    # Rayleigh-Ritz start over the radial grid functions, range(P)
+    P = kron(identity(Nr - 1), np.ones((Nth * Nph, 1)), format="csr")
+    _, y = eigh((P.T @ A @ P).toarray(), np.diag(P.T @ mass),
+                subset_by_index=[0, 0])
     with warnings.catch_warnings():
         # lobpcg only warns when it misses tol; the check below raises
         warnings.simplefilter("ignore", UserWarning)
-        lam, vec, res_hist = lobpcg(A, x[:, None], B=diags(mass), M=jacobi,
+        lam, vec, res_hist = lobpcg(A, P @ y, B=diags(mass), M=jacobi,
                                     tol=_LOBPCG_TOL, maxiter=max_iters,
                                     largest=False,
                                     retResidualNormsHistory=True)
@@ -302,6 +308,8 @@ class EigenvalueReport:
     value: float
     radii: np.ndarray
     mode: np.ndarray
+    # radial mesh: 0 (direct LAPACK solve); 3D grid: LOBPCG iterations,
+    # 0 when the radial Rayleigh-Ritz start already met the tolerance
     iterations: int
     shift: float
 

@@ -29,8 +29,6 @@ RIC_FLOOR = 1e-10
 FLATNESS_TOL = 1e-9
 # Sobolev constant both probes size their potentials against
 PROBE_C_S = 3.0
-# perturbation sizes of the Ricci linearity audit
-_LINEARITY_EPS = (0.01, 0.005)
 
 # mass-measurement fractions of the outermost truncation radius, kept inside
 # the solved annulus so the bar metric's spline never extrapolates
@@ -335,37 +333,3 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
     return RicciProbeReport(tau=tau, min_R_tilde=min_R_tilde, m_tilde=m_tilde,
                             failed=False, solution=solution,
                             metric_tilde=metric_tilde, **base)
-
-
-def ricci_linearity_audit(metric, eta, bump):
-    """First-order response audit for the Ricci perturbation.
-
-    For each epsilon of _LINEARITY_EPS the scalar curvature of the perturbed
-    metric is sampled at the bump center and integrated against the volume
-    weight; linearity in epsilon and agreement of the integral with epsilon
-    times the squared Ricci content certify the construction to leading
-    order.
-    """
-    lo, hi = float(bump[0]), float(bump[1])
-    r_probe = 0.5 * (lo + hi)
-    quad_r = np.linspace(lo, hi, 4001)
-    ric2 = _ricci_magnitude(metric, quad_r) ** 2
-    w_g = radial_kappa_w(metric, quad_r)[1]
-    content = np.trapezoid(eta.value(quad_r) * ric2 * w_g, quad_r)
-
-    probe_values, integrals, first_order = [], [], []
-    for eps in _LINEARITY_EPS:
-        gb = ricci_perturbed_metric(metric, eta, bump, float(eps))
-        R_fun = perturbed_scalar_spline(gb, bump, metric.r_min)
-        probe_values.append(float(R_fun(np.array([r_probe]))[0]))
-        w_b = radial_kappa_w(gb, quad_r)[1]
-        lhs = float(np.trapezoid(R_fun(quad_r) * w_b, quad_r))
-        integrals.append(lhs)
-        first_order.append(lhs / (float(eps) * content))
-
-    scaled = np.asarray(probe_values) / np.asarray(_LINEARITY_EPS)
-    linear_deviation = float(np.abs(scaled / scaled[0] - 1.0).max())
-    return {"eps_ladder": list(_LINEARITY_EPS),
-            "probe_values": probe_values, "integrals": integrals,
-            "first_order_ratios": first_order,
-            "linear_deviation": linear_deviation}

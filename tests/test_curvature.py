@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from masskit import metrics, radial
-from masskit.curvature import (christoffel_first_kind, decay_audit,
+from masskit import _kernels_np, metrics, radial
+from masskit.curvature import (decay_audit, fd_metric_derivatives,
                                ricci_tensor_fd, scalar_curvature_bartnik)
 from masskit.errors import DomainError
 
@@ -79,6 +79,13 @@ def test_trace_consistency():
     tr = np.einsum('pij,pij->p', np.linalg.inv(m.g(X)), Ric)
     h = np.minimum(0.01 * np.sqrt((X ** 2).sum(axis=1)), 0.05)
     assert np.abs(R - tr).max() < 10.0 * h.min() ** 2
+
+
+def christoffel_first_kind(metric, X):
+    # first-kind Christoffel symbols G1[p,i,j,k] from central differences
+    # of order h^2
+    g, dg, _ = fd_metric_derivatives(metric, X)
+    return _kernels_np.christoffel_first(g, dg)[0]
 
 
 def test_christoffel_first_kind_shape_and_identity():

@@ -221,11 +221,9 @@ def test_full3d_eigenvalue_converges_to_radial():
     assert fine.value > radial.value
 
 
-def _shift_invert_reference(metric, rho, c, shape):
-    # smallest eigenvalue of the same pencil, by sparse LU shift-invert on
-    # the symmetrically mass-scaled operator
+def _full3d_pencil(metric, rho, c, shape):
+    # interior mask, A = K + c diag(vol) and the lumped mass of the 3D bound
     from scipy.sparse import diags
-    from scipy.sparse.linalg import eigsh
 
     from masskit.grids import SphericalGrid, grid_operators
 
@@ -233,10 +231,30 @@ def _shift_invert_reference(metric, rho, c, shape):
     vol, K = grid_operators(grid, metric)
     interior = np.arange(grid.num_nodes) < grid.num_nodes - shape[1] * shape[2]
     mass = vol[interior]
-    A = K[interior][:, interior] + diags(c * mass)
+    return interior, K[interior][:, interior] + diags(c * mass), mass
+
+
+def _shift_invert_reference(metric, rho, c, shape):
+    # smallest eigenvalue of the same pencil, by sparse LU shift-invert on
+    # the symmetrically mass-scaled operator
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
+
+    _, A, mass = _full3d_pencil(metric, rho, c, shape)
     s = diags(1.0 / np.sqrt(mass))
     return eigsh((s @ A @ s).tocsc(), k=1, sigma=0,
                  return_eigenvectors=False)[0]
+
+
+def quadrupole_chart():
+    # Euclidean plus 0.05 (x1^2 - x2^2) / r^3 delta: a non-radial chart whose
+    # ground state leaves the span of the radial grid functions
+    def h(X):
+        r2 = (X ** 2).sum(axis=1)
+        s = 0.05 * (X[:, 0] ** 2 - X[:, 1] ** 2) / r2 ** 1.5
+        return s[:, None, None] * np.eye(3)[None]
+
+    return metrics.perturbed(metrics.euclidean(3), h)
 
 
 @pytest.mark.parametrize("metric, c", [(metrics.euclidean(3), 0.0),
@@ -249,8 +267,39 @@ def test_full3d_eigenvalue_matches_shift_invert_reference(metric, c):
     assert rep.mode.min() >= 0.0
 
 
+@pytest.mark.parametrize("metric, c", [(metrics.euclidean(3), 0.0),
+                                       (metrics.schwarzschild(1.0, 3), 0.005)],
+                         ids=["euclidean", "schwarzschild"])
+@pytest.mark.parametrize("shape", [(20, 6, 12), (40, 10, 20)])
+def test_full3d_radial_ritz_start_is_converged(metric, c, shape):
+    rep = rayleigh.eigenvalue_bound_full3d(metric, 8.0, c, shape=shape)
+    assert rep.iterations == 0
+    interior, A, mass = _full3d_pencil(metric, 8.0, c, shape)
+    x = rep.mode[interior]
+    assert np.all(rep.mode[~interior] == 0.0)
+    x = x / np.sqrt(x @ (mass * x))
+    assert np.linalg.norm(A @ x - rep.value * mass * x) <= 1e-10
+
+
+def test_full3d_eigenvalue_non_radial_chart_matches_shift_invert():
+    chart = quadrupole_chart()
+    rep = rayleigh.eigenvalue_bound_full3d(chart, 8.0, 0.0, shape=(40, 10, 20))
+    ref = _shift_invert_reference(chart, 8.0, 0.0, (40, 10, 20))
+    assert rep.iterations > 0
+    assert abs(rep.value - ref) <= 1e-10 * abs(ref)
+
+
+def test_full3d_eigenvalue_converges_at_fine_radial_spacing():
+    # halving the radial spacing moves the bound down toward the radial value
+    flat = metrics.euclidean(3)
+    radial = rayleigh.eigenvalue_lower_bound(flat, 8.0, 0.0, num=4096)
+    mid = rayleigh.eigenvalue_bound_full3d(flat, 8.0, 0.0, shape=(40, 10, 20))
+    fine = rayleigh.eigenvalue_bound_full3d(flat, 8.0, 0.0, shape=(80, 10, 20))
+    assert radial.value < fine.value < mid.value
+
+
 def test_full3d_eigenvalue_budget_raises_with_iterate():
     with pytest.raises(EstimationError) as err:
-        rayleigh.eigenvalue_bound_full3d(metrics.euclidean(3), 8.0, 0.0,
-                                         shape=(20, 6, 12), max_iters=3)
+        rayleigh.eigenvalue_bound_full3d(quadrupole_chart(), 8.0, 0.0,
+                                         shape=(40, 10, 20), max_iters=3)
     assert isinstance(err.value.last_iterate, np.ndarray)
