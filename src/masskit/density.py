@@ -81,7 +81,6 @@ def split_schwarzschild(metric, m):
     n = metric.n
     u_m = metrics.schwarzschild_factor(m, n)
     base = metrics.conformally_flat(u_m, n, family="schwarzschild-part",
-                                    params={"m": float(m)},
                                     r_min=metric.r_min)
     rem_a = rem_b = None
     if metric.radial_form is not None:
@@ -130,7 +129,6 @@ def build_interpolated_metric(split, s):
     if b_hat is None:
         u_eff = a_hat.powc((n - 2) / 4.0)
     spec = metrics.radial_metric(a_hat, b_hat, n, family="interpolated",
-                                 params={"s": s, "m": split.m},
                                  conformal_u=u_eff,
                                  r_min=split.metric.r_min)
     return InterpolatedEnd(split=split, s=s, zeta=zeta, metric=spec,

@@ -3,11 +3,13 @@
 Two tiers: RADIAL (any dimension, spherically symmetric problems reduced to a
 1D conservation-form mesh, optionally with a finite-cylinder toy end attached
 at the inner boundary) and FULL3D (n = 3 product grid, log-radius times
-pole-offset latitude times uniform longitude).
+pole-offset latitude times uniform longitude, its stiffness one sparse
+congruence D^T W D of the stacked axis difference operators).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -167,13 +169,9 @@ class SphericalGrid:
         return (self.sigma[1] - self.sigma[0], np.pi / Nth, 2.0 * np.pi / Nph)
 
     def points(self):
-        """Cartesian node coordinates, (num_nodes, 3), C-order (r, theta, phi)."""
-        sg, th, ph = np.meshgrid(self.sigma, self.theta, self.phi, indexing="ij")
-        r = np.exp(sg)
-        X = np.stack([r * np.sin(th) * np.cos(ph),
-                      r * np.sin(th) * np.sin(ph),
-                      r * np.cos(th)], axis=-1)
-        return X.reshape(-1, 3)
+        """Cartesian node coordinates, (num_nodes, 3), C-order (r, theta, phi):
+        the sigma column of the Jacobian, since d x / d sigma = x."""
+        return self.jacobians()[:, :, 0].copy()
 
     def jacobians(self):
         """d x / d(sigma, theta, phi) at every node, (num_nodes, 3, 3)."""
@@ -181,90 +179,59 @@ class SphericalGrid:
         r = np.exp(sg).ravel()
         st, ct = np.sin(th).ravel(), np.cos(th).ravel()
         sp_, cp = np.sin(ph).ravel(), np.cos(ph).ravel()
-        J = np.empty((r.size, 3, 3))
         # columns: d/dsigma = x, d/dtheta, d/dphi
-        J[:, 0, 0] = r * st * cp
-        J[:, 1, 0] = r * st * sp_
-        J[:, 2, 0] = r * ct
-        J[:, 0, 1] = r * ct * cp
-        J[:, 1, 1] = r * ct * sp_
-        J[:, 2, 1] = -r * st
-        J[:, 0, 2] = -r * st * sp_
-        J[:, 1, 2] = r * st * cp
-        J[:, 2, 2] = 0.0
-        return J
+        return np.stack([r * st * cp, r * ct * cp, -r * st * sp_,
+                         r * st * sp_, r * ct * sp_, r * st * cp,
+                         r * ct, -r * st, np.zeros_like(r)],
+                        axis=-1).reshape(-1, 3, 3)
 
 
 def _diff_ops(grid):
     """Sparse node-based central difference operators per curvilinear axis.
 
-    Periodic in phi; one-sided (first-order) at the sigma and theta edges.
-    Returned per axis, scaled by the inverse spacing.
+    Row i of an axis operator is (f[ip] - f[im]) / ((ip - im) h) with
+    ip, im = i +- 1 wrapped in phi and clamped at the sigma and theta edges:
+    0.5/h inside, one-sided (first-order) 1/h on the edge rows.  Returned
+    per axis as Kronecker products over the whole grid.
     """
-    Nr, Nth, Nph = grid.shape
-    hs, ht, hp = grid.spacings
-
-    def axis_op(N, h, periodic):
-        rows, cols, vals = [], [], []
-        for i in range(N):
-            ip, im = i + 1, i - 1
-            if periodic:
-                ip %= N
-                im %= N
-                rows += [i, i]
-                cols += [ip, im]
-                vals += [0.5 / h, -0.5 / h]
-            else:
-                if i == 0:
-                    rows += [i, i]
-                    cols += [1, 0]
-                    vals += [1.0 / h, -1.0 / h]
-                elif i == N - 1:
-                    rows += [i, i]
-                    cols += [N - 1, N - 2]
-                    vals += [1.0 / h, -1.0 / h]
-                else:
-                    rows += [i, i]
-                    cols += [ip, im]
-                    vals += [0.5 / h, -0.5 / h]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-
-    Ds = axis_op(Nr, hs, False)
-    Dt = axis_op(Nth, ht, False)
-    Dp = axis_op(Nph, hp, True)
-    Ir, It, Ip = sp.identity(Nr), sp.identity(Nth), sp.identity(Nph)
-    return (sp.kron(sp.kron(Ds, It), Ip).tocsr(),
-            sp.kron(sp.kron(Ir, Dt), Ip).tocsr(),
-            sp.kron(sp.kron(Ir, It), Dp).tocsr())
+    axes = []
+    for N, h, periodic in zip(grid.shape, grid.spacings, (False, False, True)):
+        i = np.arange(N)
+        ip, im = i + 1, i - 1
+        if not periodic:
+            ip, im = np.minimum(ip, N - 1), np.maximum(im, 0)
+        w = 1.0 / ((ip - im) * h)
+        axes.append(sp.csr_matrix((np.r_[w, -w], (np.r_[i, i],
+                                                  np.r_[ip % N, im % N])),
+                                  shape=(N, N)))
+    eye = [sp.identity(N) for N in grid.shape]
+    return tuple(reduce(sp.kron, eye[:a] + [op] + eye[a + 1:]).tocsr()
+                 for a, op in enumerate(axes))
 
 
 def grid_operators(grid, metric):
     """Volume weights and symmetric stiffness for the metric on a FULL3D grid.
 
-    Returns (vol, K): vol[i] = sqrt(det g_curv) h^3 per node, and K sparse with
-    zeta^T K zeta approximating the Dirichlet energy of the metric.
+    Returns (vol, K): vol[i] = sqrt(det g_curv) h^3 per node, and K the
+    symmetric part of the single congruence D^T W D, with D the three axis
+    difference operators stacked into a (3N, N) matrix and W the 3x3 block
+    matrix of diag(g_curv^{ab} vol), so that zeta^T K zeta approximates the
+    Dirichlet energy of the metric.
     """
-    X = grid.points()
     J = grid.jacobians()
-    G = metric.g(X)
+    G = metric.g(J[:, :, 0])
     # staged einsum, not J^T G J by matmul: matmul's rounding turns the
     # off-diagonal entries that cancel to exactly 0 here (74% of them on a
     # flat grid) into 1e-17, and K then stores 44% more nonzeros
     g_curv = np.einsum('pkj,pki->pij', J, G @ J)
-    det = np.linalg.det(g_curv)
-    ginv = np.linalg.inv(g_curv)
     hs, ht, hp = grid.spacings
-    cell = hs * ht * hp
-    vol = np.sqrt(det) * cell
-    D = _diff_ops(grid)
-    K = None
-    for a in range(3):
-        for b in range(3):
-            w = ginv[:, a, b] * vol
-            term = D[a].T @ sp.diags(w) @ D[b]
-            K = term if K is None else K + term
-    K = 0.5 * (K + K.T)
-    return vol, K.tocsr()
+    vol = np.sqrt(np.linalg.det(g_curv)) * (hs * ht * hp)
+    ginv = np.linalg.inv(g_curv)
+    D = sp.vstack(_diff_ops(grid), format="csr")
+    W = sp.bmat([[sp.diags(ginv[:, a, b] * vol) for b in range(3)]
+                 for a in range(3)], format="csr")
+    M = D.T @ W @ D
+    return vol, (0.5 * (M + M.T)).tocsr()
 
 
 def sphere_quadrature(n, order):

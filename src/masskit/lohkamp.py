@@ -186,11 +186,7 @@ def lohkamp_metric(state, audit=None):
             % (audit["max_lap"], audit["min_band_lap"]))
     n = state.n
     r_min = 0.5 * state.s1
-    g = _metrics.conformally_flat(
-        state.v, n, family="lohkamp",
-        params={"s1": state.s1, "s2": state.s2, "epsilon": state.epsilon,
-                "m_bar": state.m_bar},
-        r_min=r_min)
+    g = _metrics.conformally_flat(state.v, n, family="lohkamp", r_min=r_min)
 
     R_fun = conformal_scalar(state.v, n)
     grid = np.linspace(r_min, 4.0 * state.s2, 6001)

@@ -7,7 +7,7 @@ profiles that downstream tiers use for closed-form reductions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ class MetricSpec:
     n: int
     family: str
     evaluator: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
     decay_orders: tuple = None
     q: float = None
     radial_form: Optional[RadialForm] = None
@@ -131,24 +130,23 @@ def euclidean(n):
         return np.broadcast_to(eye, (X.shape[0], n, n)).copy()
 
     form = RadialForm(a=radial.const(1.0))
-    return MetricSpec(n=n, family="euclidean", evaluator=ev, params={},
+    return MetricSpec(n=n, family="euclidean", evaluator=ev,
                       decay_orders=(2 - n, 1 - n, -n), q=n + 10.0,
                       radial_form=form, conformal_u=radial.const(1.0),
                       dg_evaluator=lambda X: np.zeros((X.shape[0], n, n, n)))
 
 
-def conformally_flat(u: RProfile, n, family="conformally_flat", params=None,
-                     q=None, r_min=1.0):
+def conformally_flat(u: RProfile, n, family="conformally_flat", q=None,
+                     r_min=1.0):
     """Metric u(r)^{4/(n-2)} delta for a positive radial factor u."""
     return radial_metric(u.powc(4.0 / (n - 2)), None, n, family=family,
-                         params=params, q=q, conformal_u=u, r_min=r_min)
+                         q=q, conformal_u=u, r_min=r_min)
 
 
 def schwarzschild(m, n):
     """Spatial Schwarzschild slice (1 + m/(2 r^{n-2}))^{4/(n-2)} delta."""
     return conformally_flat(schwarzschild_factor(m, n), n,
-                            family="schwarzschild", params={"m": float(m)},
-                            q=n + 10.0)
+                            family="schwarzschild", q=n + 10.0)
 
 
 def schwarzschild_factor(m, n):
@@ -157,11 +155,9 @@ def schwarzschild_factor(m, n):
 
 
 def radial_metric(a: RProfile, b: Optional[RProfile], n, family="radial",
-                  params=None, q=None, decay_orders=None, conformal_u=None,
-                  r_min=1.0):
+                  q=None, conformal_u=None, r_min=1.0):
     form = RadialForm(a=a, b=b)
-    return MetricSpec(n=n, family=family, evaluator=_radial_g(form, n),
-                      params=params or {}, decay_orders=decay_orders, q=q,
+    return MetricSpec(n=n, family=family, evaluator=_radial_g(form, n), q=q,
                       radial_form=form, conformal_u=conformal_u,
                       dg_evaluator=_radial_dg(form, n), r_min=r_min)
 
@@ -199,10 +195,8 @@ def conformal_product(base: MetricSpec, phi: RProfile, family="conformal"):
     form = base.radial_form
     b = None if form.b is None else fac * form.b
     u = None if base.conformal_u is None else base.conformal_u * phi
-    return radial_metric(fac * form.a, b, n, family=family,
-                         params=dict(base.params), q=base.q,
-                         decay_orders=base.decay_orders, conformal_u=u,
-                         r_min=base.r_min)
+    return radial_metric(fac * form.a, b, n, family=family, q=base.q,
+                         conformal_u=u, r_min=base.r_min)
 
 
 def congruence(Q):
@@ -224,5 +218,5 @@ def rotate(metric: MetricSpec, Q):
     pull = congruence(Q)
     return MetricSpec(n=metric.n, family=metric.family + "*rot",
                       evaluator=lambda X: pull(metric.g(X @ Q.T)),
-                      params=dict(metric.params), decay_orders=metric.decay_orders,
+                      decay_orders=metric.decay_orders,
                       q=metric.q, r_min=metric.r_min)

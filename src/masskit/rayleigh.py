@@ -191,8 +191,7 @@ def sobolev_estimate_full3d(metric, r_max):
     grid = SphericalGrid(r_min=metric.r_min, r_max=float(r_max),
                          shape=FULL3D_SHAPE)
     vol, K = grid_operators(grid, metric)
-    X = grid.points()
-    r = np.sqrt((X ** 2).sum(axis=1))
+    r = np.sqrt((grid.points() ** 2).sum(axis=1))
     p = 3.0  # 2n/(n-2) at n = 3 is 6; quotient uses norm^2 -> power 2/p = 1/3
 
     def quotient(z):
@@ -220,6 +219,13 @@ def sobolev_estimate_full3d(metric, r_max):
                          iterations=len(lams), converged=True)
 
 
+def _node_values(scalar_term, r):
+    """c_n R at the radii r, from a callable of r or a constant."""
+    if callable(scalar_term):
+        return np.asarray(scalar_term(r), dtype=float)
+    return np.full(r.size, float(scalar_term))
+
+
 def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
                             max_iters=200):
     """Smallest Rayleigh value of the curvature-shifted energy on the 3D grid.
@@ -238,19 +244,15 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     EstimationError with the last iterate.
     """
     from scipy.sparse import diags, identity, kron
-    from scipy.sparse.linalg import lobpcg
+    from scipy.sparse.linalg import LinearOperator, lobpcg
 
     if metric.n != 3:
         raise ConfigError("full-3D eigenvalue bound is n=3 only, got n=%d"
                           % metric.n)
     grid = SphericalGrid(r_min=metric.r_min, r_max=float(rho), shape=shape)
     vol, K = grid_operators(grid, metric)
-    X = grid.points()
-    r = np.sqrt((X ** 2).sum(axis=1))
-    if callable(scalar_term):
-        Rv = np.asarray(scalar_term(r), dtype=float)
-    else:
-        Rv = np.full(r.size, float(scalar_term))
+    r = np.sqrt((grid.points() ** 2).sum(axis=1))
+    Rv = _node_values(scalar_term, r)
 
     Nr, Nth, Nph = grid.shape
     idx_r = np.repeat(np.arange(Nr), Nth * Nph)
@@ -259,7 +261,18 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     mass = vol[interior]
     A = (K[interior][:, interior] + diags(Rv[interior] * mass)).tocsr()
     shift = min(0.0, float(Rv.min())) - 1.0
-    jacobi = diags(1.0 / (A.diagonal() - shift * mass))
+    inv_diag = 1.0 / (A.diagonal() - shift * mass)
+    updates = 0
+
+    def jacobi(v):
+        # LOBPCG applies its preconditioner once per update, so the
+        # applications count the iterations run
+        nonlocal updates
+        updates += 1
+        return inv_diag * v.ravel()
+
+    # dtype given, so LinearOperator does not probe jacobi with a zero vector
+    precond = LinearOperator(A.shape, jacobi, dtype=float)
 
     # Rayleigh-Ritz start over the radial grid functions, range(P)
     P = kron(identity(Nr - 1), np.ones((Nth * Nph, 1)), format="csr")
@@ -268,21 +281,20 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     with warnings.catch_warnings():
         # lobpcg only warns when it misses tol; the check below raises
         warnings.simplefilter("ignore", UserWarning)
-        lam, vec, res_hist = lobpcg(A, P @ y, B=diags(mass), M=jacobi,
+        lam, vec, res_hist = lobpcg(A, P @ y, B=diags(mass), M=precond,
                                     tol=_LOBPCG_TOL, maxiter=max_iters,
                                     largest=False,
                                     retResidualNormsHistory=True)
     lam = float(lam[0])
     x = vec[:, 0] * np.copysign(1.0, vec[:, 0].sum())   # positive mode
-    it = len(res_hist) - 2     # history: start, iterations, returned mode
     if not res_hist[-1] <= _LOBPCG_TOL:
         raise EstimationError("3D LOBPCG did not reach residual %.3g in %d "
                               "iterations (residual %.3g, last %.6g)"
-                              % (_LOBPCG_TOL, it, res_hist[-1], lam),
+                              % (_LOBPCG_TOL, updates, res_hist[-1], lam),
                               last_iterate=x)
     mode = np.zeros(grid.num_nodes)
     mode[interior] = x
-    return EigenvalueReport(value=lam, radii=r, mode=mode, iterations=it,
+    return EigenvalueReport(value=lam, radii=r, mode=mode, iterations=updates,
                             shift=shift)
 
 
@@ -335,10 +347,7 @@ def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048):
     r_min = None if metric is None else metric.r_min
     r, kap_f, w = _ball_mesh_coeffs(metric, n, rho, num, r_min=r_min)
     h = r[1] - r[0]
-    if callable(scalar_term):
-        Rv = np.asarray(scalar_term(r), dtype=float)
-    else:
-        Rv = np.full(r.size, float(scalar_term))
+    Rv = _node_values(scalar_term, r)
     wbar = w * h
     if metric is not None:
         # the cell around the inner boundary node is only half as wide

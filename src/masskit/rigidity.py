@@ -184,8 +184,7 @@ def ricci_perturbed_metric(metric, eta, bump, epsilon):
     a_bar = metric.radial_form.a - epsilon * eta * alpha
     b_bar = -epsilon * eta * beta
     return metrics.radial_metric(a_bar, b_bar, n, family="ricci-perturbed",
-                                 params=dict(metric.params), q=metric.q,
-                                 r_min=metric.r_min)
+                                 q=metric.q, r_min=metric.r_min)
 
 
 def perturbed_scalar_spline(metric_bar, bump, r_min):

@@ -38,6 +38,47 @@ def test_grid_operators_match_einsum_reference():
     assert np.abs(K.toarray() - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
 
 
+def _axis_op_loop(N, h, periodic):
+    """One axis of the difference stencil, node by node."""
+    D = np.zeros((N, N))
+    for i in range(N):
+        ip, im, w = i + 1, i - 1, 0.5 / h
+        if periodic:
+            ip, im = ip % N, im % N
+        elif i == 0:
+            ip, im, w = 1, 0, 1.0 / h
+        elif i == N - 1:
+            ip, im, w = N - 1, N - 2, 1.0 / h
+        D[i, ip] += w
+        D[i, im] -= w
+    return D
+
+
+def test_diff_ops_stencil_on_linear_and_periodic_functions():
+    # the reference K above is built from _diff_ops, so the stencil itself is
+    # checked here: central rows and the one-sided edge rows both
+    # differentiate a linear function exactly, phi wraps periodically, and
+    # the operators equal the node-by-node construction
+    grid = grids.SphericalGrid(r_min=1.0, r_max=6.0, shape=(6, 4, 8))
+    Ds, Dt, Dp = grids._diff_ops(grid)
+    loops = [_axis_op_loop(N, h, a == 2)
+             for a, (N, h) in enumerate(zip(grid.shape, grid.spacings))]
+    eye = [np.eye(N) for N in grid.shape]
+    for a, op in enumerate((Ds, Dt, Dp)):
+        factors = eye[:a] + [loops[a]] + eye[a + 1:]
+        assert np.array_equal(op.toarray(), np.kron(np.kron(*factors[:2]),
+                                                    factors[2]))
+    sg, th, ph = (a.ravel() for a in np.meshgrid(grid.sigma, grid.theta,
+                                                 grid.phi, indexing="ij"))
+    assert np.all(Ds @ sg == 1.0)
+    assert np.all(Dt @ th == 1.0)
+    hp = grid.spacings[2]
+    assert np.abs(Dp @ np.sin(ph)
+                  - np.sin(hp) / hp * np.cos(ph)).max() <= 1e-15
+    for op in (Ds, Dt, Dp):
+        assert np.all(np.count_nonzero(op.toarray(), axis=1) == 2)
+
+
 def test_radial_kappa_w_reads_values_only():
     # the shooting oracle calls radial_kappa_w before every step attempt, so
     # it must not ask the radial form for derivatives nobody reads

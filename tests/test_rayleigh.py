@@ -1,5 +1,6 @@
 """Sobolev-quotient descent and eigenvalue bounds against closed forms."""
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -303,3 +304,13 @@ def test_full3d_eigenvalue_budget_raises_with_iterate():
         rayleigh.eigenvalue_bound_full3d(quadrupole_chart(), 8.0, 0.0,
                                          shape=(40, 10, 20), max_iters=3)
     assert isinstance(err.value.last_iterate, np.ndarray)
+
+
+def test_full3d_eigenvalue_budget_reports_iterations_run():
+    # lobpcg trims its residual history to the best iterate, so the count
+    # comes from the iterations that ran: a spent budget reports all of them
+    with pytest.raises(EstimationError) as err:
+        rayleigh.eigenvalue_bound_full3d(quadrupole_chart(), 8.0, 0.0,
+                                         shape=(20, 6, 12), max_iters=60)
+    ran = re.search(r"in (\d+) iterations", str(err.value))
+    assert ran is not None and int(ran.group(1)) >= 60
