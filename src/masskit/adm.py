@@ -43,10 +43,6 @@ class MassReport:
         self.radii = np.asarray(self.radii, dtype=float)
         self.partial_masses = np.asarray(self.partial_masses, dtype=float)
         self.area_elements = np.asarray(self.area_elements, dtype=float)
-        if self.radii.size < 3:
-            raise ConfigError("mass ladder needs at least 3 radii")
-        if not np.all(np.diff(self.radii) > 0):
-            raise ConfigError("mass ladder must be strictly increasing")
         self._check_extrapolation()
 
     def _check_extrapolation(self):
@@ -197,6 +193,19 @@ def extrapolate_ladder(radii, masses, n):
     return extrapolated, (None if fell_back else p), False
 
 
+def ladder_radii(radii=None):
+    """The radii of a mass ladder as floats: DEFAULT_LADDER for None, else
+    at least 3 strictly increasing radii, checked before any flux is
+    summed."""
+    radii = np.asarray(DEFAULT_LADDER if radii is None else radii,
+                       dtype=float)
+    if radii.size < 3:
+        raise ConfigError("mass ladder needs at least 3 radii")
+    if not np.all(np.diff(radii) > 0):
+        raise ConfigError("mass ladder must be strictly increasing")
+    return radii
+
+
 def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
              method="auto", map_fn=map):
     """MassReport over a geometric radius ladder with extrapolation.
@@ -206,11 +215,7 @@ def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
     stays here, so the report does not depend on it.
     """
     n = metric.n
-    if radii is None:
-        radii = np.asarray(DEFAULT_LADDER, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 3:
-        raise ConfigError("mass ladder needs at least 3 radii")
+    radii = ladder_radii(radii)
     masses = np.array(list(map_fn(
         lambda rho: adm_surface_integral(metric, rho, order=order,
                                          method=method), radii)))
@@ -227,26 +232,3 @@ def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
                       quadrature_order=order, area_elements=areas,
                       low_confidence=low_confidence, method=used_method, n=n)
 
-
-def residual_flux(field, radii):
-    """Un-normalized fluxes of a difference field on a radius ladder.
-
-    `field` is a metric-like evaluator holding the difference part (stored
-    against any constant background; only derivatives enter the flux).
-    A vanishing limit certifies that the subtracted profile carried the
-    entire mass.
-    """
-    nodes = sphere_quadrature(field.n, DEFAULT_QUADRATURE_ORDER)
-    return np.array([surface_flux(field, rho, nodes)
-                     for rho in np.asarray(radii, dtype=float)])
-
-
-def trend_slope(radii, values):
-    """Log-log slope of |values| against radii, ignoring entries at or
-    below 1e-14."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.abs(np.asarray(values, dtype=float))
-    keep = values > 1e-14
-    if keep.sum() < 2:
-        return 0.0
-    return float(np.polyfit(np.log(radii[keep]), np.log(values[keep]), 1)[0])

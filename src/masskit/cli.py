@@ -3,12 +3,15 @@
 Each command reads one JSON scene, drives the matching pipeline, and
 emits canonical reports plus a run manifest into the output directory.
 Exit codes: 0 success, 1 configuration error, 2 audit or regime
-failure, 3 solver or internal numerical fault.  Identical scene and
-seed give byte-identical outputs; only run_manifest.json's wall_clock
-field varies between repeats.
+failure, 3 solver or internal numerical fault.  `Run` is the run ledger:
+the audit outcomes and output names that run_manifest.json records.
+Identical scene and seed give byte-identical outputs (the writers in
+`reports` fix the bytes of each file); only run_manifest.json's
+wall_clock field varies between repeats.
 """
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -31,34 +34,61 @@ ORACLE_RTOL = 1e-4
 
 
 class Run:
-    """Output collector: files, audit outcomes, the closing manifest."""
+    """Run ledger: emitted files, audit outcomes, the closing manifest.
+
+    Each audit is one inequality `lhs op rhs` recorded exactly once; a
+    FAIL entry keeps both sides, the signed margin, and a location
+    string so the violation can be found without rerunning.
+    """
 
     def __init__(self, command, cfg, out_dir, seed, threads):
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self.seed = seed
         self.threads = threads
-        self.manifest = reports.RunManifest(command=command,
-                                            config_hash=cfg.sha256,
-                                            seed=seed, threads=threads)
+        self.outcomes = []
+        self.outputs = []
+        self.manifest = {"command": command, "config_hash": cfg.sha256,
+                         "seed": seed, "threads": threads,
+                         "outcomes": self.outcomes, "outputs": self.outputs,
+                         "error": None}
 
     def path(self, name):
         return os.path.join(self.out_dir, name)
 
     def audit(self, name, op, lhs, rhs, location=None):
-        return self.manifest.audit(name, op, lhs, rhs, location=location)
+        """Record the inequality; returns True when it holds.  The strict
+        comparisons demand a positive margin."""
+        if op not in ("<=", ">=", "<", ">"):
+            raise InternalFault("unknown audit comparison %r" % op)
+        if any(rec["audit"] == name for rec in self.outcomes):
+            raise InternalFault("audit %r recorded twice" % name)
+        lhs = float(lhs)
+        rhs = float(rhs)
+        margin = rhs - lhs if op in ("<=", "<") else lhs - rhs
+        passed = margin > 0.0 if op in ("<", ">") else margin >= 0.0
+        self.outcomes.append({
+            "audit": name,
+            "comparison": op,
+            "lhs": lhs,
+            "rhs": rhs,
+            "margin": margin,
+            "status": "PASS" if passed else "FAIL",
+            "location": location,
+        })
+        return passed
 
     def emit_json(self, name, obj):
         reports.write_json(self.path(name), obj)
-        self.manifest.outputs.append(name)
+        self.outputs.append(name)
 
     def emit_csv(self, name, header, rows):
         reports.write_csv(self.path(name), header, rows)
-        self.manifest.outputs.append(name)
+        self.outputs.append(name)
 
     def emit_json_lines(self, name, records):
         reports.write_json_lines(self.path(name), records)
-        self.manifest.outputs.append(name)
+        self.outputs.append(name)
 
     def map_ladder(self, fn, items):
         """Order-preserving map; rungs are independent, reduction is left
@@ -71,13 +101,12 @@ class Run:
             return list(pool.map(fn, items))
 
     def close(self, status, started, error=None):
-        self.manifest.status = status
-        self.manifest.wall_clock = round(time.perf_counter() - started, 6)
+        self.manifest["status"] = status
+        self.manifest["wall_clock"] = round(time.perf_counter() - started, 6)
         if error is not None:
-            self.manifest.error = {"class": type(error).__name__,
-                                   "message": str(error)}
-        reports.write_json(self.path("run_manifest.json"),
-                           self.manifest.to_json_dict())
+            self.manifest["error"] = {"class": type(error).__name__,
+                                      "message": str(error)}
+        reports.write_json(self.path("run_manifest.json"), self.manifest)
 
 
 def _dispatch(command, body, config_path, out, threads, seed):
@@ -94,7 +123,7 @@ def _dispatch(command, body, config_path, out, threads, seed):
               threads=max(1, int(threads)))
     started = time.perf_counter()
     try:
-        body(cfg, run)
+        body(cfg.block(command), scene.build_metric(cfg), run)
     except (ConfigError, DomainError) as exc:
         run.close("config-error", started, error=exc)
         click.echo("config error: %s" % exc, err=True)
@@ -107,7 +136,7 @@ def _dispatch(command, body, config_path, out, threads, seed):
         run.close("fault", started, error=exc)
         click.echo("numerical fault: %s" % exc, err=True)
         sys.exit(3)
-    failures = run.manifest.failures
+    failures = [rec for rec in run.outcomes if rec["status"] == "FAIL"]
     if failures:
         run.close("fail", started)
         for rec in failures:
@@ -117,13 +146,10 @@ def _dispatch(command, body, config_path, out, threads, seed):
         sys.exit(2)
     run.close("ok", started)
     click.echo("ok: %d audits passed; wrote %d files to %s"
-               % (len(run.manifest.outcomes),
-                  len(run.manifest.outputs) + 1, run.out_dir))
+               % (len(run.outcomes), len(run.outputs) + 1, run.out_dir))
 
 
-def _cmd_mass(cfg, run):
-    block = cfg.block("mass")
-    metric = scene.build_metric(cfg)
+def _cmd_mass(block, metric, run):
     radii = np.asarray(block["radii"], dtype=float)
     if not np.all(np.diff(radii) > 0):
         raise ConfigError("mass.radii must be strictly increasing")
@@ -145,9 +171,7 @@ def _cmd_mass(cfg, run):
                   abs(report.extrapolated - expected), bound)
 
 
-def _cmd_solve(cfg, run):
-    block = cfg.block("solve")
-    metric = scene.build_metric(cfg)
+def _cmd_solve(block, metric, run):
     f = scene.build_profile(block["potential"], metric.n,
                             where="solve.potential")
     dom = scene.build_domain(block["domain"], metric.n)
@@ -179,9 +203,7 @@ def _cmd_solve(cfg, run):
     run.audit("factor-positive", ">", solution.min_u, 0.0)
 
 
-def _cmd_deform(cfg, run):
-    block = cfg.block("deform")
-    metric = scene.build_metric(cfg)
+def _cmd_deform(block, metric, run):
     ladder = tuple(float(s) for s in block.get("s_ladder",
                                                density.DEFAULT_S_LADDER))
     report = density.density_deform(
@@ -259,9 +281,7 @@ def _emit_torus_chart(run, metric, torus_report, samples):
     run.emit_csv("torus_chart.csv", header, rows)
 
 
-def _cmd_compactify(cfg, run):
-    block = cfg.block("compactify")
-    metric = scene.build_metric(cfg)
+def _cmd_compactify(block, metric, run):
     if metric.conformal_u is None:
         raise ConfigError("compactify needs a conformally flat metric "
                           "(schwarzschild or conformally_flat family)")
@@ -304,9 +324,7 @@ def _cmd_compactify(cfg, run):
                       samples=int(block.get("chart_samples", 5)))
 
 
-def _cmd_ale(cfg, run):
-    block = cfg.block("ale")
-    metric = scene.build_metric(cfg)
+def _cmd_ale(block, metric, run):
     generators = [np.asarray(G, dtype=float) for G in block["generators"]]
     for i, G in enumerate(generators):
         if G.shape != (metric.n, metric.n):
@@ -364,9 +382,7 @@ def _scalar_refinement(metric, op, seed, run):
     return h_values, errs, orders
 
 
-def _cmd_converge(cfg, run):
-    block = cfg.block("converge")
-    metric = scene.build_metric(cfg)
+def _cmd_converge(block, metric, run):
     summaries = []
     for k, op in enumerate(block["operations"]):
         kind = op["kind"]
@@ -417,22 +433,6 @@ def _cmd_converge(cfg, run):
     run.emit_json("converge_report.json", {"operations": summaries})
 
 
-def _scene_options(fn):
-    fn = click.option("--seed", type=int, default=None,
-                      help="Override the config seed for sampled audit "
-                           "points.")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="Worker threads for ladder fan-out (default: "
-                           "the config's 'threads', else 1).")(fn)
-    fn = click.option("--out", type=click.Path(file_okay=False), default=None,
-                      help="Output directory (default: the config's "
-                           "'output').")(fn)
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(dir_okay=False),
-                      help="Scene configuration JSON.")(fn)
-    return fn
-
-
 @click.group()
 def main():
     """Numerical workbench for asymptotically flat end metrics: mass
@@ -440,46 +440,36 @@ def main():
     compactification, and quotient-end lifts."""
 
 
-@main.command(name="mass")
-@_scene_options
-def mass_command(config_path, out, threads, seed):
-    """ADM mass ladder with extrapolation for the configured metric."""
-    _dispatch("mass", _cmd_mass, config_path, out, threads, seed)
-
-
-@main.command(name="solve")
-@_scene_options
-def solve_command(config_path, out, threads, seed):
-    """Conformal-factor solve with flux audits and an iteration log."""
-    _dispatch("solve", _cmd_solve, config_path, out, threads, seed)
-
-
-@main.command(name="deform")
-@_scene_options
-def deform_command(config_path, out, threads, seed):
-    """Scalar-curvature deformation ladder with the per-scale trend."""
-    _dispatch("deform", _cmd_deform, config_path, out, threads, seed)
-
-
-@main.command(name="compactify")
-@_scene_options
-def compactify_command(config_path, out, threads, seed):
-    """Cap a negative-mass end flat and glue it into a cubical torus."""
-    _dispatch("compactify", _cmd_compactify, config_path, out, threads, seed)
-
-
-@main.command(name="ale")
-@_scene_options
-def ale_command(config_path, out, threads, seed):
-    """Lift a quotient end to its cover and audit the mass ratio."""
-    _dispatch("ale", _cmd_ale, config_path, out, threads, seed)
-
-
-@main.command(name="converge")
-@_scene_options
-def converge_command(config_path, out, threads, seed):
-    """Refinement studies: step-halving and radius-ladder order tables."""
-    _dispatch("converge", _cmd_converge, config_path, out, threads, seed)
+for _name, _body, _summary in (
+        ("mass", _cmd_mass,
+         "ADM mass ladder with extrapolation for the configured metric."),
+        ("solve", _cmd_solve,
+         "Conformal-factor solve with flux audits and an iteration log."),
+        ("deform", _cmd_deform,
+         "Scalar-curvature deformation ladder with the per-scale trend."),
+        ("compactify", _cmd_compactify,
+         "Cap a negative-mass end flat and glue it into a cubical torus."),
+        ("ale", _cmd_ale,
+         "Lift a quotient end to its cover and audit the mass ratio."),
+        ("converge", _cmd_converge,
+         "Refinement studies: step-halving and radius-ladder order tables.")):
+    main.add_command(click.Command(
+        _name, help=_summary,
+        callback=functools.partial(_dispatch, _name, _body),
+        params=[
+            click.Option(["--config", "config_path"], required=True,
+                         type=click.Path(dir_okay=False),
+                         help="Scene configuration JSON."),
+            click.Option(["--out"], type=click.Path(file_okay=False),
+                         help="Output directory (default: the config's "
+                              "'output')."),
+            click.Option(["--threads"], type=int,
+                         help="Worker threads for ladder fan-out (default: "
+                              "the config's 'threads', else 1)."),
+            click.Option(["--seed"], type=int,
+                         help="Override the config seed for sampled audit "
+                              "points."),
+        ]))
 
 
 if __name__ == "__main__":

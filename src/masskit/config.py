@@ -48,6 +48,19 @@ _MATRIX = {
     "items": {"type": "array", "items": _NUM, "minItems": 2},
 }
 
+# the keys build_domain forwards to DomainModel
+_DOMAIN = {
+    "type": "object",
+    "required": ["truncation_radii"],
+    "properties": {
+        "r_min": _POS,
+        "truncation_radii": _POS_ARRAY,
+        "annulus_nodes": {"type": "integer", "minimum": 33},
+        "cylinder_lengths": {"type": "array", "items": _POS},
+        "cylinder_nodes_per_unit": {"type": "integer", "minimum": 1},
+    },
+}
+
 SCENE_SCHEMA = {
     "type": "object",
     "required": ["schema", "metric"],
@@ -88,18 +101,7 @@ SCENE_SCHEMA = {
                 "potential": _PROFILE,
                 "support_radius": _POS,
                 "c_S": _POS,
-                "domain": {
-                    "type": "object",
-                    "required": ["truncation_radii"],
-                    "properties": {
-                        "r_min": _POS,
-                        "truncation_radii": _POS_ARRAY,
-                        "annulus_nodes": {"type": "integer", "minimum": 33},
-                        "cylinder_lengths": {"type": "array", "items": _POS},
-                        "cylinder_nodes_per_unit": {"type": "integer",
-                                                    "minimum": 1},
-                    },
-                },
+                "domain": _DOMAIN,
                 "oracle": {
                     "type": "object",
                     "properties": {
@@ -293,12 +295,9 @@ def build_metric(cfg: SceneConfig):
 
 
 def build_domain(block, n):
-    """DomainModel from the solve-domain description."""
-    return DomainModel(
-        n=n,
-        r_min=float(block.get("r_min", 1.0)),
-        truncation_radii=tuple(block["truncation_radii"]),
-        annulus_nodes=int(block.get("annulus_nodes", 1024)),
-        cylinder_lengths=tuple(block.get("cylinder_lengths", ())),
-        cylinder_nodes_per_unit=int(block.get("cylinder_nodes_per_unit", 64)),
-    )
+    """DomainModel from the solve-domain description; keys the scene leaves
+    out take the DomainModel defaults, keys the schema does not name are
+    ignored."""
+    return DomainModel(n=n, **{key: block[key]
+                               for key in _DOMAIN["properties"]
+                               if key in block})

@@ -339,9 +339,6 @@ class DeformReport:
     def metric_bar(self):
         return self.final.metric_bar
 
-    def trend(self):
-        return [abs(r.mass_shift) for r in self.rungs]
-
     def to_json_dict(self):
         return {
             "m_input": self.m_input, "c_S": self.c_S,

@@ -9,7 +9,7 @@ congruence D^T W D of the stacked axis difference operators).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -205,7 +205,10 @@ def _diff_ops(grid):
                                                   np.r_[ip % N, im % N])),
                                   shape=(N, N)))
     eye = [sp.identity(N) for N in grid.shape]
-    return tuple(reduce(sp.kron, eye[:a] + [op] + eye[a + 1:]).tocsr()
+    # csr throughout: sp.kron's default BSR blocks store explicit zeros
+    # when an axis is short
+    return tuple(reduce(partial(sp.kron, format="csr"),
+                        eye[:a] + [op] + eye[a + 1:])
                  for a, op in enumerate(axes))
 
 

@@ -150,11 +150,7 @@ def fundamental_domain_mass(metric, group, radii=None):
         raise ConfigError("group dimension %d does not match metric "
                           "dimension %d" % (group.n, metric.n))
     n = metric.n
-    if radii is None:
-        radii = np.asarray(_adm.DEFAULT_LADDER, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 3:
-        raise ConfigError("mass ladder needs at least 3 radii")
+    radii = _adm.ladder_radii(radii)
     U, w = sphere_quadrature(n, _adm.DEFAULT_QUADRATURE_ORDER)
     keep = np.ones(len(U), dtype=bool)
     for T in group.elements[1:]:

@@ -191,7 +191,7 @@ def sobolev_estimate_full3d(metric, r_max):
     grid = SphericalGrid(r_min=metric.r_min, r_max=float(r_max),
                          shape=FULL3D_SHAPE)
     vol, K = grid_operators(grid, metric)
-    r = np.sqrt((grid.points() ** 2).sum(axis=1))
+    r = np.repeat(np.exp(grid.sigma), grid.num_nodes // len(grid.sigma))
     p = 3.0  # 2n/(n-2) at n = 3 is 6; quotient uses norm^2 -> power 2/p = 1/3
 
     def quotient(z):
@@ -251,7 +251,8 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
                           % metric.n)
     grid = SphericalGrid(r_min=metric.r_min, r_max=float(rho), shape=shape)
     vol, K = grid_operators(grid, metric)
-    r = np.sqrt((grid.points() ** 2).sum(axis=1))
+    # node radii in C order (r, theta, phi): exp(sigma) of each ring
+    r = np.repeat(np.exp(grid.sigma), grid.num_nodes // len(grid.sigma))
     Rv = _node_values(scalar_term, r)
 
     Nr, Nth, Nph = grid.shape
@@ -281,8 +282,10 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     with warnings.catch_warnings():
         # lobpcg only warns when it misses tol; the check below raises
         warnings.simplefilter("ignore", UserWarning)
+        # lobpcg updates at iterations 0..maxiter, so max_iters - 1 caps
+        # the updates at max_iters
         lam, vec, res_hist = lobpcg(A, P @ y, B=diags(mass), M=precond,
-                                    tol=_LOBPCG_TOL, maxiter=max_iters,
+                                    tol=_LOBPCG_TOL, maxiter=max_iters - 1,
                                     largest=False,
                                     retResidualNormsHistory=True)
     lam = float(lam[0])

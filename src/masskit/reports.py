@@ -1,27 +1,22 @@
-"""Deterministic report files: canonical JSON, CSV tables, run manifests.
+"""Deterministic report files: canonical JSON, JSON lines and CSV tables.
 
 Byte-identical output for identical input is a hard invariant of the
 command layer.  JSON is dumped with sorted keys and fixed indentation,
 every CSV number goes through one %.12g format, and each file lands via
-write-to-temporary plus atomic rename.  The run manifest is the single
-file allowed to differ between repeated runs, and only in wall_clock.
+write-to-temporary plus atomic rename.  The run ledger, and the one field
+exempt from the invariant (run_manifest.json's wall_clock), live in `cli`.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InternalFault
 
 CSV_FORMAT = "%.12g"
-
-# comparison spellings; the strict forms demand a positive margin
-_NONSTRICT = ("<=", ">=")
-_STRICT = ("<", ">")
 
 
 def to_plain(obj):
@@ -109,61 +104,3 @@ def write_csv(path, header, rows):
                                 % (len(cells), width))
         lines.append(",".join(cells))
     write_text(path, "\n".join(lines) + "\n")
-
-
-@dataclass
-class RunManifest:
-    """Per-command ledger mirrored to run_manifest.json.
-
-    Each audit is one inequality `lhs op rhs` recorded exactly once; a
-    FAIL entry keeps both sides, the signed margin, and a location
-    string so the violation can be found without rerunning.
-    """
-
-    command: str
-    config_hash: str
-    seed: int
-    threads: int
-    status: str = field(default="ok", init=False)
-    outcomes: list = field(default_factory=list, init=False)
-    outputs: list = field(default_factory=list, init=False)
-    wall_clock: float = field(default=0.0, init=False)
-    error: dict | None = field(default=None, init=False)
-
-    def audit(self, name, op, lhs, rhs, location=None):
-        """Record the inequality; returns True when it holds."""
-        if op not in _NONSTRICT + _STRICT:
-            raise InternalFault("unknown audit comparison %r" % op)
-        if any(rec["audit"] == name for rec in self.outcomes):
-            raise InternalFault("audit %r recorded twice" % name)
-        lhs = float(lhs)
-        rhs = float(rhs)
-        margin = rhs - lhs if op in ("<=", "<") else lhs - rhs
-        passed = margin > 0.0 if op in _STRICT else margin >= 0.0
-        self.outcomes.append({
-            "audit": name,
-            "comparison": op,
-            "lhs": lhs,
-            "rhs": rhs,
-            "margin": margin,
-            "status": "PASS" if passed else "FAIL",
-            "location": location,
-        })
-        return passed
-
-    @property
-    def failures(self):
-        return [rec for rec in self.outcomes if rec["status"] == "FAIL"]
-
-    def to_json_dict(self):
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "threads": self.threads,
-            "status": self.status,
-            "outcomes": list(self.outcomes),
-            "outputs": list(self.outputs),
-            "wall_clock": self.wall_clock,
-            "error": self.error,
-        }

@@ -4,6 +4,31 @@ import pytest
 
 from masskit import adm, metrics, radial
 from masskit.errors import ConfigError, DegenerateMetricError, DomainError
+from masskit.grids import sphere_quadrature
+
+
+def residual_flux(field, radii):
+    """Un-normalized fluxes of a difference field on a radius ladder.
+
+    `field` is a metric-like evaluator holding the difference part (stored
+    against any constant background; only derivatives enter the flux).
+    A vanishing limit certifies that the subtracted profile carried the
+    entire mass.
+    """
+    nodes = sphere_quadrature(field.n, adm.DEFAULT_QUADRATURE_ORDER)
+    return np.array([adm.surface_flux(field, rho, nodes)
+                     for rho in np.asarray(radii, dtype=float)])
+
+
+def trend_slope(radii, values):
+    """Log-log slope of |values| against radii, ignoring entries at or
+    below 1e-14."""
+    radii = np.asarray(radii, dtype=float)
+    values = np.abs(np.asarray(values, dtype=float))
+    keep = values > 1e-14
+    if keep.sum() < 2:
+        return 0.0
+    return float(np.polyfit(np.log(radii[keep]), np.log(values[keep]), 1)[0])
 
 
 def residual_flux_pass(radii, fluxes, tol=1e-3):
@@ -144,17 +169,17 @@ def test_linearized_additivity():
 def test_residual_flux_decay_and_pass():
     pert = tilted_perturbation()
     radii = np.array([8.0, 16.0, 32.0, 64.0])
-    fl = adm.residual_flux(pert, radii)
+    fl = residual_flux(pert, radii)
     expect = 0.8 * np.pi / radii
     assert np.abs(fl - expect).max() < 1e-10
-    assert abs(adm.trend_slope(radii, fl) + 1.0) < 1e-6
+    assert abs(trend_slope(radii, fl) + 1.0) < 1e-6
     assert residual_flux_pass(radii, fl, tol=0.1)
     assert not residual_flux_pass(radii, fl, tol=0.01)
 
 
 def test_residual_flux_zero_field():
     radii = np.array([8.0, 16.0, 32.0])
-    fl = adm.residual_flux(metrics.euclidean(3), radii)
+    fl = residual_flux(metrics.euclidean(3), radii)
     assert np.abs(fl).max() == 0.0
     assert residual_flux_pass(radii, fl, tol=1e-12)
 

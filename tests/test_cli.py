@@ -1,13 +1,16 @@
 """CLI helpers and scenes: the mass ladder fanned out over the CLI's worker
-pool against the serial one, and byte-identical outputs across repeats and
-thread counts."""
+pool against the serial one, byte-identical outputs across repeats and
+thread counts, the run ledger's audits and manifest, and the help text of
+the command table."""
 import json
 import types
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from masskit import adm, cli, metrics
+from masskit.errors import InternalFault
 
 
 def quadrupole_chart(c=0.05):
@@ -231,3 +234,95 @@ def test_converge_on_exactly_flat_metric_writes_empty_orders(tmp_path):
     assert [row.split(",")[1:] for row in rows[1:]] == [["0", ""]] * 3
     report = json.loads((out / "converge_report.json").read_text())
     assert report["operations"][0]["observed_orders"] == [None, None]
+
+
+COMMANDS = (
+    ("mass", "ADM mass ladder with extrapolation for the configured metric."),
+    ("solve", "Conformal-factor solve with flux audits and an iteration log."),
+    ("deform", "Scalar-curvature deformation ladder with the per-scale trend."),
+    ("compactify", "Cap a negative-mass end flat and glue it into a cubical "
+                   "torus."),
+    ("ale", "Lift a quotient end to its cover and audit the mass ratio."),
+    ("converge", "Refinement studies: step-halving and radius-ladder order "
+                 "tables."),
+)
+
+
+def test_help_lists_commands_and_their_options():
+    listing = CliRunner().invoke(cli.main, ["--help"])
+    assert listing.exit_code == 0, listing.output
+    # click lists commands by name and cuts a long summary short with "..."
+    listed = dict(line.split(None, 1) for line in
+                  listing.output.split("Commands:\n")[1].splitlines())
+    assert list(listed) == sorted(name for name, _ in COMMANDS)
+    for name, summary in COMMANDS:
+        assert summary.startswith(listed[name].rstrip("."))
+    for name, summary in COMMANDS:
+        result = CliRunner().invoke(cli.main, [name, "--help"])
+        assert result.exit_code == 0, result.output
+        assert summary in result.output
+        flags = [line.split()[0] for line in result.output.splitlines()
+                 if line.startswith("  --")]
+        assert flags == ["--config", "--out", "--threads", "--seed", "--help"]
+
+
+def _bare_run(tmp_path):
+    cfg = types.SimpleNamespace(sha256="0" * 64)
+    return cli.Run("mass", cfg, str(tmp_path / "out"), 0, 1)
+
+
+def test_run_audit_rejects_unknown_comparison_and_repeated_name(tmp_path):
+    run = _bare_run(tmp_path)
+    with pytest.raises(InternalFault, match="comparison"):
+        run.audit("a", "==", 1.0, 1.0)
+    assert run.audit("a", "<=", 1.0, 2.0)
+    with pytest.raises(InternalFault, match="twice"):
+        run.audit("a", "<=", 1.0, 2.0)
+
+
+def test_zero_margin_fails_strict_and_passes_nonstrict_audits(tmp_path):
+    run = _bare_run(tmp_path)
+    assert not run.audit("strict-less", "<", 1.0, 1.0)
+    assert not run.audit("strict-greater", ">", 1.0, 1.0)
+    assert run.audit("less-or-equal", "<=", 1.0, 1.0)
+    assert run.audit("greater-or-equal", ">=", 1.0, 1.0)
+    run.close("fail", 0.0)
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert [(rec["audit"], rec["status"], rec["margin"])
+            for rec in manifest["outcomes"]] == [
+        ("strict-less", "FAIL", 0.0), ("strict-greater", "FAIL", 0.0),
+        ("less-or-equal", "PASS", 0.0), ("greater-or-equal", "PASS", 0.0)]
+
+
+def _invoke_scene(tmp_path, command, scene):
+    config = tmp_path / ("%s.json" % command)
+    config.write_text(json.dumps(scene))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, [
+        command, "--config", str(config), "--out", str(out),
+        "--threads", "1", "--seed", "0"])
+    return result, json.loads((out / "run_manifest.json").read_text())
+
+
+def test_ok_manifest_keys_and_outputs_in_emission_order(tmp_path):
+    result, manifest = _invoke_scene(tmp_path, "mass", MASS_SCENE)
+    assert result.exit_code == 0, result.output
+    assert set(manifest) == {"command", "config_hash", "seed", "threads",
+                             "status", "outcomes", "outputs", "wall_clock",
+                             "error"}
+    assert manifest["status"] == "ok" and manifest["error"] is None
+    assert manifest["outputs"] == ["mass_report.json", "mass_ladder.csv"]
+    assert [rec["audit"] for rec in manifest["outcomes"]] == [
+        "extrapolation-confident", "mass-matches-expected"]
+
+
+def test_mass_far_from_expected_exits_as_audit_failure(tmp_path):
+    scene = json.loads(json.dumps(MASS_SCENE))
+    scene["mass"]["expected"] = 5.0
+    result, manifest = _invoke_scene(tmp_path, "mass", scene)
+    assert result.exit_code == 2, result.output
+    assert "FAIL mass-matches-expected" in result.output
+    assert manifest["status"] == "fail" and manifest["error"] is None
+    failed = [rec for rec in manifest["outcomes"] if rec["status"] == "FAIL"]
+    assert [rec["audit"] for rec in failed] == ["mass-matches-expected"]
+    assert failed[0]["margin"] < 0.0

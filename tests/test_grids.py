@@ -77,6 +77,8 @@ def test_diff_ops_stencil_on_linear_and_periodic_functions():
                   - np.sin(hp) / hp * np.cos(ph)).max() <= 1e-15
     for op in (Ds, Dt, Dp):
         assert np.all(np.count_nonzero(op.toarray(), axis=1) == 2)
+        # no explicit zeros stored, even on the short theta axis
+        assert op.nnz == np.count_nonzero(op.toarray())
 
 
 def test_radial_kappa_w_reads_values_only():

@@ -91,6 +91,18 @@ def test_fundamental_domain_refuses_spheres_outside_the_chart(radii):
                                 antipodal(3), radii=np.array(radii))
 
 
+@pytest.mark.parametrize("radii", [(64.0, 32.0, 16.0, 8.0),
+                                   (8.0, 16.0, 16.0, 32.0)])
+def test_fundamental_domain_refuses_a_ladder_that_is_not_increasing(radii):
+    # adm_mass refuses these ladders, so the quotient-side mass must too
+    # instead of extrapolating them
+    metric = metrics.schwarzschild(1.0, 3)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        adm.adm_mass(metric, radii=radii)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        fundamental_domain_mass(metric, antipodal(3), radii=radii)
+
+
 def test_ale_lift_trivial_group():
     g4 = metrics.schwarzschild(1.0, 4)
     cover, audit = ale_lift(g4, GroupAction.trivial(4))

@@ -314,3 +314,12 @@ def test_full3d_eigenvalue_budget_reports_iterations_run():
                                          shape=(20, 6, 12), max_iters=60)
     ran = re.search(r"in (\d+) iterations", str(err.value))
     assert ran is not None and int(ran.group(1)) >= 60
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_full3d_eigenvalue_runs_at_most_max_iters_updates(budget):
+    # lobpcg's maxiter allows one update more than it names
+    with pytest.raises(EstimationError) as err:
+        rayleigh.eigenvalue_bound_full3d(quadrupole_chart(), 8.0, 0.0,
+                                         shape=(20, 6, 12), max_iters=budget)
+    assert "in %d iterations" % budget in str(err.value)
