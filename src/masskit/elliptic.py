@@ -156,19 +156,15 @@ class TruncatedSolution:
         return np.interp(sig, self.mesh.coord[mask], self.v[mask])
 
 
-def tridiag_solve(lower, diag, upper, rhs):
-    """Solve the tridiagonal system with sub/super diagonals lower, upper."""
+def _solve_tridiag(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with sub/super diagonals lower, upper;
+    the solution and its max-norm residual, checked against SOLVE_TOL."""
     M = diag.size
     ab = np.zeros((3, M))
     ab[0, 1:] = upper[: M - 1]
     ab[1] = diag
     ab[2, :-1] = lower[: M - 1]
-    return solve_banded((1, 1), ab, rhs)
-
-
-def _solve_tridiag(lower, diag, upper, rhs):
-    M = diag.size
-    x = tridiag_solve(lower, diag, upper, rhs)
+    x = solve_banded((1, 1), ab, rhs)
     Ax = diag * x
     Ax[:-1] += upper[: M - 1] * x[1:]
     Ax[1:] += lower[: M - 1] * x[:-1]
@@ -314,19 +310,21 @@ def solve_conformal_factor(problem, exhaust_tol=None):
             "expansion extraction inconsistent: A_integral=%.6g A_fit=%.6g"
             % (A_int, A_fit))
 
-    # discrete flux through the far cut section (zero Neumann there): the
-    # conservation form telescopes it to the f-sum below the section
-    d0 = rob.mesh.dcoord[0]
-    flux = float(sphere_area(n) * rob.mesh.kappa_face[0]
-                 * (u[1] - u[0]) / d0)
-    u_face = 0.5 * (u[0] + u[1])
+    # discrete flux through the cut at node 0 (zero Neumann there): the
+    # first face flux less node 0's half-cell source, which is zero on a
+    # toy-end cylinder and f0 wbar0 u0 at r_min without one
+    mesh = rob.mesh
+    f0 = 0.0 if mesh.is_cyl[0] else float(problem.f_values(mesh.r[0]))
+    flux = float(sphere_area(n) * (mesh.kappa_face[0] * (u[1] - u[0])
+                                   / mesh.dcoord[0]
+                                   - f0 * mesh.wbar[0] * u[0]))
     diagnostics.append({"stage": "robin", "R": float(rob.R),
                         "residual": rob.residual, "min_u": min_u,
                         "A_integral": A_int, "A_fit": A_fit})
     return ConformalFactorSolution(
         mesh=rob.mesh, u=u, v=rob.v, A_integral=A_int, A_fit=A_fit,
         B_fit=B_fit, remainder_bound=rem, flux_grad=flux,
-        flux_u_grad=flux * u_face, min_u=min_u,
+        flux_u_grad=flux * u[0], min_u=min_u,
         exhaustion_diffs=diffs, robin_gap=robin_gap, diagnostics=diagnostics)
 
 

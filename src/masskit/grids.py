@@ -168,11 +168,6 @@ class SphericalGrid:
         _, Nth, Nph = self.shape
         return (self.sigma[1] - self.sigma[0], np.pi / Nth, 2.0 * np.pi / Nph)
 
-    def points(self):
-        """Cartesian node coordinates, (num_nodes, 3), C-order (r, theta, phi):
-        the sigma column of the Jacobian, since d x / d sigma = x."""
-        return self.jacobians()[:, :, 0].copy()
-
     def jacobians(self):
         """d x / d(sigma, theta, phi) at every node, (num_nodes, 3, 3)."""
         sg, th, ph = np.meshgrid(self.sigma, self.theta, self.phi, indexing="ij")

@@ -1,16 +1,17 @@
-"""Variational constants: Sobolev-quotient descent and eigenvalue bounds.
+"""Variational constants: Sobolev-quotient minimum and eigenvalue bounds.
 
 Both quantities are Rayleigh minima over grid functions.  The Sobolev
 constant estimate minimizes
 
     Q(zeta) = integral |grad zeta|^2 dmu / (integral |zeta|^{2n/(n-2)} dmu)^{(n-2)/n}
 
-over interior-supported functions (Dirichlet rings at both extremes), so the
-result is an upper estimate of the domain's true constant and is labeled as
-such.  The eigenvalue bound is the smallest generalized eigenvalue of
-K + M_R against the mass matrix: on the radial mesh by LAPACK's symmetric
-tridiagonal eigensolver after a symmetric mass scaling, on the full 3D grid
-by preconditioned LOBPCG started from the Rayleigh-Ritz mode over the radial
+over interior-supported functions (Dirichlet rings at both extremes) by
+L-BFGS in Cholesky variables of the stiffness, so the result is an upper
+estimate of the domain's true constant and is labeled as such.  The
+eigenvalue bound is the smallest generalized eigenvalue of K + M_R against
+the mass matrix: on the radial mesh by LAPACK's symmetric tridiagonal
+eigensolver after a symmetric mass scaling, on the full 3D grid by
+preconditioned LOBPCG started from the Rayleigh-Ritz mode over the radial
 grid functions, which is already the ground state when the metric is radial.
 """
 from __future__ import annotations
@@ -19,9 +20,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import cholesky_banded, eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
+from scipy.optimize import minimize
 
-from .elliptic import lp_norm, tridiag_solve
+from .elliptic import lp_norm
 from .errors import ConfigError, EstimationError
 from .grids import (SphericalGrid, apply_stiffness, grid_operators,
                     mesh_stiffness, radial_kappa_w, sphere_area)
@@ -40,7 +43,7 @@ class SobolevReport:
     radii: np.ndarray
     profile: np.ndarray
     domain_label: str
-    iterations: int
+    iterations: int                # L-BFGS iterations; 3D: candidates tried
     converged: bool
 
     def __post_init__(self):
@@ -53,20 +56,14 @@ class SobolevReport:
                 "converged": self.converged}
 
 
-def _quotient_parts(mesh, zeta, n):
-    p = 2.0 * n / (n - 2.0)
-    area = sphere_area(n)
-    energy = area * float(zeta @ apply_stiffness(mesh, zeta))
-    denom = lp_norm(mesh, zeta, p, n) ** 2
-    return energy, denom
-
-
 def sobolev_quotient(mesh, zeta, n):
     """Q evaluated on one grid function (boundary values must vanish)."""
-    e, d = _quotient_parts(mesh, zeta, n)
-    if d <= 0.0:
+    p = 2.0 * n / (n - 2.0)
+    energy = sphere_area(n) * float(zeta @ apply_stiffness(mesh, zeta))
+    denom = lp_norm(mesh, zeta, p, n) ** 2
+    if denom <= 0.0:
         raise ConfigError("test function vanishes identically")
-    return e / d
+    return energy / denom
 
 
 def bubble_profile(r, lam):
@@ -100,72 +97,51 @@ def anchored_bubble(mesh, lam):
 
 
 def sobolev_estimate(domain, metric, max_iters=600):
-    """Upper estimate of the domain Sobolev constant by projected descent."""
+    """Upper estimate of the domain Sobolev constant by L-BFGS.
+
+    Minimizes Q over the interior values z in the variables y = U z, where
+    U^T U = K is the banded Cholesky factorization of the interior
+    stiffness: the energy is then |y|^2, and one L-BFGS-B call (Liu &
+    Nocedal 1989) with the analytic gradient converges in an iteration
+    count that does not grow with the mesh.  Missing convergence within
+    max_iters iterations raises EstimationError with the last iterate.
+    """
     n = domain.n
     L = domain.cylinder_lengths[-1] if domain.has_toy_end else 0.0
     mesh = domain.mesh(metric, domain.truncation_radii[-1], L)
     p = 2.0 * n / (n - 2.0)
-    wbar = mesh.wbar
+    wbar = mesh.wbar[1:-1]
+    scale = sphere_area(n) ** (1.0 - 2.0 / p)
+    # interior bands in LAPACK upper storage: the rings stay Dirichlet
+    _, di, up = mesh_stiffness(mesh.kappa_face / mesh.dcoord)
+    U = cholesky_banded(np.vstack([np.r_[0.0, up[1:-1]], di[1:-1]]))
 
-    # deterministic start: bubble spread across the middle of the domain
-    zeta = anchored_bubble(mesh, lam=np.exp(0.5 * (np.log(mesh.r_min)
-                                                   + np.log(mesh.r_max))))
-    interior = np.ones(mesh.num_nodes, dtype=bool)
-    interior[0] = interior[-1] = False
+    def quotient_and_grad(y):
+        z = dtbtrs(U, y)[0]
+        zp = np.abs(z) ** (p - 2.0) * z * wbar
+        energy, denom = float(y @ y), float(zp @ z)
+        Q = scale * energy / denom ** (2.0 / p)
+        return Q, 2.0 * Q * (y / energy - dtbtrs(U, zp, trans="T")[0] / denom)
 
-    def project(z):
-        z = z.copy()
-        z[~interior] = 0.0
-        _, d = _quotient_parts(mesh, z, n)
-        if d <= 0.0:
-            raise EstimationError("descent iterate collapsed", last_iterate=z)
-        return z / np.sqrt(d)
-
-    # stiffness-preconditioned descent: solving K d = grad turns the unit
-    # step into inverse iteration for the nonlinear eigenproblem, and the
-    # backtracking keeps the quotient monotone
-    lo, di, up = mesh_stiffness(mesh.kappa_face / mesh.dcoord)
-
-    def ksolve(rhs):
-        out = np.zeros(mesh.num_nodes)
-        out[1:-1] = tridiag_solve(lo[1:], di[1:-1], up[1:], rhs[1:-1])
-        return out
-
-    zeta = project(zeta)
-    Q = sobolev_quotient(mesh, zeta, n)
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        target = np.abs(zeta) ** (p - 1.0) * np.sign(zeta) * wbar
-        direction = zeta - Q * ksolve(target)
-        direction[~interior] = 0.0
-        alpha = 1.0
-        improved = False
-        for _ in range(40):
-            cand = project(zeta - alpha * direction)
-            Qc = sobolev_quotient(mesh, cand, n)
-            if Qc < Q * (1.0 - 1e-15):
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            converged = True
-            break
-        if abs(Q - Qc) <= 1e-10 * abs(Q):
-            zeta, Q = cand, Qc
-            converged = True
-            break
-        zeta, Q = cand, Qc
-    if not converged:
-        raise EstimationError(
-            "Sobolev descent did not settle in %d iterations (Q=%.6g)"
-            % (max_iters, Q), last_iterate=zeta)
+    # deterministic start: bubble spread across the middle of the domain,
+    # y0 = U z0 with U upper bidiagonal
+    z0 = anchored_bubble(mesh, lam=np.sqrt(mesh.r_min * mesh.r_max))[1:-1]
+    y0 = U[1] * z0
+    y0[:-1] += U[0, 1:] * z0[1:]
+    res = minimize(quotient_and_grad, y0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iters, "ftol": 1e-11,
+                            "gtol": 1e-9, "maxcor": 20})
+    zeta = np.r_[0.0, dtbtrs(U, res.x)[0], 0.0]
+    if not res.success:
+        raise EstimationError("Sobolev L-BFGS did not settle in %d iterations "
+                              "(Q=%.6g): %s" % (res.nit, res.fun, res.message),
+                              last_iterate=zeta)
     label = "annulus[%.3g,%.3g]" % (mesh.r_min, mesh.r_max)
     if L > 0:
         label += "+cyl[%.3g]" % L
-    return SobolevReport(c_S=float(Q), kind="upper-estimate", radii=mesh.r,
-                         profile=zeta, domain_label=label, iterations=it,
-                         converged=converged)
+    return SobolevReport(c_S=float(res.fun), kind="upper-estimate",
+                         radii=mesh.r, profile=zeta, domain_label=label,
+                         iterations=res.nit, converged=True)
 
 
 def sobolev_estimate_full3d(metric, r_max):

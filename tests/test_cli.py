@@ -92,6 +92,41 @@ def test_solve_outputs_byte_identical_across_repeats_and_threads(tmp_path):
     assert _scene_outputs(tmp_path, "solve", SOLVE_SCENE, "c", 2) == first
 
 
+def test_solve_at_dimension_seven_estimates_its_own_sobolev_constant(
+        tmp_path):
+    # c_S omitted: the smallness gate runs on the domain's Sobolev estimate
+    scene = json.loads(json.dumps(SOLVE_SCENE))
+    scene["metric"]["dimension"] = 7
+    first = _scene_outputs(tmp_path, "solve", scene, "a", 1)
+    report = json.loads(first["solve_report.json"])
+    assert report["smallness"]["c_S"] == pytest.approx(23.6743416005,
+                                                       rel=1e-9)
+    assert "oracle_A" in report
+    assert _scene_outputs(tmp_path, "solve", scene, "b", 2) == first
+
+
+# the solve-roadmap-euclidean scene of the benchmark's cli-scenes workload,
+# verbatim: no toy end, so node 0 sits at r_min where the potential is not
+# zero, and the cut flux must not count node 0's half-cell source
+ROADMAP_SOLVE_EUCLIDEAN = {
+    "schema": 1,
+    "metric": {"family": "euclidean", "dimension": 3},
+    "solve": {"potential": [{"kind": "gaussian", "amplitude": 0.05,
+                             "center": 3, "width": 1}],
+              "support_radius": 8,
+              "domain": {"truncation_radii": [16, 32, 64]},
+              "oracle": {"enabled": True}}}
+
+
+def test_solve_without_toy_end_passes_both_flux_audits(tmp_path):
+    result, manifest = _invoke_scene(tmp_path, "solve",
+                                     ROADMAP_SOLVE_EUCLIDEAN)
+    assert result.exit_code == 0, result.output
+    status = {rec["audit"]: rec["status"] for rec in manifest["outcomes"]}
+    assert status["outer-flux-vanishes"] == "PASS"
+    assert status["energy-flux-vanishes"] == "PASS"
+
+
 # the mass-schwarzschild scene of the benchmark's cli-scenes workload at
 # m = 1: the closed-form ladder fanned out over the worker pool
 MASS_SCENE = {

@@ -8,6 +8,12 @@ from masskit import grids, metrics, radial
 from masskit.errors import ConfigError
 
 
+def grid_points(grid):
+    """Cartesian node coordinates, (num_nodes, 3), C-order (r, theta, phi):
+    the sigma column of the Jacobian, since d x / d sigma = x."""
+    return grid.jacobians()[:, :, 0].copy()
+
+
 def test_grid_operators_match_einsum_reference():
     # rotated Schwarzschild plus a tensor bump: g_curv = J^T g J has every
     # component nonzero, so the stiffness couples all axis pairs
@@ -26,7 +32,7 @@ def test_grid_operators_match_einsum_reference():
     vol, K = grids.grid_operators(grid, metric)
 
     J = grid.jacobians()
-    g_curv = np.einsum('pki,pkl,plj->pij', J, metric.g(grid.points()), J)
+    g_curv = np.einsum('pki,pkl,plj->pij', J, metric.g(grid_points(grid)), J)
     vol_ref = np.sqrt(np.linalg.det(g_curv)) * np.prod(grid.spacings)
     ginv = np.linalg.inv(g_curv)
     D = [op.toarray() for op in grids._diff_ops(grid)]
