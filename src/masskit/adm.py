@@ -6,8 +6,11 @@ The partial mass at radius rho is the normalized flux
              (d_j g_ij - d_i g_jj) nu^i dsigma,
 
 with the normal area element dsigma taken with respect to the Euclidean
-background chart.  Partial masses on a geometric radius ladder are
-Richardson-extrapolated to the limit with a measured correction order.
+background chart.  Every partial mass is a `surface_flux` sum over nodes on
+S^{n-1}, with the first derivatives that `MetricSpec.dg` supplies; the
+method only picks the nodes.  Partial masses on a radius ladder are
+Richardson-extrapolated to the limit with a correction order measured from
+the ladder's own spacing.
 """
 from __future__ import annotations
 
@@ -15,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import fd_first_derivatives
-from .errors import ConfigError, DomainError, InternalFault
+from .errors import ConfigError, DomainError
 from .grids import sphere_area, sphere_quadrature
 
 DEFAULT_QUADRATURE_ORDER = 16
@@ -38,30 +40,6 @@ class MassReport:
     low_confidence: bool = False
     method: str = "quadrature"
     n: int = 3
-
-    def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        self.partial_masses = np.asarray(self.partial_masses, dtype=float)
-        self.area_elements = np.asarray(self.area_elements, dtype=float)
-        self._check_extrapolation()
-
-    def _check_extrapolation(self):
-        # sanity bound on the extrapolated step: a geometric ladder with
-        # correction order >= 1/2 keeps the limit within 3x the last
-        # observed difference (1/(2^0.5 - 1) < 3)
-        m = self.partial_masses
-        d_last = m[-1] - m[-2]
-        d_prev = m[-2] - m[-3]
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if abs(d_last) <= _CONVERGED_REL * scale:
-            return
-        monotone = d_last * d_prev > 0
-        if monotone and not self.low_confidence:
-            if abs(self.extrapolated - m[-1]) > 3.0 * abs(d_last) + 1e-13 * scale:
-                raise InternalFault(
-                    "extrapolated mass %.6g strays beyond 3x the last ladder "
-                    "difference %.3g from m(rho_max)=%.6g"
-                    % (self.extrapolated, d_last, m[-1]))
 
     @property
     def mass(self):
@@ -88,26 +66,20 @@ class MassReport:
         return rows
 
 
-def _first_derivatives(metric, X):
-    """dg[p, k, i, j] = d_k g_ij at points X, analytic when available, else
-    from the first-difference stencil."""
-    dg = metric.dg(X)
-    return fd_first_derivatives(metric, X) if dg is None else dg
-
-
 def surface_flux(metric, rho, nodes):
     """Raw flux integral of (d_j g_ij - d_i g_jj) nu^i over {r = rho}.
 
     nodes = (U, w) holds unit normals and weights on S^{n-1}: the whole
-    rule of `sphere_quadrature`, or a subset of it such as the orbit
-    representatives of a fundamental domain.  Every mass flux goes
-    through here, so every one checks the chart boundary.
+    rule of `sphere_quadrature`, a subset of it such as the orbit
+    representatives of a fundamental domain, or the one-node rule of a
+    radial metric.  Every mass flux goes through here, so every one checks
+    the chart boundary.
     """
     if rho <= metric.r_min:
         raise DomainError("sphere radius %.4g outside chart (r_min=%.4g)"
                           % (rho, metric.r_min))
     U, w = nodes
-    dg = _first_derivatives(metric, rho * U)
+    dg = metric.dg(rho * U)
     div = np.einsum('pjij->pi', dg)
     grad_tr = np.einsum('pijj->pi', dg)
     vals = np.einsum('pi,pi->p', div - grad_tr, U)
@@ -115,82 +87,75 @@ def surface_flux(metric, rho, nodes):
     return float(np.sum(vals * w)) * rho ** (metric.n - 1)
 
 
-def _closed_form_partial(metric, rho):
-    """Partial mass of a radial metric a(r) delta + b(r) xhat xhat^T.
+def _surface_rule(metric, method, order):
+    """(method name, nodes) for the partial masses of this metric.
 
-    The angular integral collapses exactly; the normalized flux equals
-    (1/2) rho^{n-1} (b(rho)/rho - a'(rho)).
+    "auto" is "closed_form" for a metric with a radial profile, otherwise
+    "quadrature": the product rule of the stated order.  "closed_form" is
+    the one-node rule (e_1, |S^{n-1}|), exact because a radial metric's
+    flux integrand is constant on each coordinate sphere.
     """
-    _, a1, b0, _ = metric.radial_form.ab(np.array([rho]))
-    return 0.5 * rho ** (metric.n - 1) * (b0[0] / rho - a1[0])
+    if method not in ("auto", "quadrature", "closed_form"):
+        raise ConfigError("unknown surface-integral method %r" % method)
+    if method == "auto":
+        method = ("closed_form" if metric.radial_form is not None
+                  else "quadrature")
+    if method == "quadrature":
+        return method, sphere_quadrature(metric.n, order)
+    if metric.radial_form is None:
+        raise ConfigError("closed_form path needs a radial profile")
+    return method, (np.eye(1, metric.n), np.array([sphere_area(metric.n)]))
 
 
 def adm_surface_integral(metric, rho, order=DEFAULT_QUADRATURE_ORDER,
                          method="auto"):
-    """Partial mass m(rho): the normalized flux through {r = rho}.
-
-    method "auto" uses the exact angular reduction when the metric carries
-    a radial profile, otherwise product quadrature of the stated order;
-    "quadrature" and "closed_form" force the respective path.
-    """
-    if method not in ("auto", "quadrature", "closed_form"):
-        raise ConfigError("unknown surface-integral method %r" % method)
-    if method == "closed_form" or (method == "auto"
-                                   and metric.radial_form is not None):
-        if metric.radial_form is None:
-            raise ConfigError("closed_form path needs a radial profile")
-        if rho <= metric.r_min:
-            raise DomainError("sphere radius %.4g outside chart (r_min=%.4g)"
-                              % (rho, metric.r_min))
-        return _closed_form_partial(metric, rho)
-    n = metric.n
-    norm = 2.0 * (n - 1) * sphere_area(n)
-    return surface_flux(metric, rho, sphere_quadrature(n, order)) / norm
-
-
-def _estimate_order(radii, masses, n):
-    """Correction exponent p from successive ladder differences.
-
-    Model m(rho) = m_inf + c rho^{-p} on a geometric ladder; the ratio of
-    consecutive differences is the spacing to the p.  Ill-conditioned
-    ratios fall back to p = n - 2; the estimate is clamped to
-    [0.5, 2(n-2)] to keep the extrapolation step bounded.
-    """
-    d = np.diff(masses)
-    s = radii[-1] / radii[-2]
-    fallback = float(n - 2)
-    if len(d) < 2 or d[-1] == 0.0 or d[-2] == 0.0:
-        return fallback, True
-    ratio = d[-2] / d[-1]
-    if ratio <= 1.0:
-        return fallback, True
-    p = np.log(ratio) / np.log(s)
-    lo, hi = 0.5, 2.0 * (n - 2)
-    return float(np.clip(p, lo, hi)), False
+    """Partial mass m(rho): the normalized `surface_flux` through {r = rho},
+    over the nodes that `method` picks (see `_surface_rule`)."""
+    _, nodes = _surface_rule(metric, method, order)
+    return surface_flux(metric, rho, nodes) / (2 * (metric.n - 1)
+                                               * sphere_area(metric.n))
 
 
 def extrapolate_ladder(radii, masses, n):
     """Ladder limit with the measured correction order.
 
-    Returns (extrapolated, observed_order, low_confidence): converged tails
-    return the last value, oscillating tails return the last value flagged
-    low-confidence, otherwise a one-step power-law correction with the
-    exponent from `_estimate_order`.
+    Returns (extrapolated, observed_order, low_confidence).  A converged
+    tail returns the last value, an oscillating one the last value flagged
+    low-confidence.  Otherwise one power-law step m_inf + c rho^{-p} over
+    the last radii r0 < r1 < r2, where p solves d[-2] / d[-1] = F(p) =
+    (r0^-p - r1^-p) / (r1^-p - r2^-p) for the last two differences d.  F
+    rises from log(r1/r0) / log(r2/r1) at p -> 0 and is (r2/r1)^p on a
+    geometric ladder.  A ratio at or below that limit falls back to
+    p = n - 2, unobserved; p outside [0.5, 2(n-2)] is clamped to keep the
+    step bounded, and flagged, as the model then misfits the tail.
     """
     radii = np.asarray(radii, dtype=float)
     masses = np.asarray(masses, dtype=float)
     scale = max(1.0, float(np.max(np.abs(masses))))
     d = np.diff(masses)
-    tail = d[-2:]
     if np.all(np.abs(d) <= _CONVERGED_REL * scale):
         return float(masses[-1]), None, False
-    if tail[0] * tail[1] <= 0:
+    if d[-2] * d[-1] <= 0:
         # oscillating tail: no one-sided correction model applies
         return float(masses[-1]), None, True
-    p, fell_back = _estimate_order(radii, masses, n)
-    s = radii[-1] / radii[-2]
-    extrapolated = float(masses[-1] + d[-1] / (s ** p - 1.0))
-    return extrapolated, (None if fell_back else p), False
+    r0, r1, r2 = radii[-3:]
+    ratio = d[-2] / d[-1]
+    lo, hi = 0.5, 2.0 * (n - 2)
+    if ratio <= np.log(r1 / r0) / np.log(r2 / r1):
+        p = None
+    elif np.isclose(r1 / r0, r2 / r1, rtol=1e-12, atol=0.0):
+        p = np.log(ratio) / np.log(r2 / r1)
+    else:
+        from scipy.optimize import brentq   # only uneven ladders
+
+        def excess(q):
+            return (r0 ** -q - r1 ** -q) / (r1 ** -q - r2 ** -q) - ratio
+        p = (lo if excess(lo) >= 0.0 else hi if excess(hi) <= 0.0
+             else brentq(excess, lo, hi, xtol=1e-14))
+    used = float(n - 2) if p is None else float(np.clip(p, lo, hi))
+    extrapolated = float(masses[-1] + d[-1] / ((r2 / r1) ** used - 1.0))
+    return (extrapolated, None if p is None else used,
+            p is not None and not lo < p < hi)
 
 
 def ladder_radii(radii=None):
@@ -208,7 +173,7 @@ def ladder_radii(radii=None):
 
 def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
              method="auto", map_fn=map):
-    """MassReport over a geometric radius ladder with extrapolation.
+    """MassReport over a radius ladder with extrapolation.
 
     map_fn maps the surface integral over the radii in ladder order (a
     worker pool's order-preserving map fans the rungs out); the reduction
@@ -216,19 +181,14 @@ def adm_mass(metric, radii=None, order=DEFAULT_QUADRATURE_ORDER,
     """
     n = metric.n
     radii = ladder_radii(radii)
+    method, nodes = _surface_rule(metric, method, order)
+    norm = 2 * (n - 1) * sphere_area(n)
     masses = np.array(list(map_fn(
-        lambda rho: adm_surface_integral(metric, rho, order=order,
-                                         method=method), radii)))
+        lambda rho: surface_flux(metric, rho, nodes) / norm, radii)))
     areas = radii ** (n - 1) * sphere_area(n)
 
     extrapolated, p_obs, low_confidence = extrapolate_ladder(radii, masses, n)
-
-    used_method = method
-    if method == "auto":
-        used_method = ("closed_form" if metric.radial_form is not None
-                       else "quadrature")
     return MassReport(radii=radii, partial_masses=masses,
                       extrapolated=extrapolated, observed_order=p_obs,
                       quadrature_order=order, area_elements=areas,
-                      low_confidence=low_confidence, method=used_method, n=n)
-
+                      low_confidence=low_confidence, method=method, n=n)

@@ -3,9 +3,9 @@
 Metric components are sampled on a second-order stencil (1 + 2 n^2 evaluations
 per point) and fed to the numpy contraction kernels of ``_kernels_np``; no
 symbolic machinery.  First derivatives alone come from the 2n-point
-first-difference stencil of ``fd_first_derivatives``.  The default step
-follows h = min(0.01 r, 0.05), balancing truncation against cancellation
-across the log-radial range.
+first-difference stencil of ``fd_first_derivatives``, used only as the
+fallback of ``MetricSpec.dg``.  The default step h = min(0.01 r, 0.05)
+balances truncation against cancellation across the log-radial range.
 """
 from __future__ import annotations
 

@@ -89,7 +89,6 @@ class EllipticProblem:
     f: object                      # radial profile or callable of r
     support_radius: float
     domain: DomainModel
-    bc_outer: str = "dirichlet"
     # set by check_smallness
     smallness: SmallnessReport = field(default=None, init=False)
     # residual budget of every solve: a class constant, not a field
@@ -98,8 +97,6 @@ class EllipticProblem:
     def __post_init__(self):
         if self.metric.n != self.domain.n:
             raise ConfigError("metric dimension disagrees with the domain")
-        if self.bc_outer not in ("dirichlet", "robin"):
-            raise ConfigError("unknown outer condition %r" % self.bc_outer)
         R0 = self.domain.truncation_radii[0]
         if not (self.domain.r_min < self.support_radius <= 0.5 * R0):
             raise ConfigError(
@@ -195,7 +192,8 @@ def _assemble_and_solve(mesh, fvals, bc_outer, n, kappa_out):
     return v, rnorm
 
 
-def solve_truncated(problem, i=0, R=None, cyl_len=None, bc_outer=None):
+def solve_truncated(problem, i=0, R=None, cyl_len=None,
+                    bc_outer="dirichlet"):
     """One mixed-boundary solve at exhaustion stage (i, R)."""
     problem.require_smallness()
     dom = problem.domain
@@ -203,11 +201,10 @@ def solve_truncated(problem, i=0, R=None, cyl_len=None, bc_outer=None):
         R = dom.truncation_radii[-1]
     if cyl_len is None:
         cyl_len = (dom.cylinder_lengths[i] if dom.has_toy_end else 0.0)
-    bc = problem.bc_outer if bc_outer is None else bc_outer
     mesh = dom.mesh(problem.metric, R, cyl_len)
     fvals = np.where(mesh.is_cyl, 0.0, problem.f_values(mesh.r))
     kap_R, _ = radial_kappa_w(problem.metric, np.array([float(R)]))
-    v, rnorm = _assemble_and_solve(mesh, fvals, bc, dom.n,
+    v, rnorm = _assemble_and_solve(mesh, fvals, bc_outer, dom.n,
                                    float(kap_R[0]) / float(R))
     dv = np.diff(v)
     energy = float(sphere_area(dom.n)
@@ -277,8 +274,7 @@ def solve_conformal_factor(problem, exhaust_tol=None):
     lengths = dom.cylinder_lengths if dom.has_toy_end else (0.0,)
     for i, L in enumerate(lengths):
         for R in dom.truncation_radii:
-            sol = solve_truncated(problem, i=i, R=R, cyl_len=L,
-                                  bc_outer="dirichlet")
+            sol = solve_truncated(problem, i=i, R=R, cyl_len=L)
             probe = sol.interp(r_probe)
             if prev is not None:
                 diffs.append(float(np.abs(probe - prev).max()))

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import metrics as _metrics
-from .curvature import fd_first_derivatives
 from .errors import ConfigError, RegimeError
 from .radial import RProfile, as_profile, compose, conformal_scalar, const, \
     flat_laplacian, identity
@@ -309,8 +308,8 @@ def torus_glue(metric, spec):
     The chart must be conformally flat (the curvature audit uses the radial
     closed form).  Checks, in order: the metric equals a constant multiple
     of the identity bitwise on the boundary collar of the cube; opposite
-    faces agree bitwise in the metric and its finite-difference first
-    derivatives; scalar curvature stays above -1e-8 out to the cube corner.
+    faces agree bitwise in the metric and its first derivatives (`dg`);
+    scalar curvature stays above -1e-8 out to the cube corner.
     Returns the glue report; a positive curvature witness above 1e-6 is
     recorded as a flag, not enforced.
     """
@@ -329,7 +328,8 @@ def torus_glue(metric, spec):
     P = _collar_points(n, half, collar)
     G = metric.g(P)
     gap = np.max(np.abs(G - target[None]), axis=(1, 2))
-    if np.any(gap > 0):
+    collar_gap = float(np.max(gap))
+    if collar_gap > 0:
         i = int(np.argmax(gap))
         raise RegimeError(
             "chart is not constant on the cube collar: metric deviates by "
@@ -341,8 +341,7 @@ def torus_glue(metric, spec):
     G_lo = metric.g(lo)
     G_hi = metric.g(hi)
     periodicity_gap = float(np.max(np.abs(G_lo - G_hi)))
-    derivative_gap = float(np.max(np.abs(fd_first_derivatives(metric, lo)
-                                         - fd_first_derivatives(metric, hi))))
+    derivative_gap = float(np.max(np.abs(metric.dg(lo) - metric.dg(hi))))
     if periodicity_gap > 0 or derivative_gap > 0:
         raise RegimeError(
             "face pairs are not periodic: value gap %.3g, derivative gap "
@@ -365,6 +364,7 @@ def torus_glue(metric, spec):
         "flat_radius": spec.flat_radius,
         "constant_factor": const_factor,
         "collar_points": int(P.shape[0]),
+        "collar_gap": collar_gap,
         "periodicity_pairs": int(lo.shape[0]),
         "periodicity_gap": periodicity_gap,
         "derivative_gap": derivative_gap,

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import radial
+from .curvature import fd_first_derivatives
 from .errors import DegenerateMetricError
 from .radial import RProfile
 
@@ -65,11 +66,12 @@ class MetricSpec:
         return self.g(X) - np.eye(self.n)[None]
 
     def dg(self, X):
-        """Analytic first derivatives d_k g_ij when the family provides them,
-        else None (callers fall back to central differences)."""
-        if self.dg_evaluator is None:
-            return None
+        """First derivatives dg[p, k, i, j] = d_k g_ij at points X: analytic
+        when the family provides them, else `fd_first_derivatives`.  This is
+        the one place that chooses between the two."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.dg_evaluator is None:
+            return fd_first_derivatives(self, X)
         return np.asarray(self.dg_evaluator(X), dtype=float)
 
     def check_pointwise(self, X):

@@ -103,6 +103,55 @@ def test_quadrature_agrees_with_closed_form():
         q = adm.adm_surface_integral(m, rho, method="quadrature")
         c = adm.adm_surface_integral(m, rho, method="closed_form")
         assert abs(q - c) < 1e-12
+    b = radial.gaussian(0.2, 3.0, 1.0)
+    cases = [metrics.schwarzschild(1.0, n) for n in range(3, 8)]
+    cases += [metrics.radial_metric(radial.const(1.0)
+                                    + radial.power(0.5, -1.0), b, 3)]
+    for m in cases:
+        for rho in (2.5, 3.0, 8.0, 64.0):
+            c = adm.adm_surface_integral(m, rho, method="closed_form")
+            # the angular reduction (1/2) rho^{n-1} (b(rho)/rho - a'(rho))
+            _, a1, b0, _ = m.radial_form.ab(np.array([rho]))
+            ref = 0.5 * rho ** (m.n - 1) * (b0[0] / rho - a1[0])
+            assert abs(c - ref) <= 1e-12 * abs(ref)
+            if m.n <= 5:   # the order-8 product rule outgrows tier-1 above
+                q = adm.adm_surface_integral(m, rho, order=8,
+                                             method="quadrature")
+                assert abs(q - c) <= 1e-12 * abs(c)
+
+
+def test_close_ladder_extrapolates_from_its_own_spacing():
+    # an arithmetic ladder: the order comes from the spacing of each
+    # difference, not from the last ratio alone
+    radii = [20.0, 22.0, 24.0, 26.0]
+    rep = adm.adm_mass(metrics.schwarzschild(1.0, 3), radii=radii)
+    assert rep.method == "closed_form"
+    assert abs(rep.extrapolated - 1.0) < 0.01
+    assert not rep.low_confidence
+    assert abs(rep.observed_order - 1.0) < 0.1
+    # an exact power-law tail is recovered exactly on an uneven ladder
+    r = np.array([8.0, 12.0, 20.0, 26.0])
+    m_inf, p, low = adm.extrapolate_ladder(r, 1.0 + 0.7 * r ** -1.5, 3)
+    assert abs(m_inf - 1.0) < 1e-12 and abs(p - 1.5) < 1e-9 and not low
+
+
+def test_clamped_order_is_low_confidence():
+    # a tail slower than rho^{-1/2} clamps the order and flags the limit
+    for r in (np.array([8.0, 16.0, 32.0, 64.0]),
+              np.array([20.0, 22.0, 24.0, 26.0])):
+        _, p, low = adm.extrapolate_ladder(r, 1.0 + r ** -0.2, 3)
+        assert p == 0.5 and low
+
+
+def test_closed_form_needs_radial_profile():
+    Q = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
+    for chart in (angular_mass_perturbation(),
+                  metrics.rotate(metrics.schwarzschild(1.0, 3), Q)):
+        assert chart.radial_form is None
+        with pytest.raises(ConfigError, match="radial profile"):
+            adm.adm_surface_integral(chart, 8.0, method="closed_form")
+        with pytest.raises(ConfigError, match="radial profile"):
+            adm.adm_mass(chart, method="closed_form")
 
 
 def test_conformally_flat_mass_is_twice_coefficient():

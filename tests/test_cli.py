@@ -199,6 +199,72 @@ def test_compactify_outputs_byte_identical_across_repeats_and_threads(
                           2) == first
 
 
+# the report field each compactify audit reads as its left-hand side
+COMPACTIFY_AUDIT_FIELDS = {
+    "cap-never-subharmonic": ("superharmonic", "max_lap"),
+    "cap-superharmonic-in-band": ("superharmonic", "min_band_lap"),
+    "curvature-floor": ("capped_metric", "min_R"),
+    "curvature-witness": ("capped_metric", "witness_R"),
+    "flat-outside-cap": ("capped_metric", "flat_gap"),
+    "torus-collar-constant": ("torus", "collar_gap"),
+    "torus-faces-periodic": ("torus", "periodicity_gap"),
+    "torus-derivative-match": ("torus", "derivative_gap"),
+    "torus-curvature-floor": ("torus", "min_R"),
+    "torus-curvature-witness": ("torus", "witness_R"),
+}
+
+
+def test_compactify_audits_read_their_report_fields(tmp_path, monkeypatch):
+    # the glue's three gaps are 0 on every chart it accepts, so they are
+    # replaced by distinct values: an audit that reads the wrong gap shows
+    glue = cli.lohkamp.torus_glue
+
+    def marked_glue(metric, spec):
+        report = glue(metric, spec)
+        assert report["collar_gap"] == report["periodicity_gap"] == 0.0
+        report.update(collar_gap=1.0, periodicity_gap=2.0, derivative_gap=3.0)
+        return report
+
+    monkeypatch.setattr(cli.lohkamp, "torus_glue", marked_glue)
+    config = tmp_path / "compactify.json"
+    config.write_text(json.dumps(COMPACTIFY_SCENE))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, [
+        "compactify", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    report = json.loads((out / "compactify_report.json").read_text())
+    outcomes = json.loads((out / "run_manifest.json").read_text())["outcomes"]
+    assert [rec["audit"] for rec in outcomes] == list(COMPACTIFY_AUDIT_FIELDS)
+    for rec in outcomes:
+        section, field = COMPACTIFY_AUDIT_FIELDS[rec["audit"]]
+        assert rec["lhs"] == report[section][field], rec["audit"]
+
+
+def test_mass_scene_on_a_close_ladder_exits_zero(tmp_path):
+    # an arithmetic ladder extrapolates from its own spacing to the mass
+    scene = {"schema": 1,
+             "metric": {"family": "schwarzschild", "dimension": 3,
+                        "mass": 1.0},
+             "mass": {"radii": [20, 22, 24, 26]}}
+    out = _scene_outputs(tmp_path, "mass", scene, "a", 1)
+    rep = json.loads(out["mass_report.json"])
+    assert rep["method"] == "closed_form"
+    assert abs(rep["extrapolated"] - 1.0) < 0.01
+    assert not rep["low_confidence"]
+
+
+def test_mass_scene_on_a_ladder_that_is_not_increasing_exits_as_config_error(
+        tmp_path):
+    scene = {"schema": 1,
+             "metric": {"family": "schwarzschild", "dimension": 3,
+                        "mass": 1.0},
+             "mass": {"radii": [8, 32, 16]}}
+    result, manifest = _invoke_scene(tmp_path, "mass", scene)
+    assert result.exit_code == 1, result.output
+    assert "mass ladder must be strictly increasing" in result.output
+    assert manifest["status"] == "config-error"
+
+
 # the ale-antipodal scene of the benchmark's cli-scenes workload at m = 1:
 # the quotient lift under -I and its cover/quotient mass ratio
 ALE_SCENE = {

@@ -72,9 +72,6 @@ def test_problem_validation():
     with pytest.raises(ConfigError):
         elliptic.EllipticProblem(metrics.euclidean(4), bump(), 6.5, dom)
     with pytest.raises(ConfigError):
-        elliptic.EllipticProblem(end_metric(), bump(), 6.5, dom,
-                                 bc_outer="neumann")
-    with pytest.raises(ConfigError):
         # support must end below half the first truncation radius
         elliptic.EllipticProblem(end_metric(), bump(), 9.0, dom)
 
