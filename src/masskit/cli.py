@@ -7,7 +7,8 @@ failure, 3 solver or internal numerical fault.  `Run` is the run ledger:
 the audit outcomes and output names that run_manifest.json records.
 Identical scene and seed give byte-identical outputs (the writers in
 `reports` fix the bytes of each file); only run_manifest.json's
-wall_clock field varies between repeats.
+wall_clock field varies between repeats.  Each command body imports the
+modules it runs, so a `mass` run or `--help` loads no solver and no scipy.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import click
 import numpy as np
 
-from . import adm, config as scene, density, elliptic, groups, lohkamp
-from . import oracles, reports
+from . import adm, config as scene, reports
 from .curvature import sample_directions, scalar_curvature_bartnik
 from .errors import (ConfigError, DegenerateMetricError, DomainError,
                      InternalFault, RegimeError, SolverError)
@@ -169,6 +169,7 @@ def _cmd_mass(block, metric, run):
 
 
 def _cmd_solve(block, metric, run):
+    from . import elliptic, oracles
     f = scene.build_profile(block["potential"], metric.n,
                             where="solve.potential")
     dom = scene.build_domain(block["domain"], metric.n)
@@ -201,6 +202,7 @@ def _cmd_solve(block, metric, run):
 
 
 def _cmd_deform(block, metric, run):
+    from . import density
     ladder = tuple(float(s) for s in block.get("s_ladder",
                                                density.DEFAULT_S_LADDER))
     report = density.density_deform(
@@ -279,6 +281,7 @@ def _emit_torus_chart(run, metric, torus_report, samples):
 
 
 def _cmd_compactify(block, metric, run):
+    from . import lohkamp
     if metric.conformal_u is None:
         raise ConfigError("compactify needs a conformally flat metric "
                           "(schwarzschild or conformally_flat family)")
@@ -323,6 +326,7 @@ def _cmd_compactify(block, metric, run):
 
 
 def _cmd_ale(block, metric, run):
+    from . import groups
     generators = [np.asarray(G, dtype=float) for G in block["generators"]]
     for i, G in enumerate(generators):
         if G.shape != (metric.n, metric.n):

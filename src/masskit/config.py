@@ -21,7 +21,6 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from . import metrics, radial
-from .elliptic import DomainModel
 from .errors import ConfigError
 from .grids import MIN_QUADRATURE_ORDER
 
@@ -298,6 +297,7 @@ def build_domain(block, n):
     """DomainModel from the solve-domain description; keys the scene leaves
     out take the DomainModel defaults, keys the schema does not name are
     ignored."""
+    from .elliptic import DomainModel
     return DomainModel(n=n, **{key: block[key]
                                for key in _DOMAIN["properties"]
                                if key in block})

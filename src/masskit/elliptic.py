@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
 from .errors import (ConfigError, InternalFault, RegimeError, SolverError)
@@ -327,6 +326,7 @@ def solve_conformal_factor(problem, exhaust_tol=None):
 def radial_lp_norm(v, w, r, p, n):
     """(|S^{n-1}| integral |v|^p w dr)^{1/p} by Simpson's rule over radii r;
     w is the caller's radial volume weight at r."""
+    from scipy.integrate import simpson
     return float((sphere_area(n) * simpson(np.abs(v) ** p * w, x=r))
                  ** (1.0 / p))
 

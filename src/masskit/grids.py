@@ -5,6 +5,8 @@ Two tiers: RADIAL (any dimension, spherically symmetric problems reduced to a
 at the inner boundary) and FULL3D (n = 3 product grid, log-radius times
 pole-offset latitude times uniform longitude, its stiffness one sparse
 congruence D^T W D of the stacked axis difference operators).
+The RADIAL tier and the sphere rules import numpy only; the FULL3D
+functions import scipy.sparse inside their bodies.
 """
 from __future__ import annotations
 
@@ -12,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gamma, roots_jacobi
 
 from .errors import ConfigError
 from .radial import jets
@@ -189,6 +189,7 @@ def _diff_ops(grid):
     0.5/h inside, one-sided (first-order) 1/h on the edge rows.  Returned
     per axis as Kronecker products over the whole grid.
     """
+    import scipy.sparse as sp
     axes = []
     for N, h, periodic in zip(grid.shape, grid.spacings, (False, False, True)):
         i = np.arange(N)
@@ -216,6 +217,7 @@ def grid_operators(grid, metric):
     matrix of diag(g_curv^{ab} vol), so that zeta^T K zeta approximates the
     Dirichlet energy of the metric.
     """
+    import scipy.sparse as sp
     J = grid.jacobians()
     G = metric.g(J[:, :, 0])
     # staged einsum, not J^T G J by matmul: matmul's rounding turns the
@@ -239,10 +241,12 @@ def sphere_quadrature(n, order):
     S^{k-1} for k = 2..n-1 as x = (sqrt(1 - t^2) y, t), with Gauss-Jacobi
     nodes t = cos(theta_k) for the weight (1 - t^2)^{(k-2)/2} of
     dsigma_k = (1 - t^2)^{(k-2)/2} dt dsigma_{k-1} (Stroud, *Approximate
-    Calculation of Multiple Integrals*, 1971).  Exact for polynomials of
-    degree < 2 order.  The last coordinate is the cosine of the outermost
-    polar angle, which varies slowest.  Returns (U, w) with U of shape
-    (2 order^{n-1}, n) unit vectors and sum(w) = |S^{n-1}|.
+    Calculation of Multiple Integrals*, 1971), computed by Golub-Welsch
+    (*Calculation of Gauss quadrature rules*, Math. Comp. 23, 1969) with one
+    Newton polish.  Exact for polynomials of degree < 2 order.  The last
+    coordinate is the cosine of the outermost polar angle, which varies
+    slowest.  Returns (U, w) with U of shape (2 order^{n-1}, n) unit vectors
+    and sum(w) = |S^{n-1}|.
 
     A flux sum over the rule holds nodes x n^3 first derivatives, so a rule
     whose array would exceed FLUX_ENTRY_LIMIT entries is refused before any
@@ -263,7 +267,7 @@ def sphere_quadrature(n, order):
     U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     w = np.full(nphi, 2.0 * np.pi / nphi)
     for k in range(2, n):
-        t, wt = roots_jacobi(order, 0.5 * (k - 2), 0.5 * (k - 2))
+        t, wt = _gauss_jacobi(order, k - 2)
         U = np.column_stack(
             [(np.sqrt(1.0 - t ** 2)[:, None, None] * U).reshape(-1, k),
              np.repeat(t, len(U))])
@@ -271,6 +275,37 @@ def sphere_quadrature(n, order):
     return U, w
 
 
+def _gauss_jacobi(m, k):
+    """m-point Gauss rule for the weight (1 - t^2)^{k/2} on [-1, 1].
+
+    Golub-Welsch nodes, the eigenvalues of the Jacobi matrix with
+    off-diagonal sqrt(j (j + k) / ((2j + k - 1)(2j + k + 1))), are up to
+    1e-15 off; one Newton step on the orthonormal recurrence (q_0 = 1)
+    brings them within an ulp.  Weights: mu_0 / sum_{j<m} q_j(t)^2.
+    """
+    j = np.arange(1.0, m + 1)
+    b = np.sqrt(j * (j + k) / ((2 * j + k - 1) * (2 * j + k + 1)))
+
+    def recurrence(t):
+        """q_0..q_m at t, and the derivative of q_m."""
+        q, dq = [np.ones_like(t), t / b[0]], [0.0, 1.0 / b[0]]
+        for i in range(1, m):
+            q.append((t * q[i] - b[i - 1] * q[i - 1]) / b[i])
+            dq.append((q[i] + t * dq[i] - b[i - 1] * dq[i - 1]) / b[i])
+        return np.array(q), dq[-1]
+
+    t = np.linalg.eigvalsh(np.diag(b[:-1], -1))
+    q, dq = recurrence(t)
+    t = t - q[-1] / dq
+    q, _ = recurrence(t)
+    # mu_0 = integral of the weight = |S^{k+2}| / |S^{k+1}|
+    return t, sphere_area(k + 3) / sphere_area(k + 2) / (q[:-1] ** 2).sum(0)
+
+
 def sphere_area(n):
-    """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2), with Gamma(x + 1) = x Gamma(x)
+    run up from Gamma(1/2) = sqrt(pi) or Gamma(1) = 1."""
+    gamma = 1.0 if n % 2 == 0 else np.sqrt(np.pi)
+    for i in range(2 - n % 2, n - 1, 2):
+        gamma *= i / 2.0
+    return 2.0 * np.pi ** (n / 2.0) / gamma

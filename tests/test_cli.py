@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from masskit import adm, cli, metrics
+from masskit import adm, cli, lohkamp, metrics
 from masskit.errors import InternalFault
 
 
@@ -217,7 +217,7 @@ COMPACTIFY_AUDIT_FIELDS = {
 def test_compactify_audits_read_their_report_fields(tmp_path, monkeypatch):
     # the glue's three gaps are 0 on every chart it accepts, so they are
     # replaced by distinct values: an audit that reads the wrong gap shows
-    glue = cli.lohkamp.torus_glue
+    glue = lohkamp.torus_glue
 
     def marked_glue(metric, spec):
         report = glue(metric, spec)
@@ -225,7 +225,7 @@ def test_compactify_audits_read_their_report_fields(tmp_path, monkeypatch):
         report.update(collar_gap=1.0, periodicity_gap=2.0, derivative_gap=3.0)
         return report
 
-    monkeypatch.setattr(cli.lohkamp, "torus_glue", marked_glue)
+    monkeypatch.setattr(lohkamp, "torus_glue", marked_glue)
     config = tmp_path / "compactify.json"
     config.write_text(json.dumps(COMPACTIFY_SCENE))
     out = tmp_path / "out"

@@ -1,8 +1,12 @@
 """FULL3D grid operators against an explicit index-contraction reference,
 the radial mesh weights against a per-node loop, and the sphere rule
-against the moments of the round sphere."""
+against the moments of the round sphere and its polar Gauss-Jacobi factors
+against scipy's."""
+import math
+
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from masskit import grids, metrics, radial
 from masskit.errors import ConfigError
@@ -172,6 +176,30 @@ def test_sphere_rule_matches_legendre_rule_at_n3(order):
     if order <= 16:
         assert np.abs(U - U_ref).max() <= 1e-15
     assert np.abs(w - w_ref).max() <= 1e-13 * w_ref.max()
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("order", [8, 16, 64, 128])
+def test_gauss_jacobi_rule_matches_scipy(order, k):
+    # weight (1 - t^2)^a, a = k/2: the polar factors of S^2 .. S^7
+    a = 0.5 * k
+    t, w = grids._gauss_jacobi(order, k)
+    t_ref, w_ref = roots_jacobi(order, a, a)
+    assert np.abs(t - t_ref).max() <= 4.4e-16
+    w_tol = 1e-13 if order <= 64 else 5e-12
+    assert np.abs(w - w_ref).max() <= w_tol * w_ref.max()
+    # the highest moment the rule integrates exactly: B(order - 1/2, a + 1)
+    top = (math.gamma(order - 0.5) * math.gamma(a + 1.0)
+           / math.gamma(order + a + 0.5))
+    assert abs(w @ t ** (2 * order - 2) - top) <= 1e-13 * top
+
+
+def test_sphere_area_closed_forms():
+    pi = np.pi
+    areas = (2 * pi, 4 * pi, 2 * pi ** 2, 8 * pi ** 2 / 3, pi ** 3,
+             16 * pi ** 3 / 15, pi ** 4 / 3)
+    for n, area in zip(range(2, 9), areas):
+        assert abs(grids.sphere_area(n) - area) <= 2 * np.spacing(area), n
 
 
 def test_sphere_rule_order_floor_and_size_guard():

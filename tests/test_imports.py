@@ -1,11 +1,18 @@
-"""scipy's private modules stay confined to the one documented fork.
+"""The import contract: which scipy modules masskit loads, and where.
 
 ``oracles`` subclasses scipy's DOP853 stepper and so reads its step
 constants from ``scipy.integrate._ivp.rk`` (see its module docstring).
 Every other module uses scipy's public API only, because a private path can
 move between scipy releases without notice.
+
+The mass-and-curvature tier is numpy only, and each CLI command imports the
+modules it runs, so fresh interpreters that import that tier, print the
+CLI's help or run a radial mass scene load no scipy module at all.
 """
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +47,53 @@ def test_private_scipy_imports_only_in_the_documented_fork(path):
         assert found, "%s no longer needs its exemption" % path.name
     else:
         assert found == []
+
+
+# a fresh interpreter runs the snippet, then prints the scipy modules loaded
+CHILD = """
+import sys
+sys.path.insert(0, %r)
+%s
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+# click's entry point exits, with code 0 on success
+CLI_RUN = """
+import masskit.cli
+try:
+    masskit.cli.main(%r)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+MASS_SCENE = {"schema": 1,
+              "metric": {"family": "schwarzschild", "dimension": 3,
+                         "mass": 1.0},
+              "mass": {"radii": [8, 16, 32, 64]}}
+
+
+def scipy_modules_after(snippet, cwd):
+    proc = subprocess.run([sys.executable, "-c", CHILD % (str(SRC.parent),
+                                                          snippet)],
+                          capture_output=True, text=True, cwd=cwd,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_numpy_tier_imports_no_scipy(tmp_path):
+    assert scipy_modules_after(
+        "import masskit.adm, masskit.curvature, masskit.groups, "
+        "masskit.grids, masskit.metrics, masskit.radial", tmp_path) == "[]"
+
+
+def test_cli_help_imports_no_scipy(tmp_path):
+    assert scipy_modules_after(CLI_RUN % (["--help"],), tmp_path) == "[]"
+
+
+def test_radial_mass_scene_imports_no_scipy(tmp_path):
+    config = tmp_path / "mass.json"
+    config.write_text(json.dumps(MASS_SCENE))
+    assert scipy_modules_after(
+        CLI_RUN % (["mass", "--config", "mass.json", "--out", "out"],),
+        tmp_path) == "[]"
+    report = json.loads((tmp_path / "out" / "mass_report.json").read_text())
+    assert abs(report["extrapolated"] - 1.0) < 0.01
