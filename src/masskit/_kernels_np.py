@@ -72,9 +72,11 @@ def scalar_curvature(g, dg, ddg):
     M = _trace(ginv, ddg, 3, 4)
     dlog = (dgf @ ginv.reshape(N, n * n, 1))[..., 0]
     P = Gc - 0.5 * dlog
-    # d_l Gc_k - 1/2 d_k d_l log|g|, with g^ij d_l G1_ijk traced per ddg term
-    dP = (dginvf @ G1f
-          + 0.5 * (_trace(ginv, ddg, 2, 3) + _trace(ginv, ddg, 3, 2) - M)
+    # d_l Gc_k - 1/2 d_k d_l log|g|, with g^ij d_l G1_ijk traced per ddg
+    # term; ddg is symmetric in (k, l) and in (i, j), so the (2, 3) and
+    # (3, 2) traces are one array T
+    T = _trace(ginv, ddg, 2, 3)
+    dP = (dginvf @ G1f + 0.5 * (2.0 * T - M)
           - 0.5 * (dgf @ dginvf.transpose(0, 2, 1) + M))
     # quadratic term g^ab g^cd g^ef G_ace G_bfd = U[b, c, f] G^c_bf with U
     # the first-kind symbols raised in the first and last slots (they are
@@ -101,13 +103,14 @@ def ricci_tensor(g, dg, ddg):
     N, n = g.shape[:2]
     G1f = G1.reshape(N, n * n, n)
     # H[a, b] = g^ck d_c d_a g_bk, which is also g^ck d_a d_c g_bk because
-    # ddg is symmetric in its two derivative slots
+    # ddg is symmetric in its two derivative slots; with its symmetry in
+    # (i, j) as well, the (3, 2) trace is H too and cancels in grad
     H = _trace(ginv, ddg, 1, 4)
     div = (G1f @ np.trace(dginv, axis1=1, axis2=2)[..., None]).reshape(N, n, n)
     div += 0.5 * (H + H.transpose(0, 2, 1) - _trace(ginv, ddg, 1, 2))
     grad = (dginv.reshape(N, n, n * n)
             @ G1.transpose(0, 1, 3, 2).reshape(N, n * n, n))
-    grad += 0.5 * (H + _trace(ginv, ddg, 3, 4) - _trace(ginv, ddg, 3, 2))
+    grad += 0.5 * _trace(ginv, ddg, 3, 4)
     quad = (S.reshape(N, n * n, n)
             @ np.trace(S, axis1=1, axis2=3)[..., None]).reshape(N, n, n)
     quad -= (S.reshape(N, n, n * n)

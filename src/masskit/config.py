@@ -13,12 +13,10 @@ sums of primitive terms so that configs stay diff-friendly:
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import metrics, radial
 from .errors import ConfigError
@@ -193,8 +191,15 @@ SCENE_SCHEMA = {
     },
 }
 
-# built once: jsonschema.validate would re-check the constant schema per call
-_SCENE_VALIDATOR = validator_for(SCENE_SCHEMA)(SCENE_SCHEMA)
+
+@functools.lru_cache(maxsize=None)
+def _scene_validator():
+    """The schema's validator, built on first use: jsonschema.validate would
+    re-check the constant schema per call, and importing jsonschema (with
+    its format checkers) is the largest import a command that validates no
+    scene, such as --help, would otherwise pay."""
+    from jsonschema.validators import validator_for
+    return validator_for(SCENE_SCHEMA)(SCENE_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,8 @@ def load_config(path):
     if version != SCHEMA_VERSION:
         raise ConfigError("config schema version %r unsupported (expected %d)"
                           % (version, SCHEMA_VERSION))
-    error = best_match(_SCENE_VALIDATOR.iter_errors(data))
+    from jsonschema.exceptions import best_match
+    error = best_match(_scene_validator().iter_errors(data))
     if error is not None:
         raise ConfigError("at %s: %s" % (error.json_path, error.message))
     return SceneConfig(data=data, sha256=digest, path=str(path))

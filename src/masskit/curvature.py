@@ -1,11 +1,14 @@
-"""Pointwise curvature of end-chart metrics by central differencing.
+"""Pointwise curvature of end-chart metrics.
 
-Metric components are sampled on a second-order stencil (1 + 2 n^2 evaluations
-per point) and fed to the numpy contraction kernels of ``_kernels_np``; no
-symbolic machinery.  First derivatives alone come from the 2n-point
-first-difference stencil of ``fd_first_derivatives``, used only as the
-fallback of ``MetricSpec.dg``.  The default step h = min(0.01 r, 0.05)
-balances truncation against cancellation across the log-radial range.
+The numpy contraction kernels of ``_kernels_np`` read (g, dg, ddg).  At the
+default step h = min(0.01 r, 0.05) these come from ``MetricSpec.jet``: exact
+where the metric family supplies them, else the second-order stencil of
+``fd_metric_derivatives`` (1 + 2 n^2 evaluations per point).  An explicit h
+always runs the stencil, so step studies see its truncation order, and
+either way a point must lie two default steps inside the chart.  First
+derivatives alone come from the 2n-point stencil of
+``fd_first_derivatives``, the fallback of ``MetricSpec.dg``.  The default
+step balances truncation against cancellation across the log-radial range.
 """
 from __future__ import annotations
 
@@ -109,7 +112,12 @@ def fd_metric_derivatives(metric, X, h=None):
 
 
 def _fd_kernel(kernel, metric, X, h=None):
-    g, dg, ddg = fd_metric_derivatives(metric, X, h)
+    if h is None:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        _check_margin(X, _steps(X, None), metric.r_min)
+        g, dg, ddg = metric.jet(X)
+    else:
+        g, dg, ddg = fd_metric_derivatives(metric, X, h)
     try:
         return kernel(g, dg, ddg)
     except np.linalg.LinAlgError as exc:

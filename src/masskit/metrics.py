@@ -4,16 +4,21 @@ A MetricSpec bundles a batched component evaluator g_ij(x) with structural
 metadata: the dimension, a family tag, declared decay orders for the error term
 h = g - delta, and (when the family is spherically symmetric) exact radial
 profiles that downstream tiers use for closed-form reductions.
+
+Exact derivatives (`MetricSpec.jet`) come from radial profiles' order-2
+jets, pass to rotations of radial metrics, and to perturbations of them
+plus differences of the perturbation alone; other metrics are differenced.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import radial
-from .curvature import fd_first_derivatives
+from .curvature import fd_first_derivatives, fd_metric_derivatives
 from .errors import DegenerateMetricError
 from .radial import RProfile
 
@@ -36,7 +41,10 @@ class MetricSpec:
 
     decay_orders are the declared powers of r bounding |h|, |dh| and |ddh|
     (componentwise sup over directions); q is the declared scalar-curvature
-    decay power, q > n for the families used here.
+    decay power, q > n for the families used here.  jet_evaluator(X, k),
+    when the family supplies it, returns the exact derivatives of orders
+    1..k, (dg,) or (dg, ddg), indexed as `jet` returns them; only `dg` and
+    `jet` call it.
     """
     n: int
     family: str
@@ -45,7 +53,7 @@ class MetricSpec:
     q: float = None
     radial_form: Optional[RadialForm] = None
     conformal_u: Optional[RProfile] = None
-    dg_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jet_evaluator: Optional[Callable[[np.ndarray, int], tuple]] = None
     r_min: float = 1.0
 
     def __post_init__(self):
@@ -66,13 +74,22 @@ class MetricSpec:
         return self.g(X) - np.eye(self.n)[None]
 
     def dg(self, X):
-        """First derivatives dg[p, k, i, j] = d_k g_ij at points X: analytic
-        when the family provides them, else `fd_first_derivatives`.  This is
-        the one place that chooses between the two."""
+        """First derivatives dg[p, k, i, j] = d_k g_ij at points X: exact
+        when the family supplies a jet, else `fd_first_derivatives`."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.dg_evaluator is None:
+        if self.jet_evaluator is None:
             return fd_first_derivatives(self, X)
-        return np.asarray(self.dg_evaluator(X), dtype=float)
+        return self.jet_evaluator(X, 1)[0]
+
+    def jet(self, X):
+        """(g, dg, ddg) at points X, with dg[p, k] = d_k g and
+        ddg[p, k, l] = d_k d_l g: exact when the family supplies them, else
+        `fd_metric_derivatives` at its default step.  With `dg`, this is the
+        one place that chooses between the two."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.jet_evaluator is None:
+            return fd_metric_derivatives(self, X)
+        return (self.g(X),) + tuple(self.jet_evaluator(X, 2))
 
     def check_pointwise(self, X):
         """Symmetry (to 1e-12) and positive-definiteness audit at sample
@@ -89,53 +106,96 @@ class MetricSpec:
         return {"max_asymmetry": float(asym), "min_eigenvalue": lam_min}
 
 
-def _radial_g(form: RadialForm, n):
-    def ev(X):
+@functools.lru_cache(maxsize=None)
+def _slot_maps(n):
+    """Constant maps from the coefficient fields of `_radial_jet` to the
+    flattened derivative slots: D1 (2n, n^3) takes (A1 x_a, B x_a) to
+    d_k g_ij, and D2 (2n^2 + 2, n^4) takes (A2 x_a x_b, A1, B1 x_a x_b, B)
+    to d_k d_l g_ij."""
+    d = np.eye(n)
+
+    def block(k, *specs):
+        # a sum of Kronecker-delta products as a (fields, n^k) block
+        return sum(np.einsum(s, *[d] * (s.count(",") + 1))
+                   for s in specs).reshape(-1, n ** k)
+
+    D1 = np.concatenate([block(3, "ak,ij->akij"),
+                         block(3, "ki,aj->akij", "kj,ai->akij")])
+    D2 = np.concatenate([
+        block(4, "ak,bl,ij->abklij"),
+        block(4, "kl,ij->klij"),
+        block(4, "kl,ai,bj->abklij", "ak,bj,li->abklij", "ak,bi,lj->abklij",
+              "al,bj,ki->abklij", "al,bi,kj->abklij"),
+        block(4, "ki,lj->klij", "kj,li->klij")])
+    # shared by every caller through the cache
+    D1.flags.writeable = D2.flags.writeable = False
+    return D1, D2
+
+
+def _radial_jet(form: RadialForm, n):
+    """Exact jet evaluator of g = a(r) delta + B(r) x x^T, B = b / r^2.
+
+    A radial coefficient f has d_k f = F1 x_k and
+    d_k d_l f = F2 x_k x_l + F1 delta_kl, with F1 = f'/r and
+    F2 = (f'' - f'/r) / r^2 from its order-2 jet.  So
+
+      d_k g_ij = A1 x_k delta_ij + B1 x_k x_i x_j
+                 + B (delta_ki x_j + delta_kj x_i),
+      d_k d_l g_ij = (A2 x_k x_l + A1 delta_kl) delta_ij + B2 x_k x_l x_i x_j
+                     + B1 (delta_kl x_i x_j + x_k x_j delta_li
+                           + x_k x_i delta_lj + x_l x_j delta_ki
+                           + x_l x_i delta_kj)
+                     + B (delta_ki delta_lj + delta_kj delta_li).
+
+    Every term but the B1 one of dg and the B2 one of ddg is linear in the
+    fields that `_slot_maps` maps, so each order is one GEMM over flattened
+    (N, n^2) slots plus, when b is given, one outer product.  Orders 0..k
+    are returned: order 0 is the metric's evaluator, orders 1..k its
+    jet_evaluator.
+    """
+    B = None if form.b is None else form.b * radial.power(1.0, -2.0)
+    # without b only the A fields are nonzero, and their maps come first
+    nf = 1 if B is None else 2
+    eye = np.eye(n)
+
+    def jet(X, k):
+        N = X.shape[0]
         r = np.sqrt((X ** 2).sum(axis=1))
-        (a0,), (b0,) = radial.jets((form.a, form.b), r, 0)
-        g = a0[:, None, None] * np.eye(n)[None]
-        if form.b is not None:
-            xh = X / r[:, None]
-            g += b0[:, None, None] * xh[:, :, None] * xh[:, None, :]
-        return g
+        a, b = radial.jets((form.a, B), r, k)
+        g = a[0][:, None, None] * eye
+        if B is not None or k == 2:
+            xx = (X[:, :, None] * X[:, None, :]).reshape(N, n * n)
+        if B is not None:
+            g += (b[0][:, None] * xx).reshape(N, n, n)
+        out = [g]
+        if k == 0:
+            return out
+        D1, D2 = _slot_maps(n)
+        a1, b1 = a[1] / r, b[1] / r
+        F = [a1[:, None] * X, b[0][:, None] * X][:nf]
+        dg = np.concatenate(F, 1) @ D1[:nf * n]
+        if B is not None:
+            dg = dg.reshape(N, n, n * n)
+            dg += X[:, :, None] * (b1[:, None] * xx)[:, None, :]
+        out.append(dg.reshape(N, n, n, n))
+        if k == 1:
+            return out
+        a2, b2 = (2.0 * a[2] - a1) / r ** 2, (2.0 * b[2] - b1) / r ** 2
+        F = [a2[:, None] * xx, a1[:, None], b1[:, None] * xx, b[0][:, None]]
+        ddg = np.concatenate(F[:2 * nf], 1) @ D2[:nf * (n * n + 1)]
+        if B is not None:
+            ddg = ddg.reshape(N, n * n, n * n)
+            ddg += (b2[:, None] * xx)[:, :, None] * xx[:, None, :]
+        out.append(ddg.reshape(N, n, n, n, n))
+        return out
 
-    return ev
-
-
-def _radial_dg(form: RadialForm, n):
-    def ev(X):
-        r = np.sqrt((X ** 2).sum(axis=1))
-        _, a1, b0, b1 = form.ab(r)
-        xh = X / r[:, None]
-        eye = np.eye(n)
-        a1, b1, bor = (c[:, None, None] for c in (a1, b1, b0 / r))
-        # d_k g_ij = a' xh_k delta_ij + b' xh_k xh_i xh_j
-        #            + (b/r)(delta_ki xh_j + delta_kj xh_i - 2 xh_k xh_i xh_j),
-        # filled one k at a time: the temporaries are (N, n, n) slices, so
-        # the peak stays near the (N, n, n, n) result in a large flux sum
-        dg = np.empty((X.shape[0], n, n, n))
-        for k in range(n):
-            xk = xh[:, k, None, None]
-            xxx = xk * xh[:, :, None] * xh[:, None, :]
-            dg[:, k] = a1 * xk * eye + b1 * xxx
-            dg[:, k] += bor * (eye[k, :, None] * xh[:, None, :]
-                               + eye[k] * xh[:, :, None] - 2.0 * xxx)
-        return dg
-
-    return ev
+    return jet
 
 
 def euclidean(n):
-    eye = np.eye(n)
-
-    def ev(X):
-        return np.broadcast_to(eye, (X.shape[0], n, n)).copy()
-
-    form = RadialForm(a=radial.const(1.0))
-    return MetricSpec(n=n, family="euclidean", evaluator=ev,
-                      decay_orders=(2 - n, 1 - n, -n), q=n + 10.0,
-                      radial_form=form, conformal_u=radial.const(1.0),
-                      dg_evaluator=lambda X: np.zeros((X.shape[0], n, n, n)))
+    one = radial.const(1.0)
+    return radial_metric(one, None, n, family="euclidean", q=n + 10.0,
+                         conformal_u=one)
 
 
 def conformally_flat(u: RProfile, n, family="conformally_flat", q=None,
@@ -159,28 +219,43 @@ def schwarzschild_factor(m, n):
 def radial_metric(a: RProfile, b: Optional[RProfile], n, family="radial",
                   q=None, conformal_u=None, r_min=1.0):
     form = RadialForm(a=a, b=b)
-    return MetricSpec(n=n, family=family, evaluator=_radial_g(form, n), q=q,
-                      radial_form=form, conformal_u=conformal_u,
-                      dg_evaluator=_radial_dg(form, n), r_min=r_min)
+    jet = _radial_jet(form, n)
+    return MetricSpec(n=n, family=family, evaluator=lambda X: jet(X, 0)[0],
+                      q=q, radial_form=form, conformal_u=conformal_u,
+                      jet_evaluator=lambda X, k: jet(X, k)[1:], r_min=r_min)
 
 
 def perturbed(base: MetricSpec, h_evaluator, family="perturbed",
               dh_evaluator=None):
     """base + h for a batched symmetric perturbation evaluator h(X); the
-    result keeps the base's decay orders and q."""
+    result keeps the base's decay orders and q.
+
+    Over a base with an exact jet, only h is differenced: the jet is the
+    base's plus the stencil of h, and dg is the base's plus dh_evaluator(X)
+    when one is given, else first differences of h.  Over any other base,
+    base + h is differenced as a whole.
+    """
     n = base.n
+    h = from_evaluator(h_evaluator, n, r_min=base.r_min)
 
     def ev(X):
-        return base.g(X) + np.asarray(h_evaluator(X), dtype=float)
+        return base.g(X) + h.g(X)
 
-    dg_ev = None
-    if base.dg_evaluator is not None and dh_evaluator is not None:
-        def dg_ev(X):
-            return base.dg(X) + np.asarray(dh_evaluator(X), dtype=float)
+    def jet(X, k):
+        if k == 1:
+            dh = (h.dg(X) if dh_evaluator is None
+                  else np.asarray(dh_evaluator(X), dtype=float))
+            return (base.dg(X) + dh,)
+        _, dh, ddh = h.jet(X)
+        db, ddb = base.jet_evaluator(X, 2)
+        dh += db
+        ddh += ddb
+        return dh, ddh
 
     return MetricSpec(n=n, family=family, evaluator=ev,
                       decay_orders=base.decay_orders, q=base.q,
-                      dg_evaluator=dg_ev, r_min=base.r_min)
+                      jet_evaluator=None if base.jet_evaluator is None else jet,
+                      r_min=base.r_min)
 
 
 def from_evaluator(evaluator, n, family="composite", decay_orders=None,
@@ -214,11 +289,18 @@ def rotate(metric: MetricSpec, Q):
     (Q* g)_ij(x) = Q_ai g_ab(Qx) Q_bj; scalar invariants satisfy
     R(Q* g)(x) = R(g)(Qx).  The evaluator applies the congruence in its
     Kronecker form, g(QX).reshape(N, n^2) @ kron(Q, Q), with kron(Q, Q)
-    built once here.
+    built once here.  A radial metric is invariant under orthogonal Q,
+    Q^t g(Qx) Q = g(x), so its pullback keeps the base's exact jet; any
+    other pullback is differenced.  The result has no radial form either
+    way, so mass integrals take it as a general chart.
     """
     Q = np.asarray(Q, dtype=float)
     pull = congruence(Q)
+    jet = None
+    if (metric.radial_form is not None
+            and np.allclose(Q.T @ Q, np.eye(metric.n), rtol=0.0, atol=1e-12)):
+        jet = metric.jet_evaluator
     return MetricSpec(n=metric.n, family=metric.family + "*rot",
                       evaluator=lambda X: pull(metric.g(X @ Q.T)),
-                      decay_orders=metric.decay_orders,
-                      q=metric.q, r_min=metric.r_min)
+                      decay_orders=metric.decay_orders, q=metric.q,
+                      jet_evaluator=jet, r_min=metric.r_min)

@@ -129,3 +129,21 @@ def test_decay_audit_flat_vacuous():
     rep = decay_audit(metrics.euclidean(3))
     assert rep["pass"]
     assert rep["measured"]["h"]["order"] is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_jet_curvature_matches_radial_scalar(n):
+    # at the default step a radial metric's curvature reads its exact jet,
+    # so it meets the profile closed form to roundoff
+    a = radial.const(1.0) + radial.power(0.5, 2.0 - n)
+    b = radial.gaussian(0.2, 3.0, 1.0)
+    m = metrics.radial_metric(a, b, n)
+    U = np.random.default_rng(n).standard_normal((200, n))
+    X = np.geomspace(1.5, 20.0, 200)[:, None] * U / np.linalg.norm(
+        U, axis=1, keepdims=True)
+    expect = radial.radial_scalar(a, b, n)(np.sqrt((X ** 2).sum(axis=1)))
+    R = scalar_curvature_bartnik(m, X)
+    assert np.abs(R - expect).max() <= 1e-12 * np.abs(expect).max()
+    g = m.g(X)
+    tr = np.einsum('pij,pij->p', np.linalg.inv(g), ricci_tensor_fd(m, X))
+    assert np.abs(tr - expect).max() <= 1e-12 * np.abs(expect).max()

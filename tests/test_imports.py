@@ -7,7 +7,9 @@ move between scipy releases without notice.
 
 The mass-and-curvature tier is numpy only, and each CLI command imports the
 modules it runs, so fresh interpreters that import that tier, print the
-CLI's help or run a radial mass scene load no scipy module at all.
+CLI's help or run a radial mass scene load no scipy module at all.  The
+scene schema's validator is built on first use, so the help loads no
+jsonschema module either.
 """
 import ast
 import json
@@ -49,12 +51,13 @@ def test_private_scipy_imports_only_in_the_documented_fork(path):
         assert found == []
 
 
-# a fresh interpreter runs the snippet, then prints the scipy modules loaded
+# a fresh interpreter runs the snippet, then prints the modules loaded from
+# one top-level package
 CHILD = """
 import sys
 sys.path.insert(0, %r)
 %s
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == %r))
 """
 # click's entry point exits, with code 0 on success
 CLI_RUN = """
@@ -70,13 +73,17 @@ MASS_SCENE = {"schema": 1,
               "mass": {"radii": [8, 16, 32, 64]}}
 
 
-def scipy_modules_after(snippet, cwd):
-    proc = subprocess.run([sys.executable, "-c", CHILD % (str(SRC.parent),
-                                                          snippet)],
+def modules_after(snippet, cwd, package):
+    proc = subprocess.run([sys.executable, "-c",
+                           CHILD % (str(SRC.parent), snippet, package)],
                           capture_output=True, text=True, cwd=cwd,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def scipy_modules_after(snippet, cwd):
+    return modules_after(snippet, cwd, "scipy")
 
 
 def test_numpy_tier_imports_no_scipy(tmp_path):
@@ -87,6 +94,11 @@ def test_numpy_tier_imports_no_scipy(tmp_path):
 
 def test_cli_help_imports_no_scipy(tmp_path):
     assert scipy_modules_after(CLI_RUN % (["--help"],), tmp_path) == "[]"
+
+
+def test_cli_help_imports_no_jsonschema(tmp_path):
+    assert modules_after(CLI_RUN % (["--help"],), tmp_path,
+                         "jsonschema") == "[]"
 
 
 def test_radial_mass_scene_imports_no_scipy(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masskit import metrics, radial
-from masskit.curvature import fd_metric_derivatives, scalar_curvature_bartnik
+from masskit.curvature import (fd_metric_derivatives, ricci_tensor_fd,
+                               scalar_curvature_bartnik)
 from masskit.errors import DegenerateMetricError
 
 
@@ -210,3 +211,67 @@ def test_window_profile_support():
     assert abs(y[0]) < 1e-15 and abs(y[4]) < 1e-15
     assert abs(y[2] - 1.0) < 1e-15
     assert 0.0 < y[1] < 1.0 and 0.0 < y[3] < 1.0
+
+
+def _shell_points(n, count, seed, r0=1.5, r1=20.0):
+    U = np.random.default_rng(seed).standard_normal((count, n))
+    return np.geomspace(r0, r1, count)[:, None] * U / np.linalg.norm(
+        U, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_radial_jet_matches_stencil_at_second_order(n):
+    # exact (dg, ddg) of a delta + b xhat xhat^T against the stencil of the
+    # bare evaluator: the gap is the stencil's O(h^2) truncation
+    a = radial.const(1.0) + radial.power(0.5, 2.0 - n)
+    b = radial.gaussian(0.2, 3.0, 1.0) + radial.power(0.1, 1.0 - n)
+    m = metrics.radial_metric(a, b, n)
+    X = _shell_points(n, 200, n)
+    g, dg, ddg = m.jet(X)
+    assert np.abs(g - m.g(X)).max() == 0.0
+    assert np.abs(dg - m.dg(X)).max() == 0.0
+    bare = metrics.from_evaluator(m.g, n)
+    gaps = []
+    for h in (4e-3, 2e-3):
+        _, dg_f, ddg_f = fd_metric_derivatives(bare, X, h)
+        gaps.append((np.abs(dg - dg_f).max(), np.abs(ddg - ddg_f).max()))
+    (d1, dd1), (d2, dd2) = gaps
+    assert dd1 < 1e-4 and d1 < 1e-4
+    assert 3.5 < d1 / d2 < 4.5 and 3.5 < dd1 / dd2 < 4.5
+
+
+def test_rotated_radial_metric_curvature_equals_unrotated():
+    # a radial metric is O(n)-invariant, so its pullback has the same R and
+    # Ric at x, and Ric(Q* g)(x) = Q^t Ric(g)(Qx) Q, all to roundoff
+    n = 3
+    a = radial.const(1.0) + radial.power(0.5, -1.0)
+    m = metrics.radial_metric(a, radial.gaussian(0.2, 3.0, 1.0), n)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    rot = metrics.rotate(m, Q)
+    assert rot.radial_form is None
+    X = _shell_points(n, 100, 6)
+    R, Ric = scalar_curvature_bartnik(m, X), ricci_tensor_fd(m, X)
+    scale = np.abs(Ric).max()
+    assert np.abs(scalar_curvature_bartnik(rot, X) - R).max() <= 1e-12 * scale
+    Ric_rot = ricci_tensor_fd(rot, X)
+    assert np.abs(Ric_rot - Ric).max() <= 1e-12 * scale
+    pulled = np.einsum('ai,pab,bj->pij', Q, ricci_tensor_fd(m, X @ Q.T), Q)
+    assert np.abs(Ric_rot - pulled).max() <= 1e-12 * scale
+
+
+def test_perturbed_jet_is_base_jet_plus_stencil_of_h():
+    v = np.array([0.6, -0.3, 0.74])
+
+    def h(X):
+        r = np.sqrt((X ** 2).sum(axis=1))
+        return (0.1 * (X @ v) / r ** 3)[:, None, None] * np.eye(3)[None]
+
+    base = metrics.schwarzschild(1.0, 3)
+    m = metrics.perturbed(base, h)
+    X = _shell_points(3, 50, 7)
+    h_spec = metrics.from_evaluator(h, 3)
+    for got, b, p in zip(m.jet(X), base.jet(X),
+                         fd_metric_derivatives(h_spec, X)):
+        assert np.abs(got - (b + p)).max() <= 1e-15 * np.abs(b + p).max()
+    dg_ref = base.dg(X) + h_spec.dg(X)
+    assert np.abs(m.dg(X) - dg_ref).max() <= 1e-15 * np.abs(dg_ref).max()
