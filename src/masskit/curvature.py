@@ -4,11 +4,12 @@ The numpy contraction kernels of ``_kernels_np`` read (g, dg, ddg).  At the
 default step h = min(0.01 r, 0.05) these come from ``MetricSpec.jet``: exact
 where the metric family supplies them, else the second-order stencil of
 ``fd_metric_derivatives`` (1 + 2 n^2 evaluations per point).  An explicit h
-always runs the stencil, so step studies see its truncation order, and
-either way a point must lie two default steps inside the chart.  First
-derivatives alone come from the 2n-point stencil of
-``fd_first_derivatives``, the fallback of ``MetricSpec.dg``.  The default
-step balances truncation against cancellation across the log-radial range.
+always runs the stencil, so step studies see its truncation order.  Either
+way a point must lie two steps inside the chart (``check_margin``) and the
+sampled values must be finite (``check_finite``).  ``MetricSpec.jet`` falls
+back to the 2n-point stencil of ``fd_first_derivatives`` for first
+derivatives alone.  The default step balances truncation against
+cancellation across the log-radial range.
 """
 from __future__ import annotations
 
@@ -29,13 +30,23 @@ def _steps(X, h):
     return np.full(X.shape[0], float(h))
 
 
-def _check_margin(X, hv, r_min):
+def check_margin(X, r_min, h=None):
+    """Raise DomainError unless every point lies two steps (the default
+    step when h is None) inside the chart r >= r_min; returns the steps."""
+    hv = _steps(X, h)
     r = np.sqrt((X ** 2).sum(axis=1))
     bad = r < r_min + 2.0 * hv
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError("stencil margin violated at point %d (r=%.4g, h=%.4g, chart r>=%.4g)"
                           % (i, r[i], hv[i], r_min))
+    return hv
+
+
+def check_finite(*arrays):
+    """Raise DegenerateMetricError if any sampled value is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DegenerateMetricError("metric evaluation returned non-finite values")
 
 
 def fd_first_derivatives(metric, X):
@@ -56,8 +67,7 @@ def fd_first_derivatives(metric, X):
         M[:, k] -= hv
         dg[:, k] = (metric.g(P) - metric.g(M)) / (2.0 * hv)[:, None, None]
     # a non-finite sample leaves a non-finite difference
-    if not np.isfinite(dg).all():
-        raise DegenerateMetricError("metric evaluation returned non-finite values")
+    check_finite(dg)
     return dg
 
 
@@ -69,8 +79,7 @@ def fd_metric_derivatives(metric, X, h=None):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N, n = X.shape
-    hv = _steps(X, h)
-    _check_margin(X, hv, metric.r_min)
+    hv = check_margin(X, metric.r_min, h)
 
     # stencil offsets: center; +-e_k; the four corners per pair k<l
     pts = [X]
@@ -88,8 +97,7 @@ def fd_metric_derivatives(metric, X, h=None):
             pts.append(P)
     allpts = np.concatenate(pts, axis=0)
     G = metric.g(allpts)
-    if not np.isfinite(G).all():
-        raise DegenerateMetricError("metric evaluation returned non-finite values")
+    check_finite(G)
     S = len(pts)
     G = G.reshape(S, N, n, n)
 
@@ -112,12 +120,8 @@ def fd_metric_derivatives(metric, X, h=None):
 
 
 def _fd_kernel(kernel, metric, X, h=None):
-    if h is None:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        _check_margin(X, _steps(X, None), metric.r_min)
-        g, dg, ddg = metric.jet(X)
-    else:
-        g, dg, ddg = fd_metric_derivatives(metric, X, h)
+    g, dg, ddg = (metric.jet(X) if h is None
+                  else fd_metric_derivatives(metric, X, h))
     try:
         return kernel(g, dg, ddg)
     except np.linalg.LinAlgError as exc:

@@ -6,8 +6,8 @@ h = g - delta, and (when the family is spherically symmetric) exact radial
 profiles that downstream tiers use for closed-form reductions.
 
 Exact derivatives (`MetricSpec.jet`) come from radial profiles' order-2
-jets, pass to rotations of radial metrics, and to perturbations of them
-plus differences of the perturbation alone; other metrics are differenced.
+jets and pass to rotations of radial metrics; a perturbation's jet is its
+base's plus the perturbation's, and other metrics are differenced.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import radial
-from .curvature import fd_first_derivatives, fd_metric_derivatives
+from .curvature import (check_finite, check_margin, fd_first_derivatives,
+                        fd_metric_derivatives)
 from .errors import DegenerateMetricError
 from .radial import RProfile
 
@@ -29,11 +30,6 @@ class RadialForm:
     a: RProfile
     b: Optional[RProfile] = None
 
-    def ab(self, r):
-        """Values and first derivatives (a, a', b, b') at radii r."""
-        (a0, a1), (b0, b1) = radial.jets((self.a, self.b), r, 1)
-        return a0, a1, b0, b1
-
 
 @dataclass
 class MetricSpec:
@@ -42,9 +38,8 @@ class MetricSpec:
     decay_orders are the declared powers of r bounding |h|, |dh| and |ddh|
     (componentwise sup over directions); q is the declared scalar-curvature
     decay power, q > n for the families used here.  jet_evaluator(X, k),
-    when the family supplies it, returns the exact derivatives of orders
-    1..k, (dg,) or (dg, ddg), indexed as `jet` returns them; only `dg` and
-    `jet` call it.
+    when the family supplies it, returns the exact orders 0..k of g,
+    indexed as `jet` returns them; only `jet` calls it.
     """
     n: int
     family: str
@@ -74,22 +69,29 @@ class MetricSpec:
         return self.g(X) - np.eye(self.n)[None]
 
     def dg(self, X):
-        """First derivatives dg[p, k, i, j] = d_k g_ij at points X: exact
-        when the family supplies a jet, else `fd_first_derivatives`."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.jet_evaluator is None:
-            return fd_first_derivatives(self, X)
-        return self.jet_evaluator(X, 1)[0]
+        """First derivatives dg[p, k, i, j] = d_k g_ij at points X."""
+        return self.jet(X, 1)[1]
 
-    def jet(self, X):
-        """(g, dg, ddg) at points X, with dg[p, k] = d_k g and
-        ddg[p, k, l] = d_k d_l g: exact when the family supplies them, else
-        `fd_metric_derivatives` at its default step.  With `dg`, this is the
-        one place that chooses between the two."""
+    def jet(self, X, k=2):
+        """Orders 0..k of g at points X: (g, dg) for k = 1, (g, dg, ddg)
+        for k = 2, with dg[p, k] = d_k g and ddg[p, k, l] = d_k d_l g.
+
+        This is the one place that chooses: the family's exact jet when it
+        supplies one, else central differences at the default step
+        (`fd_first_derivatives`, `fd_metric_derivatives`).  Either way the
+        values must be finite, and order 2 needs every point two default
+        steps inside the chart, so curvature does not depend on the choice.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.jet_evaluator is None:
-            return fd_metric_derivatives(self, X)
-        return (self.g(X),) + tuple(self.jet_evaluator(X, 2))
+            if k == 2:
+                return fd_metric_derivatives(self, X)
+            return self.g(X), fd_first_derivatives(self, X)
+        if k == 2:
+            check_margin(X, self.r_min)
+        out = tuple(self.jet_evaluator(X, k))
+        check_finite(*out)
+        return out
 
     def check_pointwise(self, X):
         """Symmetry (to 1e-12) and positive-definiteness audit at sample
@@ -150,8 +152,7 @@ def _radial_jet(form: RadialForm, n):
     Every term but the B1 one of dg and the B2 one of ddg is linear in the
     fields that `_slot_maps` maps, so each order is one GEMM over flattened
     (N, n^2) slots plus, when b is given, one outer product.  Orders 0..k
-    are returned: order 0 is the metric's evaluator, orders 1..k its
-    jet_evaluator.
+    are returned, so order 0 is also the metric's evaluator.
     """
     B = None if form.b is None else form.b * radial.power(1.0, -2.0)
     # without b only the A fields are nonzero, and their maps come first
@@ -222,7 +223,7 @@ def radial_metric(a: RProfile, b: Optional[RProfile], n, family="radial",
     jet = _radial_jet(form, n)
     return MetricSpec(n=n, family=family, evaluator=lambda X: jet(X, 0)[0],
                       q=q, radial_form=form, conformal_u=conformal_u,
-                      jet_evaluator=lambda X, k: jet(X, k)[1:], r_min=r_min)
+                      jet_evaluator=jet, r_min=r_min)
 
 
 def perturbed(base: MetricSpec, h_evaluator, family="perturbed",
@@ -230,10 +231,9 @@ def perturbed(base: MetricSpec, h_evaluator, family="perturbed",
     """base + h for a batched symmetric perturbation evaluator h(X); the
     result keeps the base's decay orders and q.
 
-    Over a base with an exact jet, only h is differenced: the jet is the
-    base's plus the stencil of h, and dg is the base's plus dh_evaluator(X)
-    when one is given, else first differences of h.  Over any other base,
-    base + h is differenced as a whole.
+    Its jet is the base's jet plus the jet of h, each from `MetricSpec.jet`,
+    so only what has no closed form is differenced; dh_evaluator(X), when
+    given, replaces the first differences of h.
     """
     n = base.n
     h = from_evaluator(h_evaluator, n, r_min=base.r_min)
@@ -242,20 +242,15 @@ def perturbed(base: MetricSpec, h_evaluator, family="perturbed",
         return base.g(X) + h.g(X)
 
     def jet(X, k):
-        if k == 1:
-            dh = (h.dg(X) if dh_evaluator is None
-                  else np.asarray(dh_evaluator(X), dtype=float))
-            return (base.dg(X) + dh,)
-        _, dh, ddh = h.jet(X)
-        db, ddb = base.jet_evaluator(X, 2)
-        dh += db
-        ddh += ddb
-        return dh, ddh
+        if k == 1 and dh_evaluator is not None:
+            jh = h.g(X), np.asarray(dh_evaluator(X), dtype=float)
+        else:
+            jh = h.jet(X, k)
+        return [b + p for b, p in zip(base.jet(X, k), jh)]
 
     return MetricSpec(n=n, family=family, evaluator=ev,
                       decay_orders=base.decay_orders, q=base.q,
-                      jet_evaluator=None if base.jet_evaluator is None else jet,
-                      r_min=base.r_min)
+                      jet_evaluator=jet, r_min=base.r_min)
 
 
 def from_evaluator(evaluator, n, family="composite", decay_orders=None,
@@ -290,9 +285,10 @@ def rotate(metric: MetricSpec, Q):
     R(Q* g)(x) = R(g)(Qx).  The evaluator applies the congruence in its
     Kronecker form, g(QX).reshape(N, n^2) @ kron(Q, Q), with kron(Q, Q)
     built once here.  A radial metric is invariant under orthogonal Q,
-    Q^t g(Qx) Q = g(x), so its pullback keeps the base's exact jet; any
-    other pullback is differenced.  The result has no radial form either
-    way, so mass integrals take it as a general chart.
+    Q^t g(Qx) Q = g(x), so its pullback keeps the base's exact jet, whose
+    g equals the congruence to roundoff; any other pullback is differenced.
+    The result has no radial form either way, so mass integrals take it as
+    a general chart.
     """
     Q = np.asarray(Q, dtype=float)
     pull = congruence(Q)

@@ -5,7 +5,7 @@ import pytest
 from masskit import _kernels_np, metrics, radial
 from masskit.curvature import (decay_audit, fd_metric_derivatives,
                                ricci_tensor_fd, scalar_curvature_bartnik)
-from masskit.errors import DomainError
+from masskit.errors import DegenerateMetricError, DomainError
 
 
 def round_sphere(n=3):
@@ -147,3 +147,24 @@ def test_exact_jet_curvature_matches_radial_scalar(n):
     g = m.g(X)
     tr = np.einsum('pij,pij->p', np.linalg.inv(g), ricci_tensor_fd(m, X))
     assert np.abs(tr - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_exact_jet_rejects_non_finite_profile():
+    # a profile that is NaN below r = 3 inside the chart r >= 1: the exact
+    # jet raises as the stencil does, for curvature, dg and a perturbation
+    def nan_inside(at, k):
+        c = np.zeros((k + 1,) + at.r.shape)
+        c[0] = np.where(at.r < 3.0, np.nan, 1.0)
+        return c
+
+    m = metrics.radial_metric(radial.RProfile(nan_inside), None, 3)
+    pert = metrics.perturbed(m, lambda X: np.zeros((len(X), 3, 3)))
+    inside, outside = np.array([[2.0, 0.0, 0.0]]), np.array([[4.0, 0.0, 0.0]])
+    for call in (scalar_curvature_bartnik, ricci_tensor_fd,
+                 lambda mm, X: mm.dg(X)):
+        for metric in (m, pert):
+            with pytest.raises(DegenerateMetricError):
+                call(metric, inside)
+    assert scalar_curvature_bartnik(pert, outside)[0] == 0.0
+    with pytest.raises(DegenerateMetricError):
+        fd_metric_derivatives(metrics.from_evaluator(m.g, 3), inside)

@@ -134,7 +134,7 @@ def test_rotate_matches_einsum_congruence_n4():
 def _radial_dg_reference(form, n, X):
     """d_k g_ij of a(r) delta + b(r) xhat xhat^T as whole-array products."""
     r = np.sqrt((X ** 2).sum(axis=1))
-    _, a1, b0, b1 = form.ab(r)
+    (_, a1), (b0, b1) = radial.jets((form.a, form.b), r, 1)
     xh = X / r[:, None]
     eye = np.eye(n)
     dg = a1[:, None, None, None] * xh[:, :, None, None] * eye[None, None]
