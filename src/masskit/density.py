@@ -273,13 +273,8 @@ def deform_rung(split, s, c_S, annulus_nodes=1100):
     dreport = choose_delta(interp, c_S)
     delta = dreport.delta
     eta = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s)
-    cn = conformal_constant(n)
-    Rfun = radial.conformal_scalar(interp.u_eff, n)
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        return cn * eta.value(r) * (Rfun(r) - delta)
-
+    f = conformal_constant(n) * eta \
+        * (radial.conformal_scalar(interp.u_eff, n) - delta)
     dom = DomainModel(n=n, r_min=split.metric.r_min,
                       truncation_radii=(8.0 * s, 16.0 * s, 32.0 * s),
                       annulus_nodes=annulus_nodes)

@@ -85,7 +85,7 @@ class EllipticProblem:
     """Potential problem Delta_g u - f u = 0 over a DomainModel."""
 
     metric: object
-    f: object                      # radial profile or callable of r
+    f: object                      # function of r: a profile or a callable
     support_radius: float
     domain: DomainModel
     # set by check_smallness
@@ -105,9 +105,12 @@ class EllipticProblem:
 
     def f_values(self, r):
         r = np.asarray(r, dtype=float)
-        vals = (self.f.value(r) if hasattr(self.f, "value")
-                else np.asarray(self.f(r), dtype=float))
-        return np.where(r <= self.support_radius, vals, 0.0)
+        return np.where(r <= self.support_radius,
+                        np.asarray(self.f(r), dtype=float), 0.0)
+
+    def f_nodes(self, mesh):
+        """f sampled at the mesh's nodes, zero on the cylinder."""
+        return np.where(mesh.is_cyl, 0.0, self.f_values(mesh.r))
 
     def require_smallness(self):
         if self.smallness is None:
@@ -146,10 +149,15 @@ class TruncatedSolution:
     cyl_len: float
 
     def interp(self, r):
-        """Annulus values of v at radii r (log-coordinate interpolation)."""
-        mask = ~self.mesh.is_cyl
-        sig = np.log(np.asarray(r, dtype=float) / self.mesh.r_min)
-        return np.interp(sig, self.mesh.coord[mask], self.v[mask])
+        """Annulus values of v at radii r."""
+        return _annulus_interp(self.mesh, self.v, r)
+
+
+def _annulus_interp(mesh, vals, r):
+    """Node values vals on the annulus, interpolated in log radius at r."""
+    mask = ~mesh.is_cyl
+    sig = np.log(np.asarray(r, dtype=float) / mesh.r_min)
+    return np.interp(sig, mesh.coord[mask], vals[mask])
 
 
 def _solve_tridiag(lower, diag, upper, rhs):
@@ -201,7 +209,7 @@ def solve_truncated(problem, i=0, R=None, cyl_len=None,
     if cyl_len is None:
         cyl_len = (dom.cylinder_lengths[i] if dom.has_toy_end else 0.0)
     mesh = dom.mesh(problem.metric, R, cyl_len)
-    fvals = np.where(mesh.is_cyl, 0.0, problem.f_values(mesh.r))
+    fvals = problem.f_nodes(mesh)
     kap_R, _ = radial_kappa_w(problem.metric, np.array([float(R)]))
     v, rnorm = _assemble_and_solve(mesh, fvals, bc_outer, dom.n,
                                    float(kap_R[0]) / float(R))
@@ -229,9 +237,8 @@ class ConformalFactorSolution:
     diagnostics: list = field(default_factory=list)
 
     def u_at(self, r):
-        mask = ~self.mesh.is_cyl
-        sig = np.log(np.asarray(r, dtype=float) / self.mesh.r_min)
-        return np.interp(sig, self.mesh.coord[mask], self.u[mask])
+        """Annulus values of u at radii r."""
+        return _annulus_interp(self.mesh, self.u, r)
 
     def to_json_dict(self):
         return {
@@ -242,12 +249,6 @@ class ConformalFactorSolution:
             "exhaustion_diffs": list(self.exhaustion_diffs),
             "num_nodes": int(self.mesh.num_nodes),
         }
-
-
-def _integral_coefficient(problem, mesh, u):
-    n = problem.domain.n
-    fvals = np.where(mesh.is_cyl, 0.0, problem.f_values(mesh.r))
-    return float(-np.sum(fvals * u * mesh.wbar) / (n - 2.0))
 
 
 def _fit_coefficients(mesh, v, n, r_out):
@@ -297,8 +298,10 @@ def solve_conformal_factor(problem, exhaust_tol=None):
         raise InternalFault(
             "positivity lost (min u = %.3g) despite smallness margin %.3g; "
             "numerical fault" % (min_u, problem.smallness.ratio))
-    A_int = _integral_coefficient(problem, rob.mesh, u)
-    A_fit, B_fit, rem = _fit_coefficients(rob.mesh, rob.v, n,
+    mesh = rob.mesh
+    fvals = problem.f_nodes(mesh)
+    A_int = float(-np.sum(fvals * u * mesh.wbar) / (n - 2.0))
+    A_fit, B_fit, rem = _fit_coefficients(mesh, rob.v, n,
                                           dom.truncation_radii[-1])
     if abs(A_int - A_fit) > 1e-2 * max(abs(A_int), 1e-8):
         raise SolverError(
@@ -308,16 +311,14 @@ def solve_conformal_factor(problem, exhaust_tol=None):
     # discrete flux through the cut at node 0 (zero Neumann there): the
     # first face flux less node 0's half-cell source, which is zero on a
     # toy-end cylinder and f0 wbar0 u0 at r_min without one
-    mesh = rob.mesh
-    f0 = 0.0 if mesh.is_cyl[0] else float(problem.f_values(mesh.r[0]))
     flux = float(sphere_area(n) * (mesh.kappa_face[0] * (u[1] - u[0])
                                    / mesh.dcoord[0]
-                                   - f0 * mesh.wbar[0] * u[0]))
+                                   - fvals[0] * mesh.wbar[0] * u[0]))
     diagnostics.append({"stage": "robin", "R": float(rob.R),
                         "residual": rob.residual, "min_u": min_u,
                         "A_integral": A_int, "A_fit": A_fit})
     return ConformalFactorSolution(
-        mesh=rob.mesh, u=u, v=rob.v, A_integral=A_int, A_fit=A_fit,
+        mesh=mesh, u=u, v=rob.v, A_integral=A_int, A_fit=A_fit,
         B_fit=B_fit, remainder_bound=rem, flux_grad=flux,
         flux_u_grad=flux * u[0], min_u=min_u,
         exhaustion_diffs=diffs, robin_gap=robin_gap, diagnostics=diagnostics)

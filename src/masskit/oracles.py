@@ -114,7 +114,6 @@ def _shoot_panels(metric, f, r0, r1, dense_output=False):
     """
     if metric.radial_form is None:
         raise ConfigError("shooting oracle needs a radial metric")
-    fn = f.value if hasattr(f, "value") else f
     edges = np.linspace(r0, r1, _PANELS + 1)
     a, b = edges[:-1], edges[1:]
     h = b - a
@@ -126,7 +125,7 @@ def _shoot_panels(metric, f, r0, r1, dense_output=False):
         r = ((1.0 - s) * a + s * b).ravel()
         kap, w = radial_kappa_w(metric, r)
         hs = np.tile(h, len(s))
-        c = np.stack([hs / kap, hs * np.asarray(fn(r), dtype=float) * w])
+        c = np.stack([hs / kap, hs * np.asarray(f(r), dtype=float) * w])
         return c.reshape(2, len(s), _PANELS).transpose(1, 0, 2)
 
     table = {}

@@ -8,12 +8,18 @@ coefficient-wise, products follow the Leibniz rule, constant powers,
 logarithms and exponentials follow their standard recurrences, and
 composition is series composition.  Curvature formulas and cutoffs are exact
 to whatever order they need; a caller that reads only values asks for
-order 0.  ``p(r)`` returns the triple ``(y, dy, ddy)``.
+order 0.  Calling a profile, ``p(r)``, gives its value, so a profile and a
+plain function of r look the same to every consumer.
+
+Profiles evaluated together share one memo of jets (`_Evaluation`), which
+keeps each subprofile's jet at the highest order asked so far; a lower
+order is a slice of it, a higher one is a recomputation.  A profile built
+from several operands therefore evaluates first the one that asks the
+shared subprofiles for the highest order.
 """
 from __future__ import annotations
 
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,6 +107,9 @@ def _poly(x, slope, coeffs, k):
 class RProfile:
     """Scalar function of r evaluated as a truncated Taylor jet.
 
+    ``p(r)`` is ``p.value(r)``; ``d1`` and ``d2`` give the first two
+    derivatives and ``jet`` the Taylor coefficients.
+
     Parameters
     ----------
     fn : callable
@@ -116,13 +125,10 @@ class RProfile:
         """Taylor coefficients of orders 0..k at radii r."""
         return _Evaluation(r)(self, k)
 
-    def __call__(self, r):
-        """(y, dy, ddy): the value and the first two derivatives."""
-        c = self.jet(r, 2)
-        return c[0], c[1], 2.0 * c[2]
-
     def value(self, r):
         return self.jet(r, 0)[0]
+
+    __call__ = value
 
     def d1(self, r):
         return self.jet(r, 1)[1]
@@ -277,14 +283,10 @@ def compose(outer, inner):
 
 
 def flat_laplacian(profile, n):
-    """Radial flat Laplacian p'' + (n-1) p'/r, returned as plain arrays."""
-
-    def lap(r):
-        r = np.asarray(r, dtype=float)
-        _, dy, ddy = profile(r)
-        return ddy + (n - 1) * dy / r
-
-    return lap
+    """Radial flat Laplacian p'' + (n-1) p'/r as a profile."""
+    d1 = profile.deriv()
+    # p'' first: it asks the profile for the highest order
+    return d1.deriv() + d1 * power(n - 1.0, -1.0)
 
 
 def conformal_scalar(u, n):
@@ -294,9 +296,8 @@ def conformal_scalar(u, n):
     of u); exact given exact profile derivatives.
     """
     cn = 4.0 * (n - 1) / (n - 2)
-    ex = -(n + 2.0) / (n - 2.0)
-    lap = flat_laplacian(u, n)
-    return lambda r: -cn * u.value(r) ** ex * lap(r)
+    # the Laplacian first: it asks u for two orders more than the power
+    return flat_laplacian(u, n) * u.powc(-(n + 2.0) / (n - 2.0)) * (-cn)
 
 
 def radial_scalar(a, b, n):
@@ -304,39 +305,22 @@ def radial_scalar(a, b, n):
 
     The metric is (a + b) dr^2 + a r^2 dOmega^2 = ds^2 + rho^2 dOmega^2 with
     rho = r sqrt(a) and ds = sqrt(a + b) dr, so
-    R = -2(n-1) rho_ss / rho + (n-1)(n-2)(1 - rho_s^2) / rho^2, evaluated
-    from the order-2 jets of a and b.
+    R = -2(n-1) rho_ss / rho + (n-1)(n-2)(1 - rho_s^2) / rho^2.
     """
-
-    def R(r):
-        r = np.asarray(r, dtype=float)
-        A, B = jets((a, b), r, 2)
-        rho = _mul(_poly(r, 1.0, (0.0, 1.0), 2), _powc(A, 0.5))
-        c = _powc(A[:2] + B[:2], -0.5)
-        rho_s = _mul(_deriv(rho), c)
-        rho_ss = _deriv(rho_s)[0] * c[0]
-        return (n - 1) * (-2.0 * rho_ss / rho[0]
-                          + (n - 2) * (1.0 - rho_s[0] ** 2) / rho[0] ** 2)
-
-    return R
-
-
-class RicciProfiles(NamedTuple):
-    """Radial Ricci tensor Ric_ij = alpha(r) delta_ij + beta(r) xhat_i xhat_j.
-
-    Unpacking gives the two profiles; calling the pair at r gives their
-    values (alpha, beta).
-    """
-    alpha: RProfile
-    beta: RProfile
-
-    def __call__(self, r):
-        al, be = jets(self, r, 0)
-        return al[0], be[0]
+    rho = identity() * a.powc(0.5)
+    c = (a if b is None else a + b).powc(-0.5)
+    rho_s = rho.deriv() * c
+    rho_ss = rho_s.deriv() * c
+    inv = rho.powc(-1.0)
+    # rho_ss first: it asks rho, and through it a, for the highest order
+    return (rho_ss * inv * (-2.0)
+            + (const(1.0) - rho_s * rho_s) * inv * inv * (n - 2.0)) \
+        * (n - 1.0)
 
 
 def conformal_ricci_profiles(u, n):
-    """Ricci tensor of u^{4/(n-2)} delta as radial profiles (alpha, beta).
+    """Ricci tensor of u^{4/(n-2)} delta as the radial profiles (alpha, beta)
+    of Ric_ij = alpha(r) delta_ij + beta(r) xhat_i xhat_j.
 
     Derived from the conformal transformation law with psi = (2/(n-2)) log u on
     a flat base: Ric = -(n-2)(Hess psi - dpsi dpsi) - (Lap psi + (n-2)|dpsi|^2) delta,
@@ -357,4 +341,4 @@ def conformal_ricci_profiles(u, n):
     def beta(at, k):
         return -(n - 2) * (at(p2, k) - at(q, k) - at(sq, k))
 
-    return RicciProfiles(RProfile(alpha), RProfile(beta))
+    return RProfile(alpha), RProfile(beta)

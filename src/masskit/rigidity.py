@@ -67,6 +67,15 @@ class ScalarProbeReport:
                 "min_factor": self.min_factor}
 
 
+def _bump_interval(metric, bump):
+    """(lo, hi) of the bump, which must sit beyond the chart cut."""
+    lo, hi = float(bump[0]), float(bump[1])
+    if not metric.r_min <= lo < hi:
+        raise ConfigError("bump interval [%.3g, %.3g] must sit beyond the "
+                          "chart cut r_min = %.3g" % (lo, hi, metric.r_min))
+    return lo, hi
+
+
 def rigidity_probe_scalar(metric, eta, bump):
     """Certificate that a nonnegative curvature bump forces a mass drop.
 
@@ -82,24 +91,16 @@ def rigidity_probe_scalar(metric, eta, bump):
     if metric.conformal_u is None:
         raise ConfigError("scalar probe needs a conformally flat radial "
                           "input with closed-form curvature")
-    lo, hi = float(bump[0]), float(bump[1])
-    if not metric.r_min <= lo < hi:
-        raise ConfigError("bump interval [%.3g, %.3g] must sit beyond the "
-                          "chart cut r_min = %.3g" % (lo, hi, metric.r_min))
+    lo, hi = _bump_interval(metric, bump)
     Rfun = radial.conformal_scalar(metric.conformal_u, n)
     probe_r = np.linspace(lo, hi, 1601)
     fR = eta.value(probe_r) * Rfun(probe_r)
     if fR.min() < -1e-12:
         raise RegimeError("cutoff-weighted curvature dips to %.3g; the probe "
                           "needs eta * R >= 0" % float(fR.min()))
-    cn = conformal_constant(n)
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        return cn * eta.value(r) * Rfun(r)
-
     dom = _default_domain(metric, hi)
-    prob = EllipticProblem(metric, f, support_radius=hi, domain=dom)
+    prob = EllipticProblem(metric, conformal_constant(n) * eta * Rfun,
+                           support_radius=hi, domain=dom)
     small = check_smallness(prob, PROBE_C_S)
     if not small.passed:
         raise RegimeError("nonnegative bump failed the size bound "
@@ -137,12 +138,8 @@ class RigidityProbeSpec:
     delta_ladder: tuple = (1e-2, 1e-3, 1e-4)
 
     def validate(self, metric):
-        lo, hi = float(self.bump[0]), float(self.bump[1])
+        lo, hi = _bump_interval(metric, self.bump)
         tlo, thi = float(self.bump_tilde[0]), float(self.bump_tilde[1])
-        if not metric.r_min <= lo < hi:
-            raise ConfigError("bump interval [%.3g, %.3g] must sit beyond "
-                              "the chart cut r_min = %.3g"
-                              % (lo, hi, metric.r_min))
         if not tlo < thi:
             raise ConfigError("relaxation interval is empty")
         if self.epsilon <= 0.0:
@@ -181,35 +178,35 @@ def ricci_perturbed_metric(metric, eta, bump, epsilon):
         raise ConfigError("ricci perturbation needs a conformally flat "
                           "radial input")
     alpha, beta = radial.conformal_ricci_profiles(metric.conformal_u, n)
-    a_bar = metric.radial_form.a - epsilon * eta * alpha
+    # the Ricci term first: it asks the factor for two orders more than a does
+    a_bar = -epsilon * eta * alpha + metric.radial_form.a
     b_bar = -epsilon * eta * beta
     return metrics.radial_metric(a_bar, b_bar, n, family="ricci-perturbed",
                                  q=metric.q, r_min=metric.r_min)
 
 
 def perturbed_scalar_spline(metric_bar, bump, r_min):
-    """Scalar curvature of the perturbed metric, exactly zero off the bump.
+    """Scalar curvature of the perturbed metric as a masked profile,
+    exactly zero off the bump.
 
     Inside (max(lo, r_min), hi) this is the closed-form radial curvature of
     the metric's radial form (`radial.radial_scalar`); outside, the metric
-    is the untouched scalar-flat input and the value is exactly 0.  The
-    name is kept for its callers; nothing is splined.
+    is the untouched scalar-flat input and the jet is exactly 0.  Nothing
+    is splined: the name stays until a benchmark change can rename it,
+    because the benchmark calls it.
     """
     lo, hi = max(float(bump[0]), float(r_min)), float(bump[1])
     form = metric_bar.radial_form
     R = radial.radial_scalar(form.a, form.b, metric_bar.n)
-
-    def R_fun(r):
-        r = np.asarray(r, dtype=float)
-        return np.where((r > lo) & (r < hi), R(r), 0.0)
-
-    return R_fun
+    return RProfile(lambda at, k: np.where((at.r > lo) & (at.r < hi),
+                                           at(R, k), 0.0))
 
 
 def _ricci_magnitude(metric, r):
     """Pointwise metric norm |Ric(g)|_g along the radius for conformal g."""
     n = metric.n
-    al, be = radial.conformal_ricci_profiles(metric.conformal_u, n)(r)
+    (al,), (be,) = radial.jets(
+        radial.conformal_ricci_profiles(metric.conformal_u, n), r, 0)
     conf = metric.radial_form.a.value(r)
     return np.sqrt((n - 1) * al ** 2 + (al + be) ** 2) / conf
 
@@ -279,7 +276,7 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
     R_fun = perturbed_scalar_spline(gbar, spec.bump, metric.r_min)
 
     from .rayleigh import eigenvalue_lower_bound
-    eig = eigenvalue_lower_bound(gbar, thi, lambda r: cn * R_fun(r))
+    eig = eigenvalue_lower_bound(gbar, thi, cn * R_fun)
     if eig.value <= 0.0:
         raise RegimeError("quadratic form not positive over the bump "
                           "(lower bound %.3g)" % eig.value)
@@ -297,10 +294,7 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
     A_values = []
     solution = None
     for delta in spec.delta_ladder:
-        def f(r, d=float(delta)):
-            r = np.asarray(r, dtype=float)
-            return cn * (R_fun(r) - d * spec.eta_tilde.value(r))
-
+        f = cn * (R_fun - float(delta) * spec.eta_tilde)
         prob = EllipticProblem(gbar, f, support_radius=thi, domain=dom)
         small = check_smallness(prob, PROBE_C_S)
         if not small.passed:

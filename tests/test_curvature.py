@@ -57,7 +57,7 @@ def test_ricci_against_radial_closed_form():
     ab = radial.conformal_ricci_profiles(u, 3)
     X = np.array([[2.0, 0.5, -1.0], [3.0, 0.0, 0.0], [1.5, 1.5, 1.5]])
     r = np.sqrt((X ** 2).sum(axis=1))
-    alpha, beta = ab(r)
+    (alpha,), (beta,) = radial.jets(ab, r, 0)
     xh = X / r[:, None]
     expect = (alpha[:, None, None] * np.eye(3)[None]
               + beta[:, None, None] * xh[:, :, None] * xh[:, None, :])

@@ -46,6 +46,30 @@ def solved_window(with_cylinder):
     return elliptic.solve_conformal_factor(prob)
 
 
+def test_profile_bound_value_and_plain_function_solve_alike():
+    """A potential is any function of r: the profile, its bound value and a
+    plain numpy function of the same formula give bitwise-equal solves and
+    oracle coefficients."""
+    def plain(r):
+        x = (np.asarray(r, dtype=float) - 3.0) / 0.7
+        return 0.15 * np.exp(-x * x)
+
+    dom = elliptic.DomainModel(n=3, truncation_radii=(16.0, 32.0),
+                               annulus_nodes=400)
+    solves, shots = [], []
+    for f in (bump(), bump().value, plain):
+        prob = elliptic.EllipticProblem(end_metric(), f, 6.5, dom)
+        elliptic.check_smallness(prob, C_SOB)
+        solves.append(elliptic.solve_conformal_factor(prob))
+        shots.append(oracles.shoot_conformal_factor(end_metric(), f, 6.5).A)
+    ref = solves[0]
+    for sol in solves[1:]:
+        assert np.array_equal(sol.u, ref.u)
+        assert (sol.A_integral, sol.A_fit, sol.flux_grad) \
+            == (ref.A_integral, ref.A_fit, ref.flux_grad)
+    assert shots[1] == shots[0] and shots[2] == shots[0]
+
+
 def test_domain_schedules_validated():
     with pytest.raises(ConfigError):
         elliptic.DomainModel(n=3, truncation_radii=(0.5,))

@@ -12,6 +12,7 @@ from masskit.lohkamp import (LohkampState, TorusGlueSpec, check_superharmonic,
                              lohkamp_cutoff, lohkamp_metric, lohkamp_zeta,
                              torus_glue)
 from masskit.radial import compose, const, flat_laplacian, power
+from test_radial import triple
 
 
 def harmonic_end():
@@ -71,8 +72,8 @@ def test_superharmonic_audit_bounds():
 def test_cap_laplacian_matches_chain_rule():
     state = cut_state()
     grid = np.linspace(4.0, 128.0, 3001)
-    uu, du, _ = state.u(grid)
-    _, zd1, zd2 = state.zeta(uu)
+    uu, du, _ = triple(state.u, grid)
+    _, zd1, zd2 = triple(state.zeta, uu)
     lap_u = flat_laplacian(state.u, 3)(grid)
     lap_v = flat_laplacian(state.v, 3)(grid)
     ref = zd2 * du * du + zd1 * lap_u
@@ -146,7 +147,7 @@ def test_cutoff_four_dimensional_end():
        t=st.floats(min_value=0.0, max_value=1.0))
 def test_cap_profile_shape(eps, t):
     zeta = lohkamp_zeta(eps)
-    y, dy, ddy = (float(a[0]) for a in zeta(np.array([t])))
+    y, dy, ddy = (float(a[0]) for a in triple(zeta, np.array([t])))
     cap = 1.0 - 0.5 * eps
     assert y <= t + 1e-15
     assert y <= cap + 1e-15

@@ -7,6 +7,7 @@ from masskit import metrics, radial
 from masskit.curvature import (fd_metric_derivatives, ricci_tensor_fd,
                                scalar_curvature_bartnik)
 from masskit.errors import DegenerateMetricError
+from test_radial import triple
 
 
 def test_euclidean_values():
@@ -174,9 +175,9 @@ def test_profile_product_rule(c, a):
     q = radial.gaussian(0.4, 2.0, 1.5)
     prod = p * q
     r = np.array([0.8, 1.7, 3.1])
-    y, dy, ddy = prod(r)
-    yp, dp, ddp = p(r)
-    yq, dq, ddq = q(r)
+    y, dy, ddy = triple(prod, r)
+    yp, dp, ddp = triple(p, r)
+    yq, dq, ddq = triple(q, r)
     assert np.abs(y - yp * yq).max() < 1e-13
     assert np.abs(dy - (dp * yq + yp * dq)).max() < 1e-12
     assert np.abs(ddy - (ddp * yq + 2 * dp * dq + yp * ddq)).max() < 1e-12
@@ -186,8 +187,8 @@ def test_profile_powc_chain_rule():
     u = radial.const(1.0) + radial.power(0.5, -1.0)
     w = u.powc(4.0)
     r = np.array([1.5, 2.5, 4.0])
-    y, dy, ddy = w(r)
-    yu, du, ddu = u(r)
+    y, dy, ddy = triple(w, r)
+    yu, du, ddu = triple(u, r)
     assert np.abs(y - yu ** 4).max() < 1e-13
     assert np.abs(dy - 4.0 * yu ** 3 * du).max() < 1e-12
     assert np.abs(ddy - (12.0 * yu ** 2 * du ** 2 + 4.0 * yu ** 3 * ddu)).max() < 1e-12
@@ -196,7 +197,7 @@ def test_profile_powc_chain_rule():
 def test_smoothstep_endpoints_and_monotonicity():
     t = radial.transition(2.0, 3.0)
     r = np.array([1.0, 2.0, 2.5, 3.0, 5.0])
-    y, dy, _ = t(r)
+    y, dy, _ = triple(t, r)
     assert np.abs(y - [0.0, 0.0, 0.5, 1.0, 1.0]).max() < 1e-14
     assert (dy >= -1e-14).all()
     rr = np.linspace(2.0, 3.0, 101)

@@ -26,6 +26,13 @@ def sym_jet(expr, r, k=ORDER):
     return np.array(out)
 
 
+def triple(profile, r):
+    """(y, dy, ddy): the value and first two derivatives from the order-2
+    jet."""
+    c = profile.jet(r, 2)
+    return c[0], c[1], 2.0 * c[2]
+
+
 def assert_jet_matches(profile, expr, radii, rtol=1e-12):
     jet = profile.jet(np.array(radii), ORDER)
     assert jet.shape == (ORDER + 1, len(radii))
@@ -78,11 +85,11 @@ def test_order4_jets_match_sympy(name, profile, expr, radii):
 def test_triple_and_accessors_read_the_jet():
     p = u_profile().powc(4.0)
     rr = np.array([1.3, 2.7])
-    y, dy, ddy = p(rr)
+    y, dy, ddy = triple(p, rr)
     jet = p.jet(rr, 2)
     assert np.array_equal(y, jet[0]) and np.array_equal(dy, jet[1])
     assert np.array_equal(ddy, 2.0 * jet[2])
-    assert np.array_equal(p.value(rr), y)
+    assert np.array_equal(p(rr), y) and np.array_equal(p.value(rr), y)
     assert np.array_equal(p.d1(rr), dy) and np.array_equal(p.d2(rr), ddy)
 
 
@@ -94,6 +101,25 @@ def test_radial_scalar_matches_conformal_formula(n):
     ref = radial.conformal_scalar(u, n)(rr)
     got = radial.radial_scalar(u.powc(4.0 / (n - 2)), None, n)(rr)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_closed_form_curvatures_evaluate_each_leaf_once():
+    """Each closed form evaluates its highest-order operand first, so the
+    shared memo computes a leaf's jet once per call rather than once per
+    order asked."""
+    orders = []
+    u = metrics.schwarzschild_factor(1.0, 3)
+    leaf = radial.RProfile(lambda at, k: orders.append(k) or at(u, k))
+    g = metrics.conformally_flat(leaf, 3)
+    gbar = ricci_perturbed_metric(g, radial.window(1.5, 2.0, 3.0, 3.5),
+                                  (1.5, 3.5), 0.08)
+    rr = np.linspace(1.6, 3.4, 7)
+    for p in (radial.flat_laplacian(leaf, 3), radial.conformal_scalar(leaf, 3),
+              radial.radial_scalar(g.radial_form.a, g.radial_form.b, 3),
+              perturbed_scalar_spline(gbar, (1.5, 3.5), g.r_min)):
+        orders.clear()
+        p(rr)
+        assert len(orders) == 1, orders
 
 
 def _christoffel_ricci(g, coords):
