@@ -181,7 +181,6 @@ def _cmd_solve(block, metric, run):
         c_S = sobolev_estimate(dom, metric).c_S
     small = elliptic.check_smallness(problem, float(c_S))
     run.audit("potential-smallness", "<=", small.lhs, small.threshold)
-    problem.require_smallness()
     solution = elliptic.solve_conformal_factor(problem)
     run.emit_json_lines("solve_iterations.jsonl", solution.diagnostics)
     payload = solution.to_json_dict()

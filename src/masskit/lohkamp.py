@@ -12,6 +12,7 @@ constancy, the face periodicity, and the curvature sign of that chart.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,40 +250,23 @@ class TorusGlueSpec:
 
 
 def _collar_points(n, half, collar):
-    """Deterministic sample set inside the boundary collar of the cube."""
-    pts = []
-    base = []
-    # face centers, edge midpoints, corners: all max-norm = half
+    """Deterministic sample set inside the boundary collar of the cube (n >= 3).
+
+    Face centers, edge midpoints and corners (the vectors of {-1, 0, 1}^n
+    with 1, 2 or n nonzero entries, times half), generic on-face points,
+    and all of them again scaled to the collar's inner edge.
+    """
+    base = [half * np.array(s) for s in itertools.product((-1.0, 0.0, 1.0),
+                                                          repeat=n)
+            if np.count_nonzero(s) in (1, 2, n)]
     for k in range(n):
         for sgn in (-1.0, 1.0):
-            x = np.zeros(n)
-            x[k] = sgn * half
-            base.append(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (-1.0, 1.0):
-                for sj in (-1.0, 1.0):
-                    x = np.zeros(n)
-                    x[i] = si * half
-                    x[j] = sj * half
-                    base.append(x)
-    for bits in range(2 ** n):
-        x = np.array([half if (bits >> k) & 1 else -half
-                      for k in range(n)])
-        base.append(x)
-    # generic on-face points
-    offs = (-0.45, -0.15, 0.3)
-    for k in range(n):
-        for sgn in (-1.0, 1.0):
-            for a in offs:
+            for a in (-0.45, -0.15, 0.3):
                 x = np.full(n, a * 2.0 * half / 3.0)
                 x[k] = sgn * half
                 base.append(x)
-    pts.extend(base)
-    # inner edge of the collar
-    scale = (half - collar) / half
-    pts.extend([scale * x for x in base])
-    return np.array(pts)
+    base = np.array(base)
+    return np.concatenate([base, (half - collar) / half * base])
 
 
 def _face_pairs(n, half):

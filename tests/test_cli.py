@@ -427,3 +427,14 @@ def test_mass_far_from_expected_exits_as_audit_failure(tmp_path):
     failed = [rec for rec in manifest["outcomes"] if rec["status"] == "FAIL"]
     assert [rec["audit"] for rec in failed] == ["mass-matches-expected"]
     assert failed[0]["margin"] < 0.0
+
+
+def test_solve_size_bound_failure_exits_from_the_solver_gate(tmp_path):
+    scene = json.loads(json.dumps(SOLVE_SCENE))
+    scene["solve"]["potential"][0]["amplitude"] = -0.04
+    scene["solve"]["c_S"] = 0.01
+    result, manifest = _invoke_scene(tmp_path, "solve", scene)
+    assert result.exit_code == 2, result.output
+    assert "negative-part size" in result.output
+    status = {rec["audit"]: rec["status"] for rec in manifest["outcomes"]}
+    assert status == {"potential-smallness": "FAIL"}

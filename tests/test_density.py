@@ -377,3 +377,19 @@ def test_defaults_pull_mass_and_constant():
     assert 5.4 < rep.c_S < 12.0
     assert rep.achieved and len(rep.rungs) == 1
     assert rep.final.delta_report.threshold == rep.c_S / 2.0
+
+
+def failing_gate(check):
+    """check_smallness with its verdict forced to a failure."""
+    def check_and_fail(problem, c_S):
+        report = check(problem, c_S)
+        report.passed = False
+        return report
+    return check_and_fail
+
+
+def test_rung_size_bound_failure_raises_from_the_solver_gate(monkeypatch):
+    monkeypatch.setattr(density, "check_smallness",
+                        failing_gate(density.check_smallness))
+    with pytest.raises(RegimeError, match="negative-part size"):
+        density.deform_rung(toy_split(), 8.0, C_SOB)

@@ -216,3 +216,25 @@ def test_fixed_point_recovers_conjugation_center(t):
     p = fixed_point_of_finite_group(
         [(np.eye(3), np.zeros(3)), (-np.eye(3), 2.0 * t)])
     assert np.array_equal(p, t)
+
+
+def _flip_zero(x):
+    return -x if x == 0.0 else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lex_ge_matches_tuple_comparison(data):
+    """Rows of B copy a prefix of A's row (with the sign of each zero
+    flipped), so ties, shared prefixes and +-0.0 all occur."""
+    cols = data.draw(st.integers(1, 6))
+    value = st.sampled_from([-1.5, -0.0, 0.0, 2.0]) \
+        | st.floats(min_value=-1e300, max_value=1e300)
+    row = st.lists(value, min_size=cols, max_size=cols)
+    drawn = data.draw(st.lists(st.tuples(row, row, st.integers(0, cols)),
+                               min_size=1, max_size=12))
+    A = np.array([a for a, _, _ in drawn])
+    B = np.array([[_flip_zero(x) for x in a[:k]] + b[k:]
+                  for a, b, k in drawn])
+    expected = [tuple(a) >= tuple(b) for a, b in zip(A.tolist(), B.tolist())]
+    assert groups._lex_ge(A, B).tolist() == expected

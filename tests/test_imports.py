@@ -109,3 +109,32 @@ def test_radial_mass_scene_imports_no_scipy(tmp_path):
         tmp_path) == "[]"
     report = json.loads((tmp_path / "out" / "mass_report.json").read_text())
     assert abs(report["extrapolated"] - 1.0) < 0.01
+
+
+def unused_imports(path):
+    """Names the file binds by an import statement, anywhere in it, and
+    never reads; `from __future__` imports are directives, not names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_imports_finds_an_unread_name(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from __future__ import annotations\nimport os.path\n"
+                    "from .errors import ConfigError, RegimeError as RE\n"
+                    "def f():\n    import json\n    raise ConfigError(json)\n")
+    assert unused_imports(path) == ["RE", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masskit import adm, metrics
+from masskit import adm, lohkamp, metrics
 from masskit.errors import ConfigError, RegimeError
 from masskit.lohkamp import (LohkampState, TorusGlueSpec, check_superharmonic,
                              lohkamp_cutoff, lohkamp_metric, lohkamp_zeta,
@@ -210,3 +210,47 @@ def test_state_round_trip_fields():
     rebuilt = compose(state.zeta, state.u)
     rr = np.linspace(4.0, 128.0, 513)
     assert np.array_equal(rebuilt.value(rr), state.v.value(rr))
+
+
+def reference_collar_points(n, half, collar):
+    """The collar sample set written out loop by loop: face centers, edge
+    midpoints, corners and generic on-face points, then all of them scaled
+    to the collar's inner edge."""
+    base = []
+    for k in range(n):
+        for sgn in (-1.0, 1.0):
+            x = np.zeros(n)
+            x[k] = sgn * half
+            base.append(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for si in (-1.0, 1.0):
+                for sj in (-1.0, 1.0):
+                    x = np.zeros(n)
+                    x[i] = si * half
+                    x[j] = sj * half
+                    base.append(x)
+    for bits in range(2 ** n):
+        base.append(np.array([half if (bits >> k) & 1 else -half
+                              for k in range(n)]))
+    for k in range(n):
+        for sgn in (-1.0, 1.0):
+            for a in (-0.45, -0.15, 0.3):
+                x = np.full(n, a * 2.0 * half / 3.0)
+                x[k] = sgn * half
+                base.append(x)
+    scale = (half - collar) / half
+    return np.array(base + [scale * x for x in base])
+
+
+def sorted_rows(P):
+    return P[np.lexsort(P.T[::-1])]
+
+
+@pytest.mark.parametrize("n, count",
+                         [(3, 88), (4, 144), (5, 224), (6, 344), (7, 536)])
+def test_collar_points_match_the_loops(n, count):
+    P = lohkamp._collar_points(n, 256.0, 32.0)
+    ref = reference_collar_points(n, 256.0, 32.0)
+    assert len(P) == len(ref) == count
+    assert np.array_equal(sorted_rows(P), sorted_rows(ref))

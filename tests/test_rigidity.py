@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from masskit import metrics, oracles, radial
+from masskit import metrics, oracles, radial, rigidity
 from masskit.adm import adm_mass
 from masskit.density import conformal_constant
 from masskit.errors import ConfigError, RegimeError
@@ -16,6 +16,7 @@ from masskit.grids import radial_kappa_w
 from masskit.rigidity import (RigidityProbeSpec, _ricci_magnitude,
                               ricci_perturbed_metric, perturbed_scalar_spline,
                               rigidity_probe_ricci, rigidity_probe_scalar)
+from test_density import failing_gate
 
 
 def bump_metric():
@@ -376,3 +377,15 @@ def test_ricci_spec_validation():
     with pytest.raises(ConfigError, match="\\[0, 1\\]"):
         ricci_spec(eta=radial.window(1.5, 2.0, 3.0, 3.5) * 2.0).validate(g)
     assert 0.5 <= ricci_spec().validate(g) < 0.51
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: rigidity_probe_scalar(bump_metric(), bump_eta(), (1.2, 3.8)),
+    lambda: rigidity_probe_ricci(metrics.schwarzschild(1.0, 3), ricci_spec())],
+    ids=["scalar", "ricci"])
+def test_probe_size_bound_failure_raises_from_the_solver_gate(monkeypatch,
+                                                              probe):
+    monkeypatch.setattr(rigidity, "check_smallness",
+                        failing_gate(rigidity.check_smallness))
+    with pytest.raises(RegimeError, match="negative-part size"):
+        probe()
