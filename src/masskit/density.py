@@ -33,6 +33,9 @@ DEFAULT_S_LADDER = (8.0, 16.0, 32.0)
 _DELTA_BISECTIONS = 60
 # the input's closed-form scalar curvature must stay at or above this
 _INPUT_R_FLOOR = -1e-10
+# mass-measurement fractions of the outermost truncation radius, kept inside
+# the solved annulus so a blended metric's spline never extrapolates
+MASS_FRACTIONS = np.array([0.12109375, 0.2421875, 0.484375, 0.96875])
 
 
 def conformal_constant(n):
@@ -237,11 +240,14 @@ class RungResult:
                 "min_R": self.min_R_bar, "end_norm": self.end_norm}
 
 
-def _solution_profile(solution):
-    """The solved factor u_s = 1 + v as a spline-backed radial profile."""
+def tau_blend(metric, solution, tau, family):
+    """((u + tau)/(1 + tau))^{4/(n-2)} metric, with the solved factor
+    u = 1 + v as a spline-backed radial profile."""
     mask = ~solution.mesh.is_cyl
-    return radial.from_spline(CubicSpline(solution.mesh.r[mask],
-                                          solution.u[mask]))
+    u = radial.from_spline(CubicSpline(solution.mesh.r[mask],
+                                       solution.u[mask]))
+    return metrics.conformal_product(metric, (u + tau) * (1.0 / (1.0 + tau)),
+                                     family=family)
 
 
 def pick_tau(n, u, numerator, R):
@@ -289,10 +295,7 @@ def deform_rung(split, s, c_S, annulus_nodes=1100):
     uv = solution.u_at(r)
     tau, min_R_bar = pick_tau(n, uv, ((1.0 - ev) * Rv + delta * ev) * uv, Rv)
 
-    u_prof = _solution_profile(solution)
-    u_tau = (u_prof + tau) * (1.0 / (1.0 + tau))
-    metric_bar = metrics.conformal_product(interp.metric, u_tau,
-                                           family="deformed")
+    metric_bar = tau_blend(interp.metric, solution, tau, "deformed")
     m_bar = split.m + 2.0 * A_s / (1.0 + tau)
     min_u_tau = (solution.min_u + tau) / (1.0 + tau)
 
@@ -391,12 +394,11 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
 def verify_mass_shift(report, rtol=0.01):
     """Independent mass check: adm_mass(g_bar) - m equals the reported shift.
 
-    The radii ladder scales with the final interpolation scale but stays
-    inside the solved domain, where the factor profile is tabulated.
+    The radii are MASS_FRACTIONS of the final rung's outer radius, inside
+    the solved domain, where the factor profile is tabulated.
     """
     rung = report.final
-    s = rung.s
-    radii = np.array([3.875, 7.75, 15.5, 31.0]) * s
+    radii = rung.solution.mesh.r_max * MASS_FRACTIONS
     m_bar_meas = adm_mass(rung.metric_bar, radii=radii).extrapolated
     expected = report.m_input + rung.mass_shift
     err = abs(m_bar_meas - expected)

@@ -1,177 +1,111 @@
-"""High-order ODE references for radial conformal-factor problems.
+"""High-order references for radial conformal-factor problems.
 
 For radial metrics the equation Delta_g u - f u = 0 reduces per steradian to
 (kappa u')' = f u w with kappa = a^{(n-1)/2}(a+b)^{-1/2} r^{n-1} and
-w = a^{(n-1)/2}(a+b)^{1/2} r^{n-1}.  An adaptive eighth-order integrator
-turns that into reference values far below the mesh solver's truncation
-error, giving an independent check of the elliptic engine.
+w = a^{(n-1)/2}(a+b)^{1/2} r^{n-1}: u' = p / kappa, p' = f w u.  Both
+references solve it far below the mesh solver's truncation error, giving
+independent checks of the elliptic engine.
 
-The radial interval is cut into `_PANELS` equal panels (multiple shooting).
-Every panel's 2x2 fundamental matrix and its particular solution are
-integrated together as one DOP853 system in the panel variable s in [0, 1];
-chaining the panel propagators gives the state at the outer radius.  The
-system is linear and its coefficients depend on s alone, so before each
-step attempt, accepted or rejected, the stepper evaluates them at every
-abscissa the attempt will use, for every panel, in one `radial_kappa_w`
-call and one `f` call; the right-hand side then looks them up by the exact
-value of s.  An s outside the table (the initial-step probes) is evaluated
-on its own, with the same arithmetic, so results do not depend on the
-table.
+`shoot_conformal_factor` uses piecewise Chebyshev collocation (Trefethen,
+Spectral Methods in MATLAB, 2000, ch. 6-7) with chebfun's splitting
+(Pachon, Platte and Trefethen, IMA J. Numer. Anal. 30, 2010).  [r_min, r_f]
+starts as `_PANELS` equal panels of `_NODES` points.  A panel is halved while
+the last three Chebyshev coefficients of 1/kappa or f w exceed `_COEF_TOL`
+times that function's largest sample so far; a running maximum, so a narrow
+bump the first level misses cannot leave the scale below its roundoff.  No
+split goes below `_MIN_WIDTH`; more than `_MAX_PANELS` panels is an error.
+Each level samples its panels in one `radial_kappa_w` and one `f` call.  One
+batched `np.linalg.solve` gives every panel's 2x2 propagator; chaining them
+gives the state at r_f.  Known limit: the width floor resolves a true jump
+in f only to about 3e-8 relative in A (a narrower floor makes the
+collocation ill-conditioned), so the oracle is meant for continuous f.
+
+`shoot_truncated` is one DOP853 integration through scipy's `solve_ivp`, an
+integrator independent of the panels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, quad, solve_ivp
-from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
-                                    rk_step)
+from scipy.integrate import quad, solve_ivp
 
 from .errors import ConfigError, SolverError
 from .grids import radial_kappa_w
 
-_RTOL = 1e-12
-_ATOL = 1e-14
-_PANELS = 32
+_PANELS = 32            # initial equal panels on [r_min, r_f]
+_NODES = 17             # Chebyshev points per panel
+_COEF_TOL = 1e-11       # tail coefficients against the running sample scale
+_MIN_WIDTH = 1e-7       # no split makes a panel narrower
+_MAX_PANELS = 4096      # about 38 MB of collocation matrices
 
 
-class _PrefetchDOP853(DOP853):
-    """DOP853 that calls `prefetch(s)` before every step attempt, with s
-    every abscissa the attempt evaluates the right-hand side at: the stages
-    t + c_i h, the end t + h and, with `dense`, the dense-output stages.
+def _chebyshev(N):
+    """Points x_j = cos(j pi / N) from 1 down to -1, in sine form so they are
+    exactly symmetric; their differentiation matrix (Trefethen, ch. 6); and
+    the rows taking values at them to the last three Chebyshev coefficients."""
+    x = np.sin(np.pi * np.arange(N, -N - 1, -2) / (2 * N))
+    c = np.r_[2.0, np.ones(N - 1), 2.0] * (-1.0) ** np.arange(N + 1)
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    return x, D, np.linalg.inv(np.polynomial.chebyshev.chebvander(x, N))[-3:]
 
-    `_step_impl` is scipy 1.17's `RungeKutta._step_impl`, blank lines
-    dropped, with that one call added; tests compare it bit for bit with
-    plain DOP853.
+
+_X, _D, _TAIL = _chebyshev(_NODES - 1)
+
+
+def _panel_maps(metric, f, r0, r1):
+    """Maps of (u, p) across the adaptive panels of [r0, r1], in order,
+    shape (panels, 2, 2), and the number of radii sampled.
+
+    Each comes from collocation of u' = p / kappa, p' = f w u at the panel's
+    points, with the rows at its left end, x = -1, replaced by the initial
+    state; the two unit states give its columns.
     """
-
-    def __init__(self, fun, t0, y0, t_bound, prefetch, dense, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self._prefetch = prefetch
-        nodes = [self.C[1:], [1.0]] + ([self.C_EXTRA] if dense else [])
-        self._nodes = np.unique(np.concatenate(nodes))
-
-    def _step_impl(self):
-        t = self.t
-        y = self.y
-        max_step = self.max_step
-        rtol = self.rtol
-        atol = self.atol
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        if self.h_abs > max_step:
-            h_abs = max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-            self._prefetch(t + self._nodes * h)
-            y_new, f_new = rk_step(self.fun, t, y, self.f, h, self.A,
-                                   self.B, self.C, self.K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = self._estimate_error_norm(self.K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** self.error_exponent)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(MIN_FACTOR,
-                             SAFETY * error_norm ** self.error_exponent)
-                step_rejected = True
-        self.h_previous = h
-        self.y_old = y
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = f_new
-        return True, None
-
-
-def _shoot_panels(metric, f, r0, r1, dense_output=False):
-    """Integrate every panel of [r0, r1] as one DOP853 system.
-
-    Panel k runs over [a_k, b_k] with r = (1 - s) a_k + s b_k.  Its state
-    rows are the fundamental matrix columns (u, kappa u') from (1, 0) and
-    from (0, 1), then the particular solution from (0, 0) with source
-    (0, f w).  Returns the edges, the propagators P (panels, 2, 2), the
-    particular end states z (panels, 2) and the solve_ivp result.
-    """
-    if metric.radial_form is None:
-        raise ConfigError("shooting oracle needs a radial metric")
     edges = np.linspace(r0, r1, _PANELS + 1)
     a, b = edges[:-1], edges[1:]
-    h = b - a
-
-    def coefficients(s):
-        """Rows (h / kappa, h f w) at each s, shape (len(s), 2, panels)."""
-        s = np.asarray(s, dtype=float)[:, None]
+    s = 0.5 * (1.0 + _X)
+    done, scale, nfev = [], np.zeros(2), 0
+    while a.size:
         # exact at both ends, unlike a + s h, so the last panel stops at r1
-        r = ((1.0 - s) * a + s * b).ravel()
+        r = ((1.0 - s) * a[:, None] + s * b[:, None]).ravel()
         kap, w = radial_kappa_w(metric, r)
-        hs = np.tile(h, len(s))
-        c = np.stack([hs / kap, hs * np.asarray(f(r), dtype=float) * w])
-        return c.reshape(2, len(s), _PANELS).transpose(1, 0, 2)
-
-    table = {}
-
-    def prefetch(s):
-        table.clear()
-        table.update(zip(s.tolist(), coefficients(s)))
-
-    def rhs(s, y):
-        h_kap, hfw = table[s] if s in table else coefficients([s])[0]
-        Y = y.reshape(3, 2, -1)
-        dY = np.empty_like(Y)
-        dY[:, 0] = Y[:, 1] * h_kap
-        dY[:, 1] = Y[:, 0] * hfw
-        dY[2, 1] += hfw
-        return dY.ravel()
-
-    y0 = np.zeros((3, 2, _PANELS))
-    y0[0, 0] = y0[1, 1] = 1.0
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method=_PrefetchDOP853,
-                    rtol=_RTOL, atol=_ATOL, dense_output=dense_output,
-                    prefetch=prefetch, dense=dense_output)
-    if not sol.success:
-        raise SolverError("outward integration failed: %s" % sol.message)
-    end = sol.y[:, -1].reshape(3, 2, _PANELS)
-    return edges, end[:2].transpose(2, 1, 0), end[2].T, sol
-
-
-def _chain(P, z, y0):
-    """States (u, kappa u') at every panel edge, y_{k+1} = P_k y_k + z_k."""
-    ys = [np.asarray(y0, dtype=float)]
-    for k in range(len(P)):
-        ys.append(P[k] @ ys[-1] + z[k])
-    return np.array(ys)
+        vals = np.stack([1.0 / kap, np.asarray(f(r), dtype=float) * w])
+        vals = vals.reshape(2, a.size, _NODES).transpose(1, 0, 2)
+        nfev += r.size
+        scale = np.maximum(scale, np.abs(vals).max(axis=(0, 2)))
+        coef = np.abs(vals @ _TAIL.T).max(axis=2)
+        split = ((coef > _COEF_TOL * scale).any(axis=1)
+                 & (b - a >= 2.0 * _MIN_WIDTH))
+        done.append((a[~split], b[~split], vals[~split]))
+        mid = 0.5 * (a[split] + b[split])
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        if sum(d[0].size for d in done) + a.size > _MAX_PANELS:
+            raise SolverError("oracle needs more than %d panels to resolve "
+                              "the coefficients" % _MAX_PANELS)
+    order = np.argsort(np.concatenate([d[0] for d in done]))
+    a, b, vals = (np.concatenate(p)[order] for p in zip(*done))
+    m, eye = _NODES, np.eye(2 * _NODES)
+    h = (0.5 * (b - a))[:, None, None]
+    M = np.empty((a.size, 2 * m, 2 * m))
+    M[:, :m, :m] = M[:, m:, m:] = _D
+    M[:, :m, m:] = -h * vals[:, 0, :, None] * eye[:m, :m]
+    M[:, m:, :m] = -h * vals[:, 1, :, None] * eye[:m, :m]
+    rows = [m - 1, 2 * m - 1]
+    M[:, rows] = eye[rows]
+    X = np.linalg.solve(M, np.broadcast_to(eye[:, rows], (a.size, 2 * m, 2)))
+    return X[:, [0, m]], nfev
 
 
 @dataclass
 class ShootingResult:
-    """Normalized expansion data from outward integration.
+    """Normalized expansion data from the outward solve.
 
     The raw solution starts from (u, kappa u') = (1, 0) at the inner cut;
     dividing by the limit c_inf enforces u -> 1 at infinity, and the
     conserved outer flux Phi gives the expansion coefficient exactly:
-    A = -Phi / ((n - 2) c_inf).  nfev counts the right-hand-side evaluations
-    of the outward integration, each at every panel radius; their
-    coefficients come from one batched call per step attempt.
+    A = -Phi / ((n - 2) c_inf).  nfev counts the radii, over all splitting
+    levels, where the panels sampled 1/kappa and f w (not the tail's).
     """
     n: int
     r_inner: float
@@ -190,8 +124,11 @@ def shoot_conformal_factor(metric, f, support_radius):
     rf = float(support_radius)
     if rf <= r0:
         raise ConfigError("support radius %.3g inside inner cut %.3g" % (rf, r0))
-    _, P, z, sol = _shoot_panels(metric, f, r0, rf)
-    u_f, phi = _chain(P, 0.0 * z, [1.0, 0.0])[-1]
+    maps, nfev = _panel_maps(metric, f, r0, rf)
+    y = np.array([1.0, 0.0])
+    for P in maps:
+        y = P @ y
+    u_f, phi = y
     tail, err = quad(lambda s: 1.0 / radial_kappa_w(metric, [s])[0][0], rf,
                      np.inf, limit=200, epsabs=1e-10, epsrel=1e-10)
     if err > 1e-9 * max(1.0, abs(tail)):
@@ -201,36 +138,38 @@ def shoot_conformal_factor(metric, f, support_radius):
         raise SolverError("normalization limit %.3g not positive" % c_inf)
     A = -phi / ((n - 2) * c_inf)
     return ShootingResult(n=n, r_inner=r0, r_support=rf, c_inf=c_inf,
-                          phi=phi, A=A, nfev=sol.nfev)
+                          phi=phi, A=A, nfev=nfev)
 
 
 def shoot_truncated(metric, f, support_radius, R):
     """Reference v on [r_min, R] with v(R) = 0 and zero inner slope.
 
-    Solves the linear problem by superposing a particular outward solution
-    with the homogeneous one; both inherit the Neumann inner condition, so
-    one scalar match at R pins the combination.  Both come from the same
-    panel integration: chaining the panel propagators gives each one's state
-    at every panel start, and the dense output carries v inside a panel.
+    Superposes a particular outward solution, from (v, kappa v') = (0, 0)
+    with source f w, and the homogeneous one from (1, 0); both inherit the
+    Neumann inner condition, so one scalar match at R pins the combination.
+    Both come from one DOP853 integration in r, whose dense output carries
+    v between steps.
     """
-    r0 = float(metric.r_min)
-    R = float(R)
+    r0, R = float(metric.r_min), float(R)
     if R <= max(r0, float(support_radius)):
         raise ConfigError("truncation radius %.3g too small" % R)
-    edges, P, z, sol = _shoot_panels(metric, f, r0, R, dense_output=True)
-    y_p = _chain(P, z, [0.0, 0.0])
-    y_h = _chain(P, 0.0 * z, [1.0, 0.0])
-    if abs(y_h[-1, 0]) < 1e-14:
+
+    def rhs(r, y):
+        kap, w = radial_kappa_w(metric, [r])
+        fw = np.asarray(f(np.array([r])), dtype=float)[0] * w[0]
+        return [y[1] / kap[0], fw * (y[0] + 1.0), y[3] / kap[0], fw * y[2]]
+
+    sol = solve_ivp(rhs, (r0, R), [0.0, 0.0, 1.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    if not sol.success:
+        raise SolverError("outward integration failed: %s" % sol.message)
+    v_p, v_h = sol.y[0, -1], sol.y[2, -1]
+    if abs(v_h) < 1e-14:
         raise SolverError("homogeneous solution vanishes at R; cannot match")
-    c = -y_p[-1, 0] / y_h[-1, 0]
-    start = (y_p + c * y_h)[:-1]
+    c = -v_p / v_h
 
     def v(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        k = np.clip(np.searchsorted(edges, r, side="right") - 1,
-                    0, len(P) - 1)
-        s = (r - edges[k]) / (edges[k + 1] - edges[k])
-        y = sol.sol(s).reshape(3, 2, len(P), -1)[:, 0, k, np.arange(r.size)]
-        return y[0] * start[k, 0] + y[1] * start[k, 1] + y[2]
+        y = sol.sol(np.atleast_1d(np.asarray(r, dtype=float)))
+        return y[0] + c * y[2]
 
     return v

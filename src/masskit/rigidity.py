@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics, radial
 from .adm import adm_mass
-from .density import _solution_profile, conformal_constant, pick_tau
+from .density import MASS_FRACTIONS, conformal_constant, pick_tau, tau_blend
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
     radial_lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError
@@ -30,10 +30,6 @@ FLATNESS_TOL = 1e-9
 # Sobolev constant both probes size their potentials against
 PROBE_C_S = 3.0
 
-# mass-measurement fractions of the outermost truncation radius, kept inside
-# the solved annulus so the bar metric's spline never extrapolates
-_MASS_FRACTIONS = np.array([0.12109375, 0.2421875, 0.484375, 0.96875])
-
 
 def _default_domain(metric, support):
     base = 16.0 * max(1.0, np.ceil(float(support) / 4.0))
@@ -43,7 +39,7 @@ def _default_domain(metric, support):
 
 
 def _mass_radii(domain):
-    return domain.truncation_radii[-1] * _MASS_FRACTIONS
+    return domain.truncation_radii[-1] * MASS_FRACTIONS
 
 
 @dataclass
@@ -107,9 +103,8 @@ def rigidity_probe_scalar(metric, eta, bump):
     if fR.max() > 1e-12 and A >= 0.0:
         raise RegimeError("positive bump produced A = %.3g >= 0 where a "
                           "strictly negative coefficient is forced" % A)
-    factor = (_solution_profile(solution) + 1.0) * 0.5
-    metric_bar = metrics.conformal_product(metric, factor,
-                                           family="scalar-probe")
+    # tau = 1: the blend (u + 1) * 0.5, since 1 / (1 + 1) is exactly 0.5
+    metric_bar = tau_blend(metric, solution, 1.0, "scalar-probe")
     radii = _mass_radii(dom)
     m_input = adm_mass(metric, radii=radii).extrapolated
     m_bar = adm_mass(metric_bar, radii=radii).extrapolated
@@ -314,8 +309,7 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
     tau, min_R_tilde = pick_tau(
         n, uv, delta_min * spec.eta_tilde.value(r_tau) * uv, R_fun(r_tau))
 
-    u_tau = (_solution_profile(solution) + tau) * (1.0 / (1.0 + tau))
-    metric_tilde = metrics.conformal_product(gbar, u_tau, family="ricci-probe")
+    metric_tilde = tau_blend(gbar, solution, tau, "ricci-probe")
     m_tilde = m_input + 2.0 * A / (1.0 + tau)
     return RicciProbeReport(tau=tau, min_R_tilde=min_R_tilde, m_tilde=m_tilde,
                             failed=False, solution=solution,

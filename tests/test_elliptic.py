@@ -313,34 +313,23 @@ def test_truncated_oracle_closed_form_flat(k, rf, R):
     assert np.abs(vref(r) - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
-def test_shooting_evaluates_coefficients_once_per_attempt(monkeypatch):
-    rf = 6.5
-    expected = oracle_A(3)
-    calls = {"kappa_w": [], "f": []}
-    kappa_w = oracles.radial_kappa_w
-
-    def counted_kappa_w(metric, r):
-        if np.max(r) <= rf:
-            calls["kappa_w"].append(np.size(r))
-        return kappa_w(metric, r)
-
+def test_shooting_oracle_resolves_a_jump_in_the_potential():
+    """f = k^2 on [1, 2.3) and 0 beyond: v = r u is flat_profile up to the
+    jump and linear after it, so A = (v - 2.3 v') / v' there."""
     def f(r):
-        if np.max(r) <= rf:
-            calls["f"].append(np.size(r))
-        return bump().value(r)
+        return np.where(np.asarray(r) < 2.3, 0.64, 0.0)
 
-    monkeypatch.setattr(oracles, "radial_kappa_w", counted_kappa_w)
-    sh = oracles.shoot_conformal_factor(end_metric(), f, rf)
-    assert sh.A == expected
-    # two evaluations before the first step, then 12 per DOP853 attempt at
-    # 11 distinct abscissas (the last stage sits at the step's end)
-    attempts, rest = divmod(sh.nfev - 2, 12)
-    assert rest == 0
-    batch = 11 * oracles._PANELS
-    for sizes in calls.values():
-        assert len(sizes) <= attempts + 2
-        assert sizes.count(batch) == attempts
-        assert set(sizes) <= {batch, oracles._PANELS}
+    sh = oracles.shoot_conformal_factor(metrics.euclidean(3), f, 4.0)
+    v, dv = flat_profile(0.8, 2.3)
+    assert sh.A == pytest.approx((v - 2.3 * dv) / dv, rel=1e-6)
+
+
+def test_shooting_oracle_caps_its_panels():
+    def f(r):
+        return 0.01 * np.sin(1e9 * np.asarray(r))
+
+    with pytest.raises(SolverError, match="%d panels" % oracles._MAX_PANELS):
+        oracles.shoot_conformal_factor(metrics.euclidean(3), f, 4.0)
 
 
 @pytest.mark.parametrize("panels", [1, 64])

@@ -92,7 +92,7 @@ def test_diff_ops_stencil_on_linear_and_periodic_functions():
 
 
 def test_radial_kappa_w_reads_values_only():
-    # the shooting oracle calls radial_kappa_w before every step attempt, so
+    # the shooting oracle calls radial_kappa_w at every splitting level, so
     # it must not ask the radial form for derivatives nobody reads
     orders = []
 

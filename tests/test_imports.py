@@ -1,9 +1,7 @@
 """The import contract: which scipy modules masskit loads, and where.
 
-``oracles`` subclasses scipy's DOP853 stepper and so reads its step
-constants from ``scipy.integrate._ivp.rk`` (see its module docstring).
-Every other module uses scipy's public API only, because a private path can
-move between scipy releases without notice.
+Every module uses scipy's public API only, because a private path can move
+between scipy releases without notice.
 
 The mass-and-curvature tier is numpy only, and each CLI command imports the
 modules it runs, so fresh interpreters that import that tier, print the
@@ -20,8 +18,6 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "masskit"
-# the one module allowed a private scipy path: the DOP853 step-attempt fork
-FORK = "oracles.py"
 
 
 def private_scipy_imports(path):
@@ -44,11 +40,7 @@ def private_scipy_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_private_scipy_imports_only_in_the_documented_fork(path):
-    found = private_scipy_imports(path)
-    if path.name == FORK:
-        assert found, "%s no longer needs its exemption" % path.name
-    else:
-        assert found == []
+    assert private_scipy_imports(path) == []
 
 
 # a fresh interpreter runs the snippet, then prints the modules loaded from

@@ -196,21 +196,6 @@ def single_system_A(metric, f, rf):
     return -phi / ((metric.n - 2) * (u + phi * tail))
 
 
-# Measured relative errors of the oracle against this reference: Ricci
-# 1.8e-8 (9.3e-8 for one system in r at the oracle's tolerances), scalar
-# 1.3e-10 (2.2e-11 for that system); the bounds leave margins of 2.8x and
-# 3.9x.  On the Ricci problem the reference itself is 7e-9 from an
-# integration split at every kink of the cutoffs (r = 1.2, 1.5, 1.8, 2, 3,
-# 3.2, 3.5).
-@pytest.mark.parametrize("problem,bound", [(ricci_oracle_problem, 5e-8),
-                                           (scalar_oracle_problem, 5e-10)])
-def test_shooting_oracle_matches_single_system_reference(problem, bound):
-    metric, f, rf = problem()
-    ref = single_system_A(metric, f, rf)
-    A = oracles.shoot_conformal_factor(metric, f, rf).A
-    assert abs(A / ref - 1.0) <= bound
-
-
 def euclidean_gaussian_problem():
     return metrics.euclidean(3), radial.gaussian(0.15, 3.0, 0.7), 6.5
 
@@ -219,52 +204,53 @@ def schwarzschild_four_problem():
     return metrics.schwarzschild(0.8, 4), radial.gaussian(0.15, 3.0, 0.7), 6.5
 
 
-def plain_dop853(*args, method, prefetch, dense, **options):
-    """solve_ivp as the oracle calls it, with scipy's own DOP853: no
-    coefficient is prefetched, so every right-hand side evaluates its own."""
-    assert method is oracles._PrefetchDOP853
-    return solve_ivp(*args, method="DOP853", **options)
+# Measured relative errors of the oracle against this reference: Ricci
+# 8.5e-9, scalar 3.2e-14, the Gaussians 8.8e-15 (flat) and 1.6e-15
+# (Schwarzschild, n = 4).  On the Ricci problem the reference itself is 7e-9
+# from an integration split at every kink of the cutoffs (r = 1.2, 1.5, 1.8,
+# 2, 3, 3.2, 3.5).
+@pytest.mark.parametrize("problem,bound", [(ricci_oracle_problem, 5e-8),
+                                           (scalar_oracle_problem, 5e-10),
+                                           (euclidean_gaussian_problem, 1e-11),
+                                           (schwarzschild_four_problem, 1e-11)])
+def test_shooting_oracle_matches_single_system_reference(problem, bound):
+    metric, f, rf = problem()
+    ref = single_system_A(metric, f, rf)
+    A = oracles.shoot_conformal_factor(metric, f, rf).A
+    assert abs(A / ref - 1.0) <= bound
 
 
 @pytest.mark.parametrize("problem", [euclidean_gaussian_problem,
-                                     schwarzschild_four_problem,
                                      ricci_oracle_problem])
-def test_prefetching_stepper_matches_plain_dop853(monkeypatch, problem):
+def test_shooting_samples_each_splitting_level_in_one_call(monkeypatch,
+                                                           problem):
+    # inside [r_min, r_f] the oracle alternates one radial_kappa_w call and
+    # one f call at the same radii, one pair per level; the tail quadrature
+    # samples beyond r_f
     metric, f, rf = problem()
-    R = 64.0
-    r = np.linspace(metric.r_min, R, 641)
-
-    def shoot():
-        sh = oracles.shoot_conformal_factor(metric, f, rf)
-        v = oracles.shoot_truncated(metric, f, rf, R)(r)
-        return (sh.A, sh.c_inf, sh.phi, sh.nfev), v
-
-    fast, v_fast = shoot()
-    monkeypatch.setattr(oracles, "solve_ivp", plain_dop853)
-    plain, v_plain = shoot()
-    assert fast == plain
-    assert np.array_equal(v_fast, v_plain)
-
-
-def test_ricci_oracle_retries_read_prefetched_coefficients(monkeypatch):
-    # the cutoffs' C^2 breakpoints reject steps; each retry prefetches its
-    # own abscissas, so only the two initial-step evaluations miss
-    metric, f, rf = ricci_oracle_problem()
-    sizes = []
+    expected = oracles.shoot_conformal_factor(metric, f, rf).A
+    calls = []
     kappa_w = oracles.radial_kappa_w
 
     def counted_kappa_w(metric, r):
-        sizes.append(np.size(r))
+        if np.max(r) <= rf:
+            calls.append(("kappa_w", np.size(r)))
         return kappa_w(metric, r)
 
+    def counted_f(r):
+        calls.append(("f", np.size(r)))
+        return f(r)
+
     monkeypatch.setattr(oracles, "radial_kappa_w", counted_kappa_w)
-    for dense in (False, True):
-        sizes.clear()
-        sol = oracles._shoot_panels(metric, f, metric.r_min, rf, dense)[3]
-        misses = sizes.count(oracles._PANELS)
-        attempts = len(sizes) - misses
-        assert misses <= 2
-        assert attempts > len(sol.t) - 1
+    sh = oracles.shoot_conformal_factor(metric, counted_f, rf)
+    assert sh.A == expected
+    assert [c[0] for c in calls] == ["kappa_w", "f"] * (len(calls) // 2)
+    sizes = [c[1] for c in calls[::2]]
+    assert sizes == [c[1] for c in calls[1::2]]
+    assert sum(sizes) == sh.nfev
+    # the first level samples every initial panel, later ones split pairs
+    assert sizes[0] == oracles._PANELS * oracles._NODES
+    assert all(k % (2 * oracles._NODES) == 0 for k in sizes[1:])
 
 
 def test_ricci_probe_report_serializes():
