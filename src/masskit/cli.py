@@ -340,7 +340,7 @@ def _cmd_ale(block, metric, run):
     run.audit("chart-invariance", "<=", audit["invariance_gap"], MATCH_TOL)
     if audit["mass_ratio"] is None:
         run.audit("masses-both-vanish", "<=",
-                  max(abs(audit["cover_mass"]), abs(audit["quotient_mass"])),
+                  max(abs(audit["ale_mass"]), abs(audit["quotient_mass"])),
                   VANISHING_MASS)
     else:
         run.audit("mass-ratio-matches-order", "<=",
@@ -363,13 +363,14 @@ def _cmd_ale(block, metric, run):
     run.emit_json("ale_report.json", payload)
 
 
-def _scalar_refinement(metric, op, seed, run):
+def _scalar_refinement(metric, op, k, run):
     h_values = [float(h) for h in op["h_values"]]
     if any(b >= a for a, b in zip(h_values, h_values[1:])):
-        raise ConfigError("converge h_values must be strictly decreasing")
+        raise ConfigError("converge.operations[%d].h_values must be strictly "
+                          "decreasing" % k)
     radii = [float(r) for r in op.get("radii", (8.0, 16.0, 32.0))]
     count = int(op.get("directions", 12))
-    U = sample_directions(metric.n, count, rng=seed)
+    U = sample_directions(metric.n, count, rng=run.seed)
     X = np.concatenate([rho * U for rho in radii], axis=0)
     errs = run.map_ladder(
         lambda h: float(np.abs(scalar_curvature_bartnik(metric, X,
@@ -391,8 +392,7 @@ def _cmd_converge(block, metric, run):
             if "h_values" not in op:
                 raise ConfigError("converge.operations[%d] of kind "
                                   "scalar_flatness needs h_values" % k)
-            h_values, errs, orders = _scalar_refinement(metric, op, run.seed,
-                                                        run)
+            h_values, errs, orders = _scalar_refinement(metric, op, k, run)
             name = "converge_op%d_scalar.csv" % k
             rows = [(h_values[0], errs[0], None)]
             rows += [(h_values[i + 1], errs[i + 1], orders[i])

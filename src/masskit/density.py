@@ -1,9 +1,9 @@
 """Deformation of an asymptotically flat end to Schwarzschild-conformal form.
 
-The pipeline splits off the leading conformal profile carrying the mass,
-interpolates the remainder away across [2s, 3s] on a growing scale ladder,
-picks a relaxation constant delta_s, solves for a conformal correction u_s,
-and tunes tau so the deformed metric
+For a b-free radial input a(r) delta, the pipeline splits off the leading
+conformal profile carrying the mass, interpolates the remainder away across
+[2s, 3s] on a growing scale ladder, picks a relaxation constant delta_s,
+solves for a conformal correction u_s, and tunes tau so the deformed metric
 
     g_bar = ((u_s + tau)/(1 + tau))^{4/(n-2)} ghat_s
 
@@ -65,7 +65,6 @@ class SplitState:
 
     metric: metrics.MetricSpec
     m: float
-    factor: RProfile                      # 1 + m/(2 r^{n-2})
     base: metrics.MetricSpec              # the split-off conformal part
     rem_a: RProfile = None                # remainder profiles when radial
     rem_b: RProfile = None
@@ -89,7 +88,7 @@ def split_schwarzschild(metric, m):
     if metric.radial_form is not None:
         rem_a = metric.radial_form.a - base.radial_form.a
         rem_b = metric.radial_form.b
-    return SplitState(metric=metric, m=float(m), factor=u_m, base=base,
+    return SplitState(metric=metric, m=float(m), base=base,
                       rem_a=rem_a, rem_b=rem_b)
 
 
@@ -101,7 +100,7 @@ class InterpolatedEnd:
     s: float
     zeta: RProfile
     metric: metrics.MetricSpec
-    u_eff: RProfile = None
+    u_eff: RProfile                       # a_hat^{(n-2)/4}
 
     @property
     def n(self):
@@ -109,29 +108,26 @@ class InterpolatedEnd:
 
     def scalar_values(self, r):
         """R(ghat_s) on radii; closed form via the conformal factor."""
-        if self.u_eff is None:
-            raise ConfigError("scalar audit needs the conformal radial form")
         return radial.conformal_scalar(self.u_eff, self.n)(r)
 
 
 def build_interpolated_metric(split, s):
+    """ghat_s = a_hat(r) delta for s > 1, a_hat blending the input's a into
+    the split-off part across [2s, 3s].  The input must be b-free radial,
+    a(r) delta; it needs no conformal_u: u_eff = a_hat^{(n-2)/4} gives
+    R(ghat_s) in closed form."""
     if s <= 1.0:
         raise ConfigError("interpolation scale s = %.3g must exceed 1" % s)
+    if not split.is_radial or split.rem_b is not None:
+        raise ConfigError("interpolation needs a radial input a(r) delta "
+                          "with no xhat xhat term")
     s = float(s)
     n = split.n
     zeta = radial.transition(2.0 * s, 3.0 * s)
-    if not split.is_radial:
-        raise ConfigError("interpolation needs a radial input on this tier")
     a_hat = _blend_profiles(split.metric.radial_form.a,
                             split.base.radial_form.a, zeta)
-    b_in = split.metric.radial_form.b
-    b_hat = None
-    if b_in is not None:
-        b_hat = _blend_profiles(b_in, radial.const(0.0), zeta)
-    u_eff = None
-    if b_hat is None:
-        u_eff = a_hat.powc((n - 2) / 4.0)
-    spec = metrics.radial_metric(a_hat, b_hat, n, family="interpolated",
+    u_eff = a_hat.powc((n - 2) / 4.0)
+    spec = metrics.radial_metric(a_hat, None, n, family="interpolated",
                                  conformal_u=u_eff,
                                  r_min=split.metric.r_min)
     return InterpolatedEnd(split=split, s=s, zeta=zeta, metric=spec,
@@ -155,13 +151,6 @@ class DeltaReport:
     @property
     def ceiling_margin(self):
         return self.ceiling - self.delta * (1.0 + self.volume)
-
-    def to_json_dict(self):
-        return {"delta": self.delta, "delta0": self.delta0, "lhs": self.lhs,
-                "threshold": self.threshold, "ceiling": self.ceiling,
-                "volume": self.volume, "bisections": self.bisections,
-                "smallness_margin": self.smallness_margin,
-                "ceiling_margin": self.ceiling_margin}
 
 
 def _feasible_end(ok, lo, hi, halvings):
@@ -327,10 +316,6 @@ class DeformReport:
     def m_bar(self):
         return self.final.m_bar
 
-    @property
-    def metric_bar(self):
-        return self.final.metric_bar
-
     def to_json_dict(self):
         return {
             "m_input": self.m_input, "c_S": self.c_S,
@@ -364,6 +349,8 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
     """
     if eps_target <= 0.0:
         raise ConfigError("target mass shift must be positive")
+    if any(b <= a for a, b in zip(s_ladder, s_ladder[1:])):
+        raise ConfigError("s_ladder must be strictly increasing")
     audit_nonnegative_scalar(metric, r_max=64.0 * float(max(s_ladder)))
     if m is None:
         m = adm_mass(metric).extrapolated

@@ -150,7 +150,6 @@ class TruncatedSolution:
     energy: float
     residual: float
     R: float
-    cyl_len: float
     fvals: np.ndarray              # f at the mesh's nodes, as solved
 
     def interp(self, r):
@@ -222,7 +221,7 @@ def solve_truncated(problem, R=None, cyl_len=None, bc_outer="dirichlet"):
     energy = float(sphere_area(dom.n)
                    * np.sum(mesh.kappa_face * dv * dv / mesh.dcoord))
     return TruncatedSolution(mesh=mesh, v=v, energy=energy, residual=rnorm,
-                             R=float(R), cyl_len=float(cyl_len), fvals=fvals)
+                             R=float(R), fvals=fvals)
 
 
 @dataclass
@@ -266,7 +265,7 @@ def _fit_coefficients(mesh, v, n, r_out):
     return float(coef[0]), float(coef[1]), bound
 
 
-def solve_conformal_factor(problem, exhaust_tol=None):
+def solve_conformal_factor(problem):
     """Exhaustion loop with a final Robin solve; full solution report."""
     problem.require_smallness()
     dom = problem.domain
@@ -288,9 +287,6 @@ def solve_conformal_factor(problem, exhaust_tol=None):
                                 "residual": sol.residual,
                                 "min_u": float(1.0 + sol.v.min()),
                                 "energy": sol.energy})
-    if exhaust_tol is not None and diffs and diffs[-1] > exhaust_tol:
-        raise SolverError("exhaustion not settled: last step moved %.3g > %.3g"
-                          % (diffs[-1], exhaust_tol))
 
     # robin acceleration at the largest truncation, longest cylinder
     rob = solve_truncated(problem, cyl_len=lengths[-1], bc_outer="robin")

@@ -108,8 +108,6 @@ class ShootingResult:
     levels, where the panels sampled 1/kappa and f w (not the tail's).
     """
     n: int
-    r_inner: float
-    r_support: float
     c_inf: float
     phi: float
     A: float
@@ -137,8 +135,7 @@ def shoot_conformal_factor(metric, f, support_radius):
     if c_inf <= 0.0:
         raise SolverError("normalization limit %.3g not positive" % c_inf)
     A = -phi / ((n - 2) * c_inf)
-    return ShootingResult(n=n, r_inner=r0, r_support=rf, c_inf=c_inf,
-                          phi=phi, A=A, nfev=nfev)
+    return ShootingResult(n=n, c_inf=c_inf, phi=phi, A=A, nfev=nfev)
 
 
 def shoot_truncated(metric, f, support_radius, R):

@@ -50,11 +50,6 @@ class SobolevReport:
         if self.c_S <= 0.0:
             raise ConfigError("Sobolev estimate must be positive")
 
-    def to_json_dict(self):
-        return {"c_S": self.c_S, "kind": self.kind,
-                "domain": self.domain_label, "iterations": self.iterations,
-                "converged": self.converged}
-
 
 def sobolev_quotient(mesh, zeta, n):
     """Q evaluated on one grid function (boundary values must vanish)."""
@@ -303,10 +298,6 @@ class EigenvalueReport:
     # 0 when the radial Rayleigh-Ritz start already met the tolerance
     iterations: int
     shift: float
-
-    def to_json_dict(self):
-        return {"value": self.value, "iterations": self.iterations,
-                "shift": self.shift}
 
 
 def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048):

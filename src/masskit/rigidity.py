@@ -57,11 +57,6 @@ class ScalarProbeReport:
     def mass_gap(self):
         return self.m_bar - self.m_input
 
-    def to_json_dict(self):
-        return {"A": self.A, "A_fit": self.A_fit, "m_input": self.m_input,
-                "m_bar": self.m_bar, "mass_gap": self.mass_gap,
-                "min_factor": self.min_factor}
-
 
 def _bump_interval(metric, bump):
     """(lo, hi) of the bump, which must sit beyond the chart cut."""
@@ -220,17 +215,6 @@ class RicciProbeReport:
     failed: bool
     solution: object = None
     metric_tilde: object = None
-
-    def to_json_dict(self):
-        return {"epsilon": self.epsilon,
-                "delta_ladder": list(self.delta_ladder),
-                "A_values": list(self.A_values), "A": self.A,
-                "tau": self.tau, "min_R_tilde": self.min_R_tilde,
-                "eigenvalue_margin": self.eigenvalue_margin,
-                "negative_part_norm": self.negative_part_norm,
-                "negative_part_threshold": self.negative_part_threshold,
-                "m_input": self.m_input, "m_tilde": self.m_tilde,
-                "failed": self.failed}
 
 
 def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):

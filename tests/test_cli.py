@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from masskit import adm, cli, lohkamp, metrics
+from masskit import adm, cli, density, lohkamp, metrics
 from masskit.errors import InternalFault
 
 
@@ -176,6 +176,20 @@ def test_deform_size_bound_failure_exits_as_regime_failure(tmp_path):
     assert "satisfies the size bound" in result.output
 
 
+def test_deform_ladder_that_is_not_increasing_exits_before_any_rung(
+        tmp_path, monkeypatch):
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr(density, "deform_rung", no_rung)
+    scene = json.loads(json.dumps(DEFORM_SCENE))
+    scene["deform"]["s_ladder"] = [32, 16, 8]
+    result, manifest = _invoke_scene(tmp_path, "deform", scene)
+    assert result.exit_code == 1, result.output
+    assert "s_ladder must be strictly increasing" in result.output
+    assert manifest["status"] == "config-error"
+
+
 # the compactify-harmonic scene of the benchmark's cli-scenes workload at
 # c = -0.25: the Lohkamp cap composed onto a harmonic factor with negative
 # mass, its curvature audits and the torus glue
@@ -300,6 +314,41 @@ def test_ale_runs_at_dimension_five(tmp_path):
     assert _scene_outputs(tmp_path, "ale", ALE_SCENE_5D, "b", 2) == first
 
 
+@pytest.mark.parametrize("mass", [1.5e-10, 5e-11])
+def test_ale_vanishing_masses_audit_the_quotient_share_of_the_cover(
+        tmp_path, mass):
+    # under -I the cover mass is twice the quotient's, so at m = 1.5e-10
+    # only max(|quotient|, |cover| / |G|) stays within VANISHING_MASS
+    scene = json.loads(json.dumps(ALE_SCENE))
+    scene["metric"]["mass"] = mass
+    result, manifest = _invoke_scene(tmp_path, "ale", scene)
+    assert result.exit_code == 0, result.output
+    status = {rec["audit"]: rec["status"] for rec in manifest["outcomes"]}
+    assert status["masses-both-vanish"] == "PASS"
+
+
+def test_ale_fixed_point_of_the_antipodal_pair(tmp_path):
+    scene = json.loads(json.dumps(ALE_SCENE))
+    scene["ale"]["fixed_point"] = {"elements": [
+        {"matrix": np.eye(3).tolist()},
+        {"matrix": (-np.eye(3)).tolist(), "offset": [2.0, -4.0, 6.0]}]}
+    out = _scene_outputs(tmp_path, "ale", scene, "a", 1)
+    assert json.loads(out["ale_report.json"])["fixed_point"] == [1, -2, 3]
+    manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
+    status = {rec["audit"]: rec["status"] for rec in manifest["outcomes"]}
+    assert status["common-fixed-point"] == "PASS"
+
+
+def test_ale_fixed_point_of_a_translation_exits_as_regime_failure(tmp_path):
+    scene = json.loads(json.dumps(ALE_SCENE))
+    scene["ale"]["fixed_point"] = {"elements": [
+        {"matrix": np.eye(3).tolist(), "offset": [1.0, 0.0, 0.0]}]}
+    result, manifest = _invoke_scene(tmp_path, "ale", scene)
+    assert result.exit_code == 2, result.output
+    assert "no common fixed point" in result.output
+    assert manifest["status"] == "fail"
+
+
 def test_ale_at_dimension_seven_exits_as_configuration_error(tmp_path):
     scene = {"schema": 1,
              "metric": {"family": "schwarzschild", "dimension": 7,
@@ -335,6 +384,38 @@ def test_converge_on_exactly_flat_metric_writes_empty_orders(tmp_path):
     assert [row.split(",")[1:] for row in rows[1:]] == [["0", ""]] * 3
     report = json.loads((out / "converge_report.json").read_text())
     assert report["operations"][0]["observed_orders"] == [None, None]
+
+
+# the scene's largest FD error, at h = 0.02, is 9.46e-8
+@pytest.mark.parametrize("ceiling, code, status",
+                         [(1e-6, 0, "PASS"), (1e-8, 2, "FAIL")])
+def test_converge_scalar_ceiling_audit(tmp_path, ceiling, code, status):
+    scene = json.loads(json.dumps(CONVERGE_SCENE))
+    scene["converge"]["operations"][0]["ceiling"] = ceiling
+    result, manifest = _invoke_scene(tmp_path, "converge", scene)
+    assert result.exit_code == code, result.output
+    outcome = {rec["audit"]: rec["status"] for rec in manifest["outcomes"]}
+    assert outcome["scalar-ceiling#0"] == status
+
+
+@pytest.mark.parametrize("op, message", [
+    ({"kind": "scalar_flatness", "h_values": [0.02, 0.04]},
+     "operations[1].h_values must be strictly decreasing"),
+    ({"kind": "scalar_flatness"},
+     "operations[1] of kind scalar_flatness needs h_values"),
+    ({"kind": "mass_ladder", "radii": [8, 16]},
+     "operations[1] of kind mass_ladder needs at least 3 radii"),
+    ({"kind": "mass_ladder", "radii": [8, 32, 16]},
+     "operations[1].radii must be strictly increasing"),
+])
+def test_converge_config_errors_name_their_operation(tmp_path, op, message):
+    scene = json.loads(json.dumps(CONVERGE_SCENE))
+    scene["converge"]["operations"] = [
+        {"kind": "mass_ladder", "radii": [8, 16, 32, 64]}, op]
+    result, manifest = _invoke_scene(tmp_path, "converge", scene)
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert manifest["status"] == "config-error"
 
 
 COMMANDS = (

@@ -159,6 +159,25 @@ def test_interpolation_needs_radial_form():
         density.build_interpolated_metric(split, 8.0)
 
 
+def test_interpolation_refuses_an_xhat_xhat_term_at_build_time():
+    a = toy_metric().radial_form.a
+    split = density.split_schwarzschild(
+        metrics.radial_metric(a, radial.power(0.01, -2.0), 3), 1.0)
+    with pytest.raises(ConfigError, match="no xhat xhat term"):
+        density.build_interpolated_metric(split, 8.0)
+
+
+def test_interpolation_of_a_b_free_input_needs_no_conformal_factor():
+    # the toy's a(r) delta without conformal_u: the same ghat_s curvature
+    bare = metrics.radial_metric(toy_metric().radial_form.a, None, 3)
+    assert bare.conformal_u is None
+    interp = density.build_interpolated_metric(
+        density.split_schwarzschild(bare, 1.0), 8.0)
+    r = np.geomspace(1.0, 40.0, 101)
+    ref = density.build_interpolated_metric(toy_split(), 8.0)
+    assert np.array_equal(interp.scalar_values(r), ref.scalar_values(r))
+
+
 def test_residual_flux_detects_mass_mismatch():
     right = split_residual_report(toy_split())
     assert abs(right["flux_mass_limit"]) <= 1e-2
@@ -194,9 +213,6 @@ def test_delta_immediate_accept_at_ceiling():
     assert abs(rep.lhs - 7.2384220867e-02) <= 1e-6 * rep.lhs
     assert rep.ceiling_margin == 0.0
     assert rep.smallness_margin >= 0.0
-    keys = {"delta", "delta0", "lhs", "threshold", "ceiling", "volume",
-            "bisections", "smallness_margin", "ceiling_margin"}
-    assert set(rep.to_json_dict()) == keys
 
 
 def test_delta_bisection_matches_linear_oracle():

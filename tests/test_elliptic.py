@@ -209,15 +209,6 @@ def test_robin_closure_agrees_on_retained_region():
     assert full.robin_gap == pytest.approx(0.00639053, rel=1e-4)
 
 
-def test_exhaust_tol_enforced():
-    dom = elliptic.DomainModel(n=3, truncation_radii=(16.0, 32.0),
-                               annulus_nodes=600)
-    prob = elliptic.EllipticProblem(end_metric(), bump(), 6.5, dom)
-    elliptic.check_smallness(prob, C_SOB)
-    with pytest.raises(SolverError):
-        elliptic.solve_conformal_factor(prob, exhaust_tol=1e-12)
-
-
 def test_homogeneous_problem_is_identically_one():
     dom = elliptic.DomainModel(n=3, truncation_radii=(16.0, 32.0),
                                annulus_nodes=600)

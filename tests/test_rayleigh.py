@@ -172,12 +172,6 @@ def test_estimate_converges_across_domain_families(n, log2_ratio, nodes, r_min,
         assert rep.c_S > sharp_constant(n)
 
 
-def test_report_json_keys():
-    rep = flat_estimate(16.0)
-    d = rep.to_json_dict()
-    assert set(d) == {"c_S", "kind", "domain", "iterations", "converged"}
-
-
 def test_ball_eigenvalue_matches_dirichlet_laplacian():
     for rho in (1.0, 2.5):
         rep = rayleigh.eigenvalue_lower_bound(None, rho, 0.0, num=2048)
