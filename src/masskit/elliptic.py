@@ -11,6 +11,11 @@ All solves reduce to a symmetric tridiagonal system in the log-radius
 coordinate; the conservation-form assembly makes the discrete flux through
 any section below the support of f vanish identically.
 
+Coefficients are sampled once: a DomainModel builds each mesh (metric,
+truncation radius, cylinder length) on first use and returns it after that,
+and a problem keeps f at the nodes of the last mesh it solved on, so the
+Robin solve reuses both the last Dirichlet rung's mesh and its samples.
+
 Smallness has one gate, `EllipticProblem.require_smallness`: every solve
 raises RegimeError through it unless `check_smallness` passed.
 """
@@ -39,6 +44,9 @@ class DomainModel:
     cylinder_lengths: tuple = ()
     annulus_nodes: int = 1024
     cylinder_nodes_per_unit: int = 64
+    # meshes built so far, by (metric, R, cylinder length)
+    _meshes: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         radii = tuple(float(R) for R in self.truncation_radii)
@@ -63,11 +71,15 @@ class DomainModel:
         return np.log(R0 / self.r_min) / (self.annulus_nodes - 1)
 
     def mesh(self, metric, R, cyl_len=0.0):
-        """Mesh at truncation R keeping the node spacing of the first rung."""
-        num = int(round(np.log(R / self.r_min) / self.dsigma())) + 1
-        cyl_num = int(round(cyl_len * self.cylinder_nodes_per_unit))
-        return radial_mesh(metric, R, num, cyl_len=cyl_len, cyl_num=cyl_num,
-                           r_min=self.r_min)
+        """Mesh at truncation R keeping the node spacing of the first rung,
+        built on first use and shared after that."""
+        key = (metric, float(R), float(cyl_len))
+        if key not in self._meshes:
+            num = int(round(np.log(R / self.r_min) / self.dsigma())) + 1
+            cyl_num = int(round(cyl_len * self.cylinder_nodes_per_unit))
+            self._meshes[key] = radial_mesh(metric, R, num, cyl_len=cyl_len,
+                                            cyl_num=cyl_num, r_min=self.r_min)
+        return self._meshes[key]
 
 
 @dataclass
@@ -93,6 +105,9 @@ class EllipticProblem:
     domain: DomainModel
     # set by check_smallness
     smallness: SmallnessReport = field(default=None, init=False)
+    # (mesh, f at its nodes) of the last f_nodes call
+    _f_at: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
     # residual budget of every solve: a class constant, not a field
     tol = SOLVE_TOL
 
@@ -112,8 +127,13 @@ class EllipticProblem:
         return np.piecewise(r, [r <= self.support_radius], [self.f])
 
     def f_nodes(self, mesh):
-        """f at the mesh's nodes; cylinder nodes count as beyond the support."""
-        return self.f_values(np.where(mesh.is_cyl, np.inf, mesh.r))
+        """f at the mesh's nodes; cylinder nodes count as beyond the support.
+        Sampled once for consecutive calls on the same mesh, and read-only."""
+        if self._f_at[0] is not mesh:
+            vals = self.f_values(np.where(mesh.is_cyl, np.inf, mesh.r))
+            vals.flags.writeable = False
+            self._f_at = (mesh, vals)
+        return self._f_at[1]
 
     def require_smallness(self):
         """The one smallness gate: RegimeError unless check_smallness passed."""
@@ -214,9 +234,8 @@ def solve_truncated(problem, R=None, cyl_len=None, bc_outer="dirichlet"):
         cyl_len = (dom.cylinder_lengths[0] if dom.has_toy_end else 0.0)
     mesh = dom.mesh(problem.metric, R, cyl_len)
     fvals = problem.f_nodes(mesh)
-    kap_R, _ = radial_kappa_w(problem.metric, np.array([float(R)]))
     v, rnorm = _assemble_and_solve(mesh, fvals, bc_outer, dom.n,
-                                   float(kap_R[0]) / float(R))
+                                   mesh.kappa_max / mesh.r_max)
     dv = np.diff(v)
     energy = float(sphere_area(dom.n)
                    * np.sum(mesh.kappa_face * dv * dv / mesh.dcoord))

@@ -5,8 +5,8 @@ Two tiers: RADIAL (any dimension, spherically symmetric problems reduced to a
 at the inner boundary) and FULL3D (n = 3 product grid, log-radius times
 pole-offset latitude times uniform longitude, its stiffness one sparse
 congruence D^T W D of the stacked axis difference operators).
-The RADIAL tier and the sphere rules import numpy only; the FULL3D
-functions import scipy.sparse inside their bodies.
+The RADIAL tier and the sphere rules import numpy only; `harmonic_tail`
+and the FULL3D functions import scipy inside their bodies.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .radial import jets
 
 # lowest sphere-quadrature order; the scene schema reads it
@@ -39,6 +39,7 @@ class RadialMesh:
 
     with kappa(r) = a^{(n-1)/2} (a+b)^{-1/2} r^{n-1} and
     w(r) = a^{(n-1)/2} (a+b)^{1/2} r^{n-1} for the metric a(r) delta + b xhat xhat.
+    A mesh is shared by every solve on it, so its arrays are read-only.
     """
     n: int
     coord: np.ndarray          # strictly increasing mesh coordinate, (M,)
@@ -47,7 +48,8 @@ class RadialMesh:
     kappa_face: np.ndarray     # (M-1,), flux coefficient at faces
     wbar: np.ndarray           # (M,), lumped weight of the two half cells
     r_min: float
-    r_max: float
+    r_max: float               # outer sphere, exactly the r_max asked for
+    kappa_max: float           # kappa(r_max), for an outer closure
 
     @property
     def num_nodes(self):
@@ -69,6 +71,34 @@ def radial_kappa_w(metric, r):
     kap = a0 ** ((n - 1) / 2.0) * (a0 + b0) ** -0.5 * r ** (n - 1)
     w = a0 ** ((n - 1) / 2.0) * (a0 + b0) ** 0.5 * r ** (n - 1)
     return kap, w
+
+
+def harmonic_tail(metric, R):
+    """Integral of 1/kappa over [R, inf): the tail of the radial harmonic
+    function that vanishes at infinity, per unit flux.
+
+    Integrated in t = R/s over [0, 1] by scipy's adaptive `cubature`
+    (Gauss-Kronrod 21/10) to 1e-13 relative; a region's estimate and its
+    error estimate each sample kappa in one batched call.  A tail that is
+    not converged, or whose error estimate exceeds 1e-9 max(1, |tail|),
+    raises SolverError.
+    """
+    from scipy.integrate import cubature
+    R = float(R)
+
+    def integrand(t):
+        t = t[:, 0]
+        return R / (t * t * radial_kappa_w(metric, R / t)[0])
+
+    # a map callable runs the regions serially without importing
+    # multiprocessing, which workers=1 would load
+    res = cubature(integrand, [0.0], [1.0], rtol=1e-13, atol=0.0, workers=map)
+    tail, err = float(res.estimate), float(res.error)
+    # written so that a NaN estimate or error fails it
+    if not (res.status == "converged" and err <= 1e-9 * max(1.0, abs(tail))):
+        raise SolverError("tail quadrature noisy (%s, err %.2e)"
+                          % (res.status, err))
+    return tail
 
 
 def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0, r_min=None):
@@ -111,14 +141,17 @@ def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0, r_min=None):
     # lumped half-cell weights (left half, then right), side-aware at the
     # junction
     d = np.diff(coord)
-    _, w_ann = radial_kappa_w(metric, r)
-    w_sigma = w_ann * r
+    kap_nodes, w_nodes = radial_kappa_w(metric, np.append(r, float(r_max)))
+    w_sigma = w_nodes[:-1] * r
     wbar = np.zeros(coord.size)
     wbar[1:] += 0.5 * d * np.where(cylf, section, w_sigma[1:])
     wbar[:-1] += 0.5 * d * np.where(cylf, section, w_sigma[:-1])
+    for arr in (coord, r, is_cyl, kappa_face, wbar):
+        arr.flags.writeable = False
     return RadialMesh(n=n, coord=coord, r=r, is_cyl=is_cyl,
                       kappa_face=kappa_face, wbar=wbar,
-                      r_min=r_min, r_max=float(r_max))
+                      r_min=r_min, r_max=float(r_max),
+                      kappa_max=float(kap_nodes[-1]))
 
 
 def mesh_stiffness(c):

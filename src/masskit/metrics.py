@@ -31,9 +31,12 @@ class RadialForm:
     b: Optional[RProfile] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricSpec:
     """Closed-form end-chart metric with decay metadata.
+
+    Compared and hashed by identity, like `RProfile`, so that a
+    `DomainModel` can key its meshes on the metric.
 
     decay_orders are the declared powers of r bounding |h|, |dh| and |ddh|
     (componentwise sup over directions); q is the declared scalar-curvature

@@ -16,9 +16,13 @@ bump the first level misses cannot leave the scale below its roundoff.  No
 split goes below `_MIN_WIDTH`; more than `_MAX_PANELS` panels is an error.
 Each level samples its panels in one `radial_kappa_w` and one `f` call.  One
 batched `np.linalg.solve` gives every panel's 2x2 propagator; chaining them
-gives the state at r_f.  Known limit: the width floor resolves a true jump
-in f only to about 3e-8 relative in A (a narrower floor makes the
-collocation ill-conditioned), so the oracle is meant for continuous f.
+gives the state at r_f.  Beyond r_f, where f = 0, the solution is
+u_f + phi * (integral of 1/kappa over [r_f, s]), so its limit needs the
+tail of 1/kappa over [r_f, inf): `grids.harmonic_tail`, adaptive
+Gauss-Kronrod in t = r_f/s over [0, 1] sampling kappa in batches.  Known
+limit: the width floor resolves a true jump in f only to about 3e-8
+relative in A (a narrower floor makes the collocation ill-conditioned), so
+the oracle is meant for continuous f.
 
 `shoot_truncated` is one DOP853 integration through scipy's `solve_ivp`, an
 integrator independent of the panels.
@@ -28,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, SolverError
-from .grids import radial_kappa_w
+from .grids import harmonic_tail, radial_kappa_w
 
 _PANELS = 32            # initial equal panels on [r_min, r_f]
 _NODES = 17             # Chebyshev points per panel
@@ -105,7 +109,8 @@ class ShootingResult:
     dividing by the limit c_inf enforces u -> 1 at infinity, and the
     conserved outer flux Phi gives the expansion coefficient exactly:
     A = -Phi / ((n - 2) c_inf).  nfev counts the radii, over all splitting
-    levels, where the panels sampled 1/kappa and f w (not the tail's).
+    levels, where the panels sampled 1/kappa and f w on [r_min, r_f]; the
+    tail's kappa samples beyond r_f are not counted.
     """
     n: int
     c_inf: float
@@ -127,11 +132,7 @@ def shoot_conformal_factor(metric, f, support_radius):
     for P in maps:
         y = P @ y
     u_f, phi = y
-    tail, err = quad(lambda s: 1.0 / radial_kappa_w(metric, [s])[0][0], rf,
-                     np.inf, limit=200, epsabs=1e-10, epsrel=1e-10)
-    if err > 1e-9 * max(1.0, abs(tail)):
-        raise SolverError("tail quadrature noisy (err %.2e)" % err)
-    c_inf = u_f + phi * tail
+    c_inf = u_f + phi * harmonic_tail(metric, rf)
     if c_inf <= 0.0:
         raise SolverError("normalization limit %.3g not positive" % c_inf)
     A = -phi / ((n - 2) * c_inf)

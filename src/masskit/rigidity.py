@@ -53,10 +53,6 @@ class ScalarProbeReport:
     solution: object
     metric_bar: object
 
-    @property
-    def mass_gap(self):
-        return self.m_bar - self.m_input
-
 
 def _bump_interval(metric, bump):
     """(lo, hi) of the bump, which must sit beyond the chart cut."""

@@ -127,6 +127,36 @@ def test_solve_without_toy_end_passes_both_flux_audits(tmp_path):
     assert status["energy-flux-vanishes"] == "PASS"
 
 
+# a conformally flat end whose factor carries a Gaussian term beyond the
+# potential's support: the oracle's tail of 1/kappa must resolve it (a
+# 16-point Gauss-Legendre rule in r_f/r moves oracle_A by 2.1e-4 relative,
+# twice the audit's bound)
+FAR_GAUSSIAN_SOLVE = {
+    "schema": 1,
+    "metric": {"family": "conformally_flat", "dimension": 3,
+               "profile": [{"kind": "const", "value": 1.0},
+                           {"kind": "power", "coefficient": 0.5,
+                            "exponent": -1},
+                           {"kind": "gaussian", "amplitude": 0.05,
+                            "center": 20, "width": 2}]},
+    "solve": {"potential": [{"kind": "gaussian", "amplitude": 0.04,
+                             "center": 4.0, "width": 0.5}],
+              "support_radius": 8,
+              "domain": {"truncation_radii": [16, 32, 64, 128, 256]},
+              "oracle": {"enabled": True}}}
+
+
+def test_solve_with_a_far_field_metric_term_matches_the_oracle(tmp_path):
+    result, manifest = _invoke_scene(tmp_path, "solve", FAR_GAUSSIAN_SOLVE)
+    assert result.exit_code == 0, result.output
+    status = {rec["audit"]: rec["status"] for rec in manifest["outcomes"]}
+    assert status["matches-shooting-oracle"] == "PASS"
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    # QUADPACK's adaptive tail with no absolute tolerance gives the same A
+    assert report["oracle_A"] == pytest.approx(-0.9284670361946455,
+                                               rel=1e-12)
+
+
 # the mass-schwarzschild scene of the benchmark's cli-scenes workload at
 # m = 1: the closed-form ladder fanned out over the worker pool
 MASS_SCENE = {

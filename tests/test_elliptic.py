@@ -3,8 +3,9 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from masskit import elliptic, metrics, oracles, radial
+from masskit import elliptic, grids, metrics, oracles, radial, rigidity
 from masskit.errors import ConfigError, RegimeError, SolverError
 
 C_SOB = 3.0        # certified below the flat sharp constant for these metrics
@@ -336,3 +337,120 @@ def test_oracle_panel_count_moves_results_at_roundoff(monkeypatch, panels):
         A, rel=1e-9)
     v_p = oracles.shoot_truncated(g, f, rf, R)(r)
     assert np.abs(v_p - v).max() <= 1e-9 * np.abs(v).max()
+
+
+def conformal_end(gauss):
+    """u = 1 + 0.5/r + c exp(-((r - r0)/w)^2) at n = 3, gauss = (c, r0, w)."""
+    return metrics.conformally_flat(radial.const(1.0) + radial.power(0.5, -1.0)
+                                    + radial.gaussian(*gauss), 3)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("m", [1.0, 2.0])
+@pytest.mark.parametrize("R", [4.0, 64.0])
+def test_harmonic_tail_on_schwarzschild_closed_form(n, m, R):
+    """kappa = u^2 r^{n-1} with u = 1 + m X / 2 in X = r^{2-n}, so the tail
+    is X / ((n - 2)(1 + m X / 2)) at X = R^{2-n}.  At n = 7, R = 64 it is
+    about 2e-10, which an absolute quadrature tolerance would swamp."""
+    X = R ** (2.0 - n)
+    exact = X / ((n - 2.0) * (1.0 + 0.5 * m * X))
+    tail = grids.harmonic_tail(metrics.schwarzschild(m, n), R)
+    assert tail == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("metric", [
+    conformal_end((0.05, 20.0, 2.0)), conformal_end((0.05, 12.0, 1.0)),
+    conformal_end((0.2, 9.0, 0.5)),
+    metrics.conformally_flat(radial.const(1.0) + radial.power(0.5, -1.0)
+                             + radial.power(0.005, -2.0), 3),
+    metrics.conformally_flat(radial.const(1.0) + radial.bubble(0.4), 3,
+                             q=5.0),
+], ids=["gauss-20", "gauss-12", "gauss-9", "toy", "bubble"])
+def test_harmonic_tail_against_adaptive_quad(metric):
+    """Far-field Gaussian terms, which a 16-point Gauss-Legendre rule in
+    R/s misses by up to 2e-3, against QUADPACK with no absolute
+    tolerance."""
+    R = 8.0
+    ref, err = quad(lambda s: 1.0 / grids.radial_kappa_w(metric, [s])[0][0],
+                    R, np.inf, limit=500, epsabs=0.0, epsrel=1e-13)
+    assert err <= 1e-13 * ref
+    assert grids.harmonic_tail(metric, R) == pytest.approx(ref, rel=1e-13,
+                                                           abs=0.0)
+
+
+def test_harmonic_tail_refuses_a_non_finite_coefficient():
+    def a(at, k):
+        jet = radial.const(1.0).jet(at.r, k)
+        return np.where(at.r > 50.0, np.nan, jet)
+
+    metric = metrics.radial_metric(radial.RProfile(a), None, 3)
+    with pytest.raises(SolverError, match="tail quadrature"):
+        grids.harmonic_tail(metric, 8.0)
+
+
+def count_mesh_builds(monkeypatch):
+    """Patch the mesh builder the domains call; the list of radii built."""
+    built = []
+
+    def counted(metric, r_max, *args, **kwargs):
+        built.append(float(r_max))
+        return grids.radial_mesh(metric, r_max, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "radial_mesh", counted)
+    return built
+
+
+def test_conformal_solve_builds_each_mesh_and_samples_f_once(monkeypatch):
+    """Three Dirichlet rungs and the Robin solve on the last one's mesh:
+    three meshes, and f sampled once by the smallness check and once per
+    mesh."""
+    built = count_mesh_builds(monkeypatch)
+    calls = []
+
+    def f(r):
+        calls.append(np.size(r))
+        return bump()(r)
+
+    dom = elliptic.DomainModel(n=3, truncation_radii=(16.0, 32.0, 64.0),
+                               annulus_nodes=400)
+    prob = elliptic.EllipticProblem(end_metric(), f, 6.5, dom)
+    elliptic.check_smallness(prob, C_SOB)
+    elliptic.solve_conformal_factor(prob)
+    assert built == [16.0, 32.0, 64.0]
+    assert len(calls) == 4
+
+
+def test_ricci_probe_builds_three_meshes_for_its_delta_ladder(monkeypatch):
+    built = count_mesh_builds(monkeypatch)
+    spec = rigidity.RigidityProbeSpec(
+        eta=radial.window(1.5, 2.0, 3.0, 3.5), bump=(1.5, 3.5),
+        eta_tilde=radial.window(1.2, 1.8, 3.2, 4.0), bump_tilde=(1.2, 4.0),
+        delta_ladder=(1e-2, 1e-3, 1e-4, 1e-5))
+    rep = rigidity.rigidity_probe_ricci(metrics.schwarzschild(1.0, 3), spec)
+    assert len(rep.A_values) == 4
+    # sixteen solves (four rungs of three Dirichlet radii and a Robin
+    # solve) on the meshes of the three truncation radii
+    assert built == [16.0, 32.0, 64.0]
+
+
+def test_shared_domain_solves_bitwise_like_fresh_domains():
+    def domain():
+        return elliptic.DomainModel(n=3, truncation_radii=(16.0, 32.0, 64.0),
+                                    cylinder_lengths=(2.0, 4.0),
+                                    annulus_nodes=400)
+
+    g = end_metric()
+    potentials = [bump(), radial.window(1.5, 2.0, 3.5, 4.5)
+                  * radial.const(0.2), bump()]
+    shared = domain()
+    for f in potentials:
+        solved = []
+        for dom in (shared, domain()):
+            prob = elliptic.EllipticProblem(g, f, 6.5, dom)
+            elliptic.check_smallness(prob, C_SOB)
+            solved.append(elliptic.solve_conformal_factor(prob))
+        got, ref = solved
+        assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
+        assert (got.A_integral, got.A_fit) == (ref.A_integral, ref.A_fit)
+    # one mesh per truncation radius and cylinder length, all shared
+    assert len(shared._meshes) == 6

@@ -7,7 +7,8 @@ The mass-and-curvature tier is numpy only, and each CLI command imports the
 modules it runs, so fresh interpreters that import that tier, print the
 CLI's help or run a radial mass scene load no scipy module at all.  The
 scene schema's validator is built on first use, so the help loads no
-jsonschema module either.
+jsonschema module either.  The radial harmonic tail, which the shooting
+oracle integrates with scipy's `cubature`, loads no multiprocessing module.
 """
 import ast
 import json
@@ -101,6 +102,13 @@ def test_radial_mass_scene_imports_no_scipy(tmp_path):
         tmp_path) == "[]"
     report = json.loads((tmp_path / "out" / "mass_report.json").read_text())
     assert abs(report["extrapolated"] - 1.0) < 0.01
+
+
+def test_harmonic_tail_imports_no_multiprocessing(tmp_path):
+    assert modules_after(
+        "from masskit import grids, metrics\n"
+        "grids.harmonic_tail(metrics.schwarzschild(1.0, 3), 4.0)",
+        tmp_path, "multiprocessing") == "[]"
 
 
 def unused_imports(path):

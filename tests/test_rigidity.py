@@ -74,7 +74,7 @@ def test_scalar_probe_certifies_mass_drop():
     assert rep.m_bar < rep.m_input
     # averaged factor (u+1)/2 halves the doubled coefficient: gap tracks A,
     # not 2A
-    assert abs(rep.mass_gap - rep.A) <= 0.01 * abs(rep.A)
+    assert abs(rep.m_bar - rep.m_input - rep.A) <= 0.01 * abs(rep.A)
     assert rep.min_factor >= 0.5
     assert abs(rep.min_factor - 0.971740842471) < 1e-9
 
