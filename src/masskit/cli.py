@@ -2,6 +2,8 @@
 
 Each command reads one JSON scene, drives the matching pipeline, and
 emits canonical reports plus a run manifest into the output directory.
+Run settings come from flags only: --out (default masskit-out),
+--threads (default 1) and --seed, which overrides the scene's seed.
 Exit codes: 0 success, 1 configuration error, 2 audit or regime
 failure, 3 solver or internal numerical fault.  `Run` is the run ledger:
 the audit outcomes and output names that run_manifest.json records.
@@ -31,6 +33,13 @@ from .tolerances import (BAND_WITNESS, LAPLACIAN_TOL, MATCH_TOL, MIN_R_TARGET,
 FLUX_TOL = 1e-8
 ORDER_BAND = (1.8, 2.2)
 ORACLE_RTOL = 1e-4
+# mass-matches-expected bounds |extrapolated - expected| by
+# MASS_RTOL max(1, |expected|)
+MASS_RTOL = 0.01
+# random directions per radius of a scalar_flatness study
+DIRECTIONS = 12
+# lattice points per axis of the emitted torus chart
+TORUS_CHART_SAMPLES = 5
 
 
 class Run:
@@ -115,10 +124,7 @@ def _dispatch(command, body, config_path, out, threads, seed):
     except ConfigError as exc:
         click.echo("config error: %s" % exc, err=True)
         sys.exit(1)
-    if threads is None:
-        threads = 1 if cfg.threads is None else cfg.threads
-    run = Run(command, cfg,
-              out_dir=out or cfg.output,
+    run = Run(command, cfg, out_dir=out,
               seed=cfg.seed if seed is None else int(seed),
               threads=max(1, int(threads)))
     started = time.perf_counter()
@@ -161,11 +167,9 @@ def _cmd_mass(block, metric, run):
     run.audit("extrapolation-confident", "<=", int(report.low_confidence), 0)
     if "expected" in block:
         expected = float(block["expected"])
-        rtol = float(block.get("rtol", 0.01))
-        atol = float(block.get("atol", 0.0))
-        bound = max(atol, rtol * max(1.0, abs(expected)))
         run.audit("mass-matches-expected", "<=",
-                  abs(report.extrapolated - expected), bound)
+                  abs(report.extrapolated - expected),
+                  MASS_RTOL * max(1.0, abs(expected)))
 
 
 def _cmd_solve(block, metric, run):
@@ -185,13 +189,11 @@ def _cmd_solve(block, metric, run):
     run.emit_json_lines("solve_iterations.jsonl", solution.diagnostics)
     payload = solution.to_json_dict()
     payload["smallness"] = small.to_json_dict()
-    oracle_cfg = block.get("oracle", {})
-    if oracle_cfg.get("enabled", False):
+    if block.get("oracle", {}).get("enabled", False):
         shot = oracles.shoot_conformal_factor(metric, f, support)
-        tol = float(oracle_cfg.get("tolerance", ORACLE_RTOL))
         run.audit("matches-shooting-oracle", "<=",
                   abs(solution.A_integral - shot.A),
-                  tol * max(abs(shot.A), 1e-3))
+                  ORACLE_RTOL * max(abs(shot.A), 1e-3))
         payload["oracle_A"] = float(shot.A)
     run.emit_json("solve_report.json", payload)
     run.audit("outer-flux-vanishes", "<=", abs(solution.flux_grad), FLUX_TOL)
@@ -206,8 +208,7 @@ def _cmd_deform(block, metric, run):
                                                density.DEFAULT_S_LADDER))
     report = density.density_deform(
         metric, float(block["eps_target"]), s_ladder=ladder,
-        c_S=block.get("c_S"), m=block.get("mass"),
-        annulus_nodes=int(block.get("annulus_nodes", 1100)))
+        c_S=block.get("c_S"), m=block.get("mass"))
     header = ("s", "delta_s", "A_integral", "A_fit", "tau", "m_bar",
               "min_R", "end_norm", "mass_shift")
     rows = []
@@ -215,8 +216,7 @@ def _cmd_deform(block, metric, run):
         row = rung.to_row()
         rows.append(tuple(row[k] for k in header[:-1]) + (rung.mass_shift,))
     run.emit_csv("deform_trend.csv", header, rows)
-    verify_rtol = float(block.get("verify_rtol", 0.01))
-    verify = density.verify_mass_shift(report, rtol=verify_rtol)
+    verify = density.verify_mass_shift(report)
     payload = report.to_json_dict()
     payload["independent_mass_check"] = verify
     run.emit_json("deform_report.json", payload)
@@ -244,16 +244,16 @@ def _cmd_deform(block, metric, run):
         run.audit("shift-trend-decreasing", "<", steps[j], 0.0,
                   location="s=%g" % rungs[j + 1].s)
     run.audit("independent-mass-check", "<=", verify["error"],
-              verify_rtol * max(1.0, abs(verify["reported"])))
+              density.VERIFY_RTOL * max(1.0, abs(verify["reported"])))
 
 
-def _emit_torus_chart(run, metric, torus_report, samples):
+def _emit_torus_chart(run, metric, torus_report):
     """JSON header plus CSV metric samples on a cube-periodic lattice."""
     n = int(torus_report["n"])
     side = float(torus_report["side"])
     half = 0.5 * side
     # left-closed lattice: +half duplicates -half under face identification
-    axis = -half + side * np.arange(samples) / samples
+    axis = -half + side * np.arange(TORUS_CHART_SAMPLES) / TORUS_CHART_SAMPLES
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=1)
     r = np.linalg.norm(X, axis=1)
@@ -270,8 +270,8 @@ def _emit_torus_chart(run, metric, torus_report, samples):
         "collar": torus_report["collar"],
         "flat_radius": torus_report["flat_radius"],
         "constant_factor": torus_report["constant_factor"],
-        "grid_shape": [samples] * n,
-        "spacing": side / samples,
+        "grid_shape": [TORUS_CHART_SAMPLES] * n,
+        "spacing": side / TORUS_CHART_SAMPLES,
         "samples_emitted": int(keep.sum()),
         "samples_skipped_core": int((~keep).sum()),
         "columns": list(header),
@@ -286,8 +286,7 @@ def _cmd_compactify(block, metric, run):
                           "(schwarzschild or conformally_flat family)")
     state = lohkamp.lohkamp_cutoff(metric.conformal_u, float(block["s1"]),
                                    n=metric.n)
-    superharmonic = lohkamp.check_superharmonic(
-        state, num=int(block.get("grid_points", 6001)))
+    superharmonic = lohkamp.check_superharmonic(state)
     run.audit("cap-never-subharmonic", "<=", superharmonic["max_lap"],
               LAPLACIAN_TOL)
     run.audit("cap-superharmonic-in-band", "<=",
@@ -299,7 +298,6 @@ def _cmd_compactify(block, metric, run):
     torus_cfg = block.get("torus", {})
     spec = lohkamp.TorusGlueSpec(
         flat_radius=float(torus_cfg.get("flat_radius", state.r_flat)),
-        side=float(torus_cfg.get("side", 0.0)),
         collar=float(torus_cfg.get("collar", 0.0)))
     torus_report = lohkamp.torus_glue(capped, spec)
     run.audit("torus-collar-constant", "<=", torus_report["collar_gap"], 0.0)
@@ -320,8 +318,7 @@ def _cmd_compactify(block, metric, run):
         "capped_metric": metric_report,
         "torus": torus_report,
     })
-    _emit_torus_chart(run, capped, torus_report,
-                      samples=int(block.get("chart_samples", 5)))
+    _emit_torus_chart(run, capped, torus_report)
 
 
 def _cmd_ale(block, metric, run):
@@ -331,8 +328,7 @@ def _cmd_ale(block, metric, run):
         if G.shape != (metric.n, metric.n):
             raise ConfigError("ale.generators[%d] must be a %dx%d matrix"
                               % (i, metric.n, metric.n))
-    group = (groups.GroupAction.from_generators(generators) if generators
-             else groups.GroupAction.trivial(metric.n))
+    group = groups.GroupAction.from_generators(generators)
     radii = block.get("radii")
     _, audit = groups.ale_lift(
         metric, group,
@@ -369,8 +365,7 @@ def _scalar_refinement(metric, op, k, run):
         raise ConfigError("converge.operations[%d].h_values must be strictly "
                           "decreasing" % k)
     radii = [float(r) for r in op.get("radii", (8.0, 16.0, 32.0))]
-    count = int(op.get("directions", 12))
-    U = sample_directions(metric.n, count, rng=run.seed)
+    U = sample_directions(metric.n, DIRECTIONS, rng=run.seed)
     X = np.concatenate([rho * U for rho in radii], axis=0)
     errs = run.map_ladder(
         lambda h: float(np.abs(scalar_curvature_bartnik(metric, X,
@@ -462,11 +457,11 @@ for _name, _body, _summary in (
                          type=click.Path(dir_okay=False),
                          help="Scene configuration JSON."),
             click.Option(["--out"], type=click.Path(file_okay=False),
-                         help="Output directory (default: the config's "
-                              "'output')."),
-            click.Option(["--threads"], type=int,
-                         help="Worker threads for ladder fan-out (default: "
-                              "the config's 'threads', else 1)."),
+                         default="masskit-out",
+                         help="Output directory (default: masskit-out)."),
+            click.Option(["--threads"], type=int, default=1,
+                         help="Worker threads for ladder fan-out "
+                              "(default: 1)."),
             click.Option(["--seed"], type=int,
                          help="Override the config seed for sampled audit "
                               "points."),

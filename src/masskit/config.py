@@ -1,9 +1,27 @@
 """Scene configuration: schema-checked JSON naming a metric, a domain,
 radial profiles, and per-command parameters for the workbench.
 
-All quantities are dimensionless.  The file must carry `"schema": 1`;
-validation failures point at the offending field.  Radial profiles are
-sums of primitive terms so that configs stay diff-friendly:
+All quantities are dimensionless.  The file must carry `"schema": 1`.
+The schema is closed: every object refuses a key it does not name, and
+it names only keys that some code reads, so a retired or misspelled key
+is a configuration error at its JSON path, never a silent default.  The
+accepted keys (* required):
+
+    schema*, seed
+    metric: family*, dimension*, mass (schwarzschild), profile and r_min
+        (conformally_flat; r_min is the chart's inner cut, default 1)
+    mass: radii*, quadrature_order, method, expected
+    solve: potential*, support_radius*, c_S, oracle {enabled},
+        domain* {truncation_radii*, cylinder_lengths}
+    deform: eps_target*, s_ladder, c_S, mass
+    compactify: s1*, torus {flat_radius, collar}
+    ale: generators*, radii, fixed_point {elements* [{matrix*, offset}]}
+    converge: operations* [{kind*, h_values, radii, ceiling}]
+
+Run settings (output directory, worker threads) are command-line flags,
+not scene keys.  A metric block holds only the keys its family reads.
+Radial profiles are sums of primitive terms so that configs stay
+diff-friendly; a term holds exactly the fields of its kind:
 
     {"kind": "const", "value": c}                       c
     {"kind": "power", "coefficient": c, "exponent": a}  c r^a
@@ -24,172 +42,65 @@ from .grids import MIN_QUADRATURE_ORDER
 
 SCHEMA_VERSION = 1
 
+
+def _object(*required, **properties):
+    """A closed object schema: the named properties, of which `required`
+    must be present, and no other key."""
+    schema = {"type": "object", "properties": properties,
+              "additionalProperties": False}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
+def _array(items, min_items=0):
+    return {"type": "array", "items": items, "minItems": min_items}
+
+
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
-_POS_ARRAY = {"type": "array", "items": _POS, "minItems": 1}
-_LADDER = {"type": "array", "items": _POS, "minItems": 3}
+_POS_ARRAY = _array(_POS, 1)
+_LADDER = _array(_POS, 3)
+_PROFILE = _array(_object(
+    "kind", kind={"enum": ["const", "power", "gaussian", "schwarzschild"]},
+    value=_NUM, coefficient=_NUM, exponent=_NUM, amplitude=_NUM, center=_NUM,
+    width=_NUM, mass=_NUM), 1)
+_MATRIX = _array(_array(_NUM, 2), 2)
 
-_PROFILE_TERM = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["const", "power", "gaussian", "schwarzschild"]},
-    },
-}
-_PROFILE = {"type": "array", "items": _PROFILE_TERM, "minItems": 1}
-
-_MATRIX = {
-    "type": "array",
-    "minItems": 2,
-    "items": {"type": "array", "items": _NUM, "minItems": 2},
-}
-
-# the keys build_domain forwards to DomainModel
-_DOMAIN = {
-    "type": "object",
-    "required": ["truncation_radii"],
-    "properties": {
-        "r_min": _POS,
-        "truncation_radii": _POS_ARRAY,
-        "annulus_nodes": {"type": "integer", "minimum": 33},
-        "cylinder_lengths": {"type": "array", "items": _POS},
-        "cylinder_nodes_per_unit": {"type": "integer", "minimum": 1},
-    },
-}
-
-SCENE_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "metric"],
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
-        "output": {"type": "string", "minLength": 1},
-        "metric": {
-            "type": "object",
-            "required": ["family", "dimension"],
-            "properties": {
-                "family": {"enum": ["euclidean", "schwarzschild",
-                                    "conformally_flat"]},
-                "dimension": {"type": "integer", "minimum": 3},
-                "mass": _NUM,
-                "profile": _PROFILE,
-                "r_min": _POS,
-            },
-        },
-        "mass": {
-            "type": "object",
-            "required": ["radii"],
-            "properties": {
-                "radii": _LADDER,
-                "quadrature_order": {"type": "integer",
-                                     "minimum": MIN_QUADRATURE_ORDER},
-                "method": {"enum": ["auto", "quadrature", "closed_form"]},
-                "expected": _NUM,
-                "rtol": _NONNEG,
-                "atol": _NONNEG,
-            },
-        },
-        "solve": {
-            "type": "object",
-            "required": ["potential", "support_radius", "domain"],
-            "properties": {
-                "potential": _PROFILE,
-                "support_radius": _POS,
-                "c_S": _POS,
-                "domain": _DOMAIN,
-                "oracle": {
-                    "type": "object",
-                    "properties": {
-                        "enabled": {"type": "boolean"},
-                        "tolerance": _POS,
-                    },
-                },
-            },
-        },
-        "deform": {
-            "type": "object",
-            "required": ["eps_target"],
-            "properties": {
-                "eps_target": _POS,
-                "s_ladder": _POS_ARRAY,
-                "c_S": _POS,
-                "mass": _NUM,
-                "annulus_nodes": {"type": "integer", "minimum": 200},
-                "verify_rtol": _POS,
-            },
-        },
-        "compactify": {
-            "type": "object",
-            "required": ["s1"],
-            "properties": {
-                "s1": _POS,
-                "grid_points": {"type": "integer", "minimum": 101},
-                "torus": {
-                    "type": "object",
-                    "properties": {
-                        "flat_radius": _POS,
-                        "side": _NONNEG,
-                        "collar": _NONNEG,
-                    },
-                },
-                "chart_samples": {"type": "integer", "minimum": 2},
-            },
-        },
-        "ale": {
-            "type": "object",
-            "required": ["generators"],
-            "properties": {
-                "generators": {"type": "array", "items": _MATRIX},
-                "radii": _LADDER,
-                "fixed_point": {
-                    "type": "object",
-                    "required": ["elements"],
-                    "properties": {
-                        "elements": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {
-                                "type": "object",
-                                "required": ["matrix"],
-                                "properties": {
-                                    "matrix": _MATRIX,
-                                    "offset": {"type": "array",
-                                               "items": _NUM},
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "converge": {
-            "type": "object",
-            "required": ["operations"],
-            "properties": {
-                "operations": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["kind"],
-                        "properties": {
-                            "kind": {"enum": ["scalar_flatness",
-                                              "mass_ladder"]},
-                            "h_values": {"type": "array", "items": _POS,
-                                         "minItems": 2},
-                            "radii": {"type": "array", "items": _POS,
-                                      "minItems": 1},
-                            "directions": {"type": "integer", "minimum": 1},
-                            "ceiling": _POS,
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
+SCENE_SCHEMA = _object(
+    "schema", "metric",
+    schema={"const": SCHEMA_VERSION},
+    seed={"type": "integer", "minimum": 0},
+    metric=_object(
+        "family", "dimension",
+        family={"enum": ["euclidean", "schwarzschild", "conformally_flat"]},
+        dimension={"type": "integer", "minimum": 3},
+        mass=_NUM, profile=_PROFILE, r_min=_POS),
+    mass=_object(
+        "radii", radii=_LADDER,
+        quadrature_order={"type": "integer", "minimum": MIN_QUADRATURE_ORDER},
+        method={"enum": ["auto", "quadrature", "closed_form"]},
+        expected=_NUM),
+    solve=_object(
+        "potential", "support_radius", "domain",
+        potential=_PROFILE, support_radius=_POS, c_S=_POS,
+        domain=_object("truncation_radii", truncation_radii=_POS_ARRAY,
+                       cylinder_lengths=_array(_POS)),
+        oracle=_object(enabled={"type": "boolean"})),
+    deform=_object("eps_target", eps_target=_POS, s_ladder=_POS_ARRAY,
+                   c_S=_POS, mass=_NUM),
+    compactify=_object("s1", s1=_POS,
+                       torus=_object(flat_radius=_POS, collar=_NONNEG)),
+    ale=_object(
+        "generators", generators=_array(_MATRIX, 1), radii=_LADDER,
+        fixed_point=_object("elements", elements=_array(_object(
+            "matrix", matrix=_MATRIX,
+            offset=_array(_NUM)), 1))),
+    converge=_object("operations", operations=_array(_object(
+        "kind", kind={"enum": ["scalar_flatness", "mass_ladder"]},
+        h_values=_array(_POS, 2), radii=_array(_POS, 1), ceiling=_POS), 1)),
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,19 +119,10 @@ class SceneConfig:
 
     data: dict
     sha256: str
-    path: str
 
     @property
     def seed(self):
         return int(self.data.get("seed", 0))
-
-    @property
-    def threads(self):
-        return self.data.get("threads")
-
-    @property
-    def output(self):
-        return self.data.get("output", "masskit-out")
 
     def block(self, name):
         if name not in self.data:
@@ -250,41 +152,57 @@ def load_config(path):
     error = best_match(_scene_validator().iter_errors(data))
     if error is not None:
         raise ConfigError("at %s: %s" % (error.json_path, error.message))
-    return SceneConfig(data=data, sha256=digest, path=str(path))
+    return SceneConfig(data=data, sha256=digest)
 
 
-def _field(term, key, spot):
-    if key not in term:
-        raise ConfigError("%s (%s term) needs %r" % (spot, term["kind"], key))
-    return float(term[key])
+# the numeric fields each profile-term kind reads, in argument order
+_TERM_FIELDS = {"const": ("value",), "power": ("coefficient", "exponent"),
+                "gaussian": ("amplitude", "center", "width"),
+                "schwarzschild": ("mass",)}
+# the metric keys each family reads beside family and dimension
+_FAMILY_KEYS = {"euclidean": (), "schwarzschild": ("mass",),
+                "conformally_flat": ("profile", "r_min")}
 
 
 def build_profile(terms, n, where="profile"):
-    """Sum of primitive radial terms from their JSON descriptions."""
+    """Sum of primitive radial terms from their JSON descriptions; a term
+    must give each field its kind reads and no other."""
     total = None
     for i, term in enumerate(terms):
-        spot = "%s[%d]" % (where, i)
         kind = term["kind"]
+        fields = _TERM_FIELDS[kind]
+        extra = sorted(set(term) - {"kind", *fields})
+        if extra:
+            raise ConfigError("%s[%d].%s is not read by a %s term"
+                              % (where, i, extra[0], kind))
+        missing = [key for key in fields if key not in term]
+        if missing:
+            raise ConfigError("%s[%d] (%s term) needs %r"
+                              % (where, i, kind, missing[0]))
+        args = [float(term[key]) for key in fields]
         if kind == "const":
-            prof = radial.const(_field(term, "value", spot))
+            prof = radial.const(*args)
         elif kind == "power":
-            prof = radial.power(_field(term, "coefficient", spot),
-                                _field(term, "exponent", spot))
+            prof = radial.power(*args)
         elif kind == "gaussian":
-            prof = radial.gaussian(_field(term, "amplitude", spot),
-                                   _field(term, "center", spot),
-                                   _field(term, "width", spot))
+            prof = radial.gaussian(*args)
         else:
-            prof = metrics.schwarzschild_factor(_field(term, "mass", spot), n)
+            prof = metrics.schwarzschild_factor(args[0], n)
         total = prof if total is None else total + prof
     return total
 
 
 def build_metric(cfg: SceneConfig):
-    """Metric named by the top-level metric block."""
+    """Metric named by the top-level metric block, which may hold only the
+    keys its family reads.  Its r_min, the chart's inner cut, is where
+    every solve and the shooting oracle start."""
     spec = cfg.data["metric"]
     n = int(spec["dimension"])
     family = spec["family"]
+    extra = sorted(set(spec) - {"family", "dimension", *_FAMILY_KEYS[family]})
+    if extra:
+        raise ConfigError("metric.%s is not read for family %r"
+                          % (extra[0], family))
     if family == "euclidean":
         return metrics.euclidean(n)
     if family == "schwarzschild":
@@ -300,10 +218,8 @@ def build_metric(cfg: SceneConfig):
 
 
 def build_domain(block, n):
-    """DomainModel from the solve-domain description; keys the scene leaves
-    out take the DomainModel defaults, keys the schema does not name are
-    ignored."""
+    """DomainModel from the solve-domain description; its inner cut is the
+    metric's r_min."""
     from .elliptic import DomainModel
-    return DomainModel(n=n, **{key: block[key]
-                               for key in _DOMAIN["properties"]
-                               if key in block})
+    return DomainModel(n=n, truncation_radii=block["truncation_radii"],
+                       cylinder_lengths=block.get("cylinder_lengths", ()))

@@ -36,6 +36,10 @@ _INPUT_R_FLOOR = -1e-10
 # mass-measurement fractions of the outermost truncation radius, kept inside
 # the solved annulus so a blended metric's spline never extrapolates
 MASS_FRACTIONS = np.array([0.12109375, 0.2421875, 0.484375, 0.96875])
+# annulus nodes over the first truncation of a rung's (and a probe's) domain
+ANNULUS_NODES = 1100
+# relative tolerance of verify_mass_shift's independent mass check
+VERIFY_RTOL = 0.01
 
 
 def conformal_constant(n):
@@ -259,7 +263,7 @@ def pick_tau(n, u, numerator, R):
     return tau, min_R(tau)
 
 
-def deform_rung(split, s, c_S, annulus_nodes=1100):
+def deform_rung(split, s, c_S):
     """Run one ladder scale: interpolate, relax, solve, pick tau, deform."""
     n = split.n
     interp = build_interpolated_metric(split, s)
@@ -268,9 +272,8 @@ def deform_rung(split, s, c_S, annulus_nodes=1100):
     eta = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s)
     f = conformal_constant(n) * eta \
         * (radial.conformal_scalar(interp.u_eff, n) - delta)
-    dom = DomainModel(n=n, r_min=split.metric.r_min,
-                      truncation_radii=(8.0 * s, 16.0 * s, 32.0 * s),
-                      annulus_nodes=annulus_nodes)
+    dom = DomainModel(n=n, truncation_radii=(8.0 * s, 16.0 * s, 32.0 * s),
+                      annulus_nodes=ANNULUS_NODES)
     prob = EllipticProblem(interp.metric, f, support_radius=4.0 * s,
                            domain=dom)
     check_smallness(prob, c_S)
@@ -340,7 +343,7 @@ def audit_nonnegative_scalar(metric, r_max):
 
 
 def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
-                   m=None, annulus_nodes=1100):
+                   m=None):
     """Ladder driver: stop at the first scale whose mass shift is small.
 
     Raises RegimeError when the shift magnitude fails to decrease across
@@ -355,8 +358,7 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
     if m is None:
         m = adm_mass(metric).extrapolated
     if c_S is None:
-        dom = DomainModel(n=metric.n, r_min=metric.r_min,
-                          truncation_radii=(64.0 * metric.r_min,),
+        dom = DomainModel(n=metric.n, truncation_radii=(64.0 * metric.r_min,),
                           annulus_nodes=700)
         from .rayleigh import sobolev_estimate
         c_S = sobolev_estimate(dom, metric).c_S
@@ -364,7 +366,7 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
     rungs = []
     achieved = False
     for s in s_ladder:
-        rung = deform_rung(split, s, c_S, annulus_nodes=annulus_nodes)
+        rung = deform_rung(split, s, c_S)
         rungs.append(rung)
         if abs(rung.mass_shift) <= eps_target:
             achieved = True
@@ -378,7 +380,7 @@ def density_deform(metric, eps_target, s_ladder=DEFAULT_S_LADDER, c_S=None,
                         achieved=achieved)
 
 
-def verify_mass_shift(report, rtol=0.01):
+def verify_mass_shift(report):
     """Independent mass check: adm_mass(g_bar) - m equals the reported shift.
 
     The radii are MASS_FRACTIONS of the final rung's outer radius, inside
@@ -393,5 +395,5 @@ def verify_mass_shift(report, rtol=0.01):
         "measured": float(m_bar_meas),
         "reported": float(expected),
         "error": float(err),
-        "passed": bool(err <= rtol * max(1.0, abs(expected))),
+        "passed": bool(err <= VERIFY_RTOL * max(1.0, abs(expected))),
     }

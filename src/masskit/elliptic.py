@@ -3,9 +3,13 @@
 The domain is the end annulus [r_min, R] together with an optional attached
 cylinder whose length grows along a schedule; the cylinder carries a zero
 Neumann cut at its far section, so no boundary data is ever imposed on the
-attached end.  Outer truncations use Dirichlet v = 0 on the sphere r = R,
-with a Robin closure (d_r v + (n-2) v / r = 0) available as the final
-acceleration step; both must agree on the retained region.
+attached end.  The inner cut r_min is the metric's: a domain names only its
+truncation radii and cylinder lengths, so the solver and the shooting
+oracle start from the same sphere.  The potential acts on the annulus
+only; the cylinder, junction half cell included, carries none.  Outer
+truncations use Dirichlet v = 0 on the sphere r = R, with a Robin closure
+(d_r v + (n-2) v / r = 0) available as the final acceleration step; both
+must agree on the retained region.
 
 All solves reduce to a symmetric tridiagonal system in the log-radius
 coordinate; the conservation-form assembly makes the discrete flux through
@@ -32,28 +36,28 @@ from .grids import (RadialMesh, mesh_stiffness, radial_kappa_w, radial_mesh,
 
 # relative residual budget of every tridiagonal solve
 SOLVE_TOL = 1e-10
+# toy-end cylinder nodes per unit length
+CYLINDER_NODES_PER_UNIT = 64
 
 
 @dataclass
 class DomainModel:
-    """End annulus plus optional growing-cylinder toy end and its schedules."""
+    """Schedules of the end annulus [metric.r_min, R] and of an optional
+    growing-cylinder toy end; annulus_nodes spans the first truncation."""
 
     n: int
-    r_min: float = 1.0
     truncation_radii: tuple = (16.0, 32.0, 64.0)
     cylinder_lengths: tuple = ()
     annulus_nodes: int = 1024
-    cylinder_nodes_per_unit: int = 64
     # meshes built so far, by (metric, R, cylinder length)
     _meshes: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
         radii = tuple(float(R) for R in self.truncation_radii)
-        if len(radii) < 1 or any(R <= self.r_min for R in radii):
-            raise ConfigError("truncation radii must exceed r_min")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("truncation schedule must be strictly increasing")
+        if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigError("truncation schedule must be nonempty and "
+                              "strictly increasing")
         lengths = tuple(float(L) for L in self.cylinder_lengths)
         if any(L <= 0 for L in lengths):
             raise ConfigError("cylinder lengths must be positive")
@@ -66,19 +70,20 @@ class DomainModel:
     def has_toy_end(self):
         return len(self.cylinder_lengths) > 0
 
-    def dsigma(self):
-        R0 = self.truncation_radii[0]
-        return np.log(R0 / self.r_min) / (self.annulus_nodes - 1)
-
     def mesh(self, metric, R, cyl_len=0.0):
-        """Mesh at truncation R keeping the node spacing of the first rung,
-        built on first use and shared after that."""
+        """Mesh on [metric.r_min, R] keeping the node spacing of the first
+        rung, built on first use and shared after that."""
         key = (metric, float(R), float(cyl_len))
         if key not in self._meshes:
-            num = int(round(np.log(R / self.r_min) / self.dsigma())) + 1
-            cyl_num = int(round(cyl_len * self.cylinder_nodes_per_unit))
+            r_min, R0 = metric.r_min, self.truncation_radii[0]
+            if R0 <= r_min:
+                raise ConfigError("truncation radius %.3g must exceed the "
+                                  "metric's r_min %.3g" % (R0, r_min))
+            dsigma = np.log(R0 / r_min) / (self.annulus_nodes - 1)
+            num = int(round(np.log(R / r_min) / dsigma)) + 1
+            cyl_num = int(round(cyl_len * CYLINDER_NODES_PER_UNIT))
             self._meshes[key] = radial_mesh(metric, R, num, cyl_len=cyl_len,
-                                            cyl_num=cyl_num, r_min=self.r_min)
+                                            cyl_num=cyl_num)
         return self._meshes[key]
 
 
@@ -115,11 +120,11 @@ class EllipticProblem:
         if self.metric.n != self.domain.n:
             raise ConfigError("metric dimension disagrees with the domain")
         R0 = self.domain.truncation_radii[0]
-        if not (self.domain.r_min < self.support_radius <= 0.5 * R0):
+        if not (self.metric.r_min < self.support_radius <= 0.5 * R0):
             raise ConfigError(
                 "potential support [%.3g, %.3g] must sit inside the first "
                 "truncation (R0/2 = %.3g)"
-                % (self.domain.r_min, self.support_radius, 0.5 * R0))
+                % (self.metric.r_min, self.support_radius, 0.5 * R0))
 
     def f_values(self, r):
         """f at radii r, evaluated only inside support_radius: zero beyond."""
@@ -151,7 +156,7 @@ def check_smallness(problem, c_S):
     if c_S <= 0.0:
         raise ConfigError("Sobolev constant must be positive")
     n = problem.domain.n
-    r = np.geomspace(problem.domain.r_min, problem.support_radius, 2049)
+    r = np.geomspace(problem.metric.r_min, problem.support_radius, 2049)
     fm = np.maximum(-problem.f_values(r), 0.0)
     _, w = radial_kappa_w(problem.metric, r)
     lhs = radial_lp_norm(fm, w, r, n / 2.0, n)
@@ -204,12 +209,12 @@ def _solve_tridiag(lower, diag, upper, rhs):
 
 
 def _assemble_and_solve(mesh, fvals, bc_outer, n, kappa_out):
-    """Solve (K + f wbar) v = -f wbar with the chosen outer closure;
+    """Solve (K + f wsrc) v = -f wsrc with the chosen outer closure;
     kappa_out is the log-radius flux coefficient of the Robin closure."""
     lower, diag, upper = mesh_stiffness(mesh.kappa_face / mesh.dcoord)
-    wbar = mesh.wbar
-    diag = diag + fvals * wbar
-    rhs = -fvals * wbar
+    source = fvals * mesh.wsrc
+    diag = diag + source
+    rhs = -source
     if bc_outer == "dirichlet":
         # eliminate the outer node: v = 0 there
         x, rnorm = _solve_tridiag(lower[:-1], diag[:-1], upper[:-1],
@@ -290,7 +295,7 @@ def solve_conformal_factor(problem):
     dom = problem.domain
     n = dom.n
     R_ref = dom.truncation_radii[0]
-    r_probe = np.geomspace(dom.r_min * 1.01, R_ref * 0.99, 257)
+    r_probe = np.geomspace(problem.metric.r_min * 1.01, R_ref * 0.99, 257)
     diagnostics = []
     diffs = []
     prev = None
@@ -317,7 +322,7 @@ def solve_conformal_factor(problem):
             "positivity lost (min u = %.3g) despite smallness margin %.3g; "
             "numerical fault" % (min_u, problem.smallness.ratio))
     mesh, fvals = rob.mesh, rob.fvals
-    A_int = float(-np.sum(fvals * u * mesh.wbar) / (n - 2.0))
+    A_int = float(-np.sum(fvals * u * mesh.wsrc) / (n - 2.0))
     A_fit, B_fit, rem = _fit_coefficients(mesh, rob.v, n,
                                           dom.truncation_radii[-1])
     if abs(A_int - A_fit) > 1e-2 * max(abs(A_int), 1e-8):
@@ -327,10 +332,10 @@ def solve_conformal_factor(problem):
 
     # discrete flux through the cut at node 0 (zero Neumann there): the
     # first face flux less node 0's half-cell source, which is zero on a
-    # toy-end cylinder and f0 wbar0 u0 at r_min without one
+    # toy-end cylinder and f0 wsrc0 u0 at r_min without one
     flux = float(sphere_area(n) * (mesh.kappa_face[0] * (u[1] - u[0])
                                    / mesh.dcoord[0]
-                                   - fvals[0] * mesh.wbar[0] * u[0]))
+                                   - fvals[0] * mesh.wsrc[0] * u[0]))
     diagnostics.append({"stage": "robin", "R": float(rob.R),
                         "residual": rob.residual, "min_u": min_u,
                         "A_integral": A_int, "A_fit": A_fit})

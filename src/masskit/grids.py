@@ -39,6 +39,9 @@ class RadialMesh:
 
     with kappa(r) = a^{(n-1)/2} (a+b)^{-1/2} r^{n-1} and
     w(r) = a^{(n-1)/2} (a+b)^{1/2} r^{n-1} for the metric a(r) delta + b xhat xhat.
+    wbar is each node's volume; wsrc, the weight of a potential, keeps only
+    the annulus half cells, so the toy end carries no potential, not even
+    at the junction.  Without a cylinder the two are equal.
     A mesh is shared by every solve on it, so its arrays are read-only.
     """
     n: int
@@ -47,6 +50,7 @@ class RadialMesh:
     is_cyl: np.ndarray         # bool mask, (M,)
     kappa_face: np.ndarray     # (M-1,), flux coefficient at faces
     wbar: np.ndarray           # (M,), lumped weight of the two half cells
+    wsrc: np.ndarray           # (M,), source weight: annulus half cells only
     r_min: float
     r_max: float               # outer sphere, exactly the r_max asked for
     kappa_max: float           # kappa(r_max), for an outer closure
@@ -101,14 +105,16 @@ def harmonic_tail(metric, R):
     return tail
 
 
-def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0, r_min=None):
-    """Build the composite 1D mesh for a radial metric.
+def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0):
+    """Build the composite 1D mesh for a radial metric on its chart.
 
-    num is the annulus node count (log-spaced); cyl_len/cyl_num attach the toy
-    end.  Node ordering: deepest cylinder node first, outer sphere last.
+    The annulus runs from the metric's inner cut r_min to r_max, which must
+    exceed it; num is the annulus node count (log-spaced); cyl_len/cyl_num
+    attach the toy end at r_min.  Node ordering: deepest cylinder node
+    first, outer sphere last.
     """
     n = metric.n
-    r_min = float(metric.r_min if r_min is None else r_min)
+    r_min = float(metric.r_min)
     if r_max <= r_min:
         raise ConfigError("r_max %.3g must exceed r_min %.3g" % (r_max, r_min))
     if num < 16:
@@ -146,10 +152,14 @@ def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0, r_min=None):
     wbar = np.zeros(coord.size)
     wbar[1:] += 0.5 * d * np.where(cylf, section, w_sigma[1:])
     wbar[:-1] += 0.5 * d * np.where(cylf, section, w_sigma[:-1])
-    for arr in (coord, r, is_cyl, kappa_face, wbar):
+    # the annulus half cells alone: the junction keeps its outer half, which
+    # is all of wbar[0] when there is no cylinder
+    wsrc = np.where(is_cyl, 0.0, wbar)
+    wsrc[t.size] = 0.5 * d[t.size] * w_sigma[t.size]
+    for arr in (coord, r, is_cyl, kappa_face, wbar, wsrc):
         arr.flags.writeable = False
     return RadialMesh(n=n, coord=coord, r=r, is_cyl=is_cyl,
-                      kappa_face=kappa_face, wbar=wbar,
+                      kappa_face=kappa_face, wbar=wbar, wsrc=wsrc,
                       r_min=r_min, r_max=float(r_max),
                       kappa_max=float(kap_nodes[-1]))
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import metrics, radial
 from .adm import adm_mass
-from .density import MASS_FRACTIONS, conformal_constant, pick_tau, tau_blend
+from .density import ANNULUS_NODES, MASS_FRACTIONS, conformal_constant, \
+    pick_tau, tau_blend
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
     radial_lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError
@@ -27,15 +28,17 @@ from .radial import RProfile
 
 RIC_FLOOR = 1e-10
 FLATNESS_TOL = 1e-9
+# a cutoff counts as vanishing where it stays at or below this
+CUTOFF_TOL = 1e-14
 # Sobolev constant both probes size their potentials against
 PROBE_C_S = 3.0
 
 
 def _default_domain(metric, support):
     base = 16.0 * max(1.0, np.ceil(float(support) / 4.0))
-    return DomainModel(n=metric.n, r_min=metric.r_min,
+    return DomainModel(n=metric.n,
                        truncation_radii=(base, 2.0 * base, 4.0 * base),
-                       annulus_nodes=1100)
+                       annulus_nodes=ANNULUS_NODES)
 
 
 def _mass_radii(domain):
@@ -63,6 +66,21 @@ def _bump_interval(metric, bump):
     return lo, hi
 
 
+def _require_vanishing_off(cutoff, interval, metric, support, name):
+    """ConfigError unless the cutoff stays within CUTOFF_TOL of 0 outside
+    its stated interval, which the probe reads as its support; sampled from
+    the chart cut out to the probe domain's largest truncation radius."""
+    lo, hi = float(interval[0]), float(interval[1])
+    r = np.geomspace(metric.r_min,
+                     _default_domain(metric, support).truncation_radii[-1],
+                     4001)
+    off = r[(r < lo) | (r > hi)]
+    leak = float(np.abs(cutoff.value(off)).max(initial=0.0))
+    if leak > CUTOFF_TOL:
+        raise ConfigError("%s reaches %.3g outside its interval [%.3g, %.3g]"
+                          % (name, leak, lo, hi))
+
+
 def rigidity_probe_scalar(metric, eta, bump):
     """Certificate that a nonnegative curvature bump forces a mass drop.
 
@@ -79,6 +97,7 @@ def rigidity_probe_scalar(metric, eta, bump):
         raise ConfigError("scalar probe needs a conformally flat radial "
                           "input with closed-form curvature")
     lo, hi = _bump_interval(metric, bump)
+    _require_vanishing_off(eta, bump, metric, hi, "eta")
     Rfun = radial.conformal_scalar(metric.conformal_u, n)
     probe_r = np.linspace(lo, hi, 1601)
     fR = eta.value(probe_r) * Rfun(probe_r)
@@ -111,7 +130,8 @@ class RigidityProbeSpec:
 
     eta cuts off the perturbation over the interval bump; the wider cutoff
     eta_tilde relaxes the potential over bump_tilde and must keep a positive
-    floor on supp eta so the relaxation reaches the whole bump.
+    floor on supp eta so the relaxation reaches the whole bump.  Each cutoff
+    must vanish outside its interval.
     """
     eta: RProfile
     bump: tuple
@@ -136,7 +156,10 @@ class RigidityProbeSpec:
         if ev.min() < 0.0 or ev.max() > 1.0 + 1e-12 or tv.min() < 0.0 \
                 or tv.max() > 1.0 + 1e-12:
             raise ConfigError("cutoffs must take values in [0, 1]")
-        mask = ev > 1e-14
+        _require_vanishing_off(self.eta, self.bump, metric, thi, "eta")
+        _require_vanishing_off(self.eta_tilde, self.bump_tilde, metric, thi,
+                               "eta_tilde")
+        mask = ev > CUTOFF_TOL
         if not mask.any():
             raise ConfigError("perturbation cutoff vanishes on its bump")
         floor = float(tv[mask].min())

@@ -2,9 +2,12 @@
 rule, the trajectory entry and the src/ tree hash."""
 import argparse
 import os
+import platform
 import runpy
 
+import numpy as np
 import pytest
+import scipy
 
 PAIRS = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
                                     "tools", "bench_pairs.py"))
@@ -108,3 +111,9 @@ def test_append_adds_an_entry_or_another_seed(tmp_path, other_seed):
     assert (entry["change"], entry["parent"], entry["seed"]) \
         == (None, "abc", 5)
     assert entry["workloads"] is workloads
+    host = entry["machine"]
+    assert set(host) == {"cpu", "cpus", "python", "numpy", "scipy", "blas"}
+    assert host["cpus"] >= 1
+    assert host["python"] == platform.python_version()
+    assert (host["numpy"], host["scipy"]) == (np.__version__,
+                                              scipy.__version__)

@@ -127,6 +127,36 @@ def test_solve_without_toy_end_passes_both_flux_audits(tmp_path):
     assert status["energy-flux-vanishes"] == "PASS"
 
 
+# a flat end cut at r_min = 2: the solver's mesh and the shooting oracle
+# both start at the metric's cut (a domain that restated the cut at 1 put
+# the solve 3.9e-2 away from the oracle)
+INNER_CUT_SOLVE = {
+    "schema": 1,
+    "metric": {"family": "conformally_flat", "dimension": 3,
+               "profile": [{"kind": "const", "value": 1.0}], "r_min": 2},
+    "solve": {"potential": [{"kind": "gaussian", "amplitude": 0.05,
+                             "center": 2.5, "width": 0.5}],
+              "support_radius": 8, "c_S": 3,
+              "domain": {"truncation_radii": [16, 32, 64]},
+              "oracle": {"enabled": True}}}
+# the Euclidean roadmap scene with the toy end: a cylinder schedule
+TOY_END_SOLVE = json.loads(json.dumps(ROADMAP_SOLVE_EUCLIDEAN))
+TOY_END_SOLVE["solve"]["domain"]["cylinder_lengths"] = [2, 4, 8]
+
+
+@pytest.mark.parametrize("scene, rtol", [(INNER_CUT_SOLVE, 1e-5),
+                                         (TOY_END_SOLVE, 1e-6)],
+                         ids=["inner-cut", "toy-end"])
+def test_solve_matches_the_oracle_from_the_metric_cut(tmp_path, scene, rtol):
+    result, manifest = _invoke_scene(tmp_path, "solve", scene)
+    assert result.exit_code == 0, result.output
+    status = {rec["audit"]: rec["status"] for rec in manifest["outcomes"]}
+    assert status["matches-shooting-oracle"] == "PASS"
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert abs(report["A_integral"] - report["oracle_A"]) \
+        <= rtol * abs(report["oracle_A"])
+
+
 # a conformally flat end whose factor carries a Gaussian term beyond the
 # potential's support: the oracle's tail of 1/kappa must resolve it (a
 # 16-point Gauss-Legendre rule in r_f/r moves oracle_A by 2.1e-4 relative,

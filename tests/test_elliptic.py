@@ -72,8 +72,10 @@ def test_profile_bound_value_and_plain_function_solve_alike():
 
 
 def test_domain_schedules_validated():
+    # a truncation inside the metric's cut at r_min = 1
     with pytest.raises(ConfigError):
-        elliptic.DomainModel(n=3, truncation_radii=(0.5,))
+        elliptic.DomainModel(n=3, truncation_radii=(0.5,)).mesh(
+            metrics.euclidean(3), 0.5)
     with pytest.raises(ConfigError):
         elliptic.DomainModel(n=3, truncation_radii=(16.0, 16.0))
     with pytest.raises(ConfigError):
@@ -237,6 +239,25 @@ def test_toy_end_leaves_expansion_unchanged():
     without = solved_window(False)
     assert abs(with_cyl.A_integral - without.A_integral) <= 1e-12
     assert abs(with_cyl.A_fit - without.A_fit) <= 1e-10
+
+
+def test_toy_end_junction_carries_no_potential():
+    """f = gaussian(0.05, 3, 1) is nonzero at the cut r_min = 1.  The toy
+    end, the junction's cylinder half cell included, carries none of it, so
+    the cylinder schedule leaves A as it is (weighting f(r_min) by the whole
+    junction cell moved A by 6.5e-6 relative)."""
+    A = []
+    for lengths in ((2.0, 4.0, 8.0), ()):
+        dom = elliptic.DomainModel(n=3, cylinder_lengths=lengths)
+        prob = elliptic.EllipticProblem(metrics.euclidean(3),
+                                        radial.gaussian(0.05, 3.0, 1.0), 8.0,
+                                        dom)
+        elliptic.check_smallness(prob, C_SOB)
+        sol = elliptic.solve_conformal_factor(prob)
+        A.append(sol.A_integral)
+    assert abs(A[0] - A[1]) <= 1e-12 * abs(A[1])
+    # without a cylinder the source weight is the volume weight, bitwise
+    assert np.array_equal(sol.mesh.wsrc, sol.mesh.wbar)
 
 
 def energy_norm_bound(problem, solution, c_S):

@@ -1,4 +1,5 @@
 """Sobolev-quotient minimum and eigenvalue bounds against closed forms."""
+import dataclasses
 import functools
 import math
 import re
@@ -63,12 +64,13 @@ def test_quotient_rejects_zero_function():
 
 
 def test_dilation_invariance():
-    d1 = elliptic.DomainModel(n=3, r_min=1.0, truncation_radii=(64.0,),
+    d1 = elliptic.DomainModel(n=3, truncation_radii=(64.0,),
                               annulus_nodes=700)
-    d2 = elliptic.DomainModel(n=3, r_min=3.0, truncation_radii=(192.0,),
+    d2 = elliptic.DomainModel(n=3, truncation_radii=(192.0,),
                               annulus_nodes=700)
     r1 = rayleigh.sobolev_estimate(d1, metrics.euclidean(3))
-    r2 = rayleigh.sobolev_estimate(d2, metrics.euclidean(3))
+    r2 = rayleigh.sobolev_estimate(
+        d2, dataclasses.replace(metrics.euclidean(3), r_min=3.0))
     assert abs(r1.c_S - r2.c_S) <= 1e-12 * r1.c_S
 
 
@@ -155,12 +157,14 @@ def test_estimate_matches_the_descent_values(n):
        amplitude=st.floats(-0.4, 0.4))
 def test_estimate_converges_across_domain_families(n, log2_ratio, nodes, r_min,
                                                    neck, family, amplitude):
-    metric = {"euclidean": metrics.euclidean(n),
-              "schwarzschild": metrics.schwarzschild(0.5, n),
-              "bubble": metrics.conformally_flat(
-                  radial.const(1.0) + radial.bubble(amplitude), n)}[family]
+    metric = dataclasses.replace(
+        {"euclidean": metrics.euclidean(n),
+         "schwarzschild": metrics.schwarzschild(0.5, n),
+         "bubble": metrics.conformally_flat(
+             radial.const(1.0) + radial.bubble(amplitude), n)}[family],
+        r_min=r_min)
     dom = elliptic.DomainModel(
-        n=n, r_min=r_min, truncation_radii=(r_min * 2.0 ** log2_ratio,),
+        n=n, truncation_radii=(r_min * 2.0 ** log2_ratio,),
         cylinder_lengths=(neck * r_min,) if neck else (),
         annulus_nodes=nodes)
     rep = rayleigh.sobolev_estimate(dom, metric)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from masskit import metrics, oracles, radial, rigidity
+from masskit import curvature, metrics, oracles, radial, rigidity
 from masskit.adm import adm_mass
 from masskit.density import conformal_constant
 from masskit.errors import ConfigError, RegimeError
@@ -153,6 +153,40 @@ def test_ricci_probe_matches_shooting_reference():
 
     sh = oracles.shoot_conformal_factor(gbar, f, 4.0)
     assert abs(rep.A - sh.A) < 1e-5
+
+
+def test_perturbed_metric_jet_gives_the_closed_form_curvature():
+    """The xhat xhat term b = -eps eta beta of the perturbed radial form is
+    what makes its exact jet right: the curvature kernel on that jet
+    reproduces the closed-form scalar on the bump (without b it misses by
+    8.6e-3)."""
+    g = metrics.schwarzschild(1.0, 3)
+    spec = ricci_spec()
+    gbar = ricci_perturbed_metric(g, spec.eta, spec.bump, spec.epsilon)
+    r = np.linspace(1.55, 3.45, 39)
+    X = r[:, None] * curvature.sample_directions(3, r.size, rng=0)
+    R_jet = curvature.scalar_curvature_bartnik(gbar, X)
+    R_fun = perturbed_scalar_spline(gbar, spec.bump, g.r_min)
+    assert np.abs(R_jet - R_fun(r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("overrides", [
+    {"bump": (1.5, 3.0)},
+    {"eta_tilde": radial.window(1.2, 1.8, 3.2, 4.5)}],
+    ids=["eta", "eta_tilde"])
+def test_cutoff_must_vanish_outside_its_interval(overrides):
+    """A cutoff that reaches beyond its stated interval is refused: the
+    perturbed curvature is masked to the interval, so eta = window(1.5, 2,
+    3, 3.5) on bump (1.5, 3) ran and reported A = -3.44e-4 against
+    -4.12e-4."""
+    g = metrics.schwarzschild(1.0, 3)
+    with pytest.raises(ConfigError, match="outside its interval"):
+        rigidity_probe_ricci(g, ricci_spec(**overrides))
+
+
+def test_scalar_probe_cutoff_must_vanish_outside_its_bump():
+    with pytest.raises(ConfigError, match="outside its interval"):
+        rigidity_probe_scalar(bump_metric(), bump_eta(), (1.2, 3.5))
 
 
 def ricci_oracle_problem():

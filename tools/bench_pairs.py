@@ -24,8 +24,11 @@ bytecode, and the tool refuses checkouts that hold a `__pycache__` under
 src/ or bench/: a cache on one side only spares that side the compiling
 and lowers its `setup_s`.  A claim `W:M` is met when the change won at
 least 9 in 10 of the pairs and its median beats the parent's by more than
-the parent's interquartile range.  Stdlib only; the per-pair values are
-printed as they come.
+the parent's interquartile range.  Each new entry records the machine
+the pairs ran on: the CPU model from /proc/cpuinfo, the usable CPUs, and
+the Python, numpy, scipy and BLAS versions of the interpreter that runs
+bench/run.py.  Stdlib only at import; the per-pair values are printed as
+they come.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -67,6 +71,24 @@ def src_tree(path):
     body = b"".join(mode + b" " + name.encode() + b"\0" + bytes.fromhex(sha)
                     for _, mode, name, sha in sorted(entries))
     return hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
+
+
+def machine():
+    """The host and the numerical stack the runs use."""
+    import numpy
+    import scipy
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpu": cpu, "cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas": "%s %s" % (blas.get("name"), blas.get("version"))}
 
 
 def bytecode_caches(checkout):
@@ -154,7 +176,8 @@ def append(trajectory, args, workloads, better):
         "parent": args.parent_commit,
         "parent_src_tree": src_tree(os.path.join(args.parent, "src")),
         "title": args.title, "source": "measured", "seed": args.seed,
-        "note": args.note, "claim": claim, "workloads": workloads})
+        "note": args.note, "claim": claim, "machine": machine(),
+        "workloads": workloads})
 
 
 def main(argv=None):
