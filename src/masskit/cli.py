@@ -3,10 +3,12 @@
 Each command reads one JSON scene, drives the matching pipeline, and
 emits canonical reports plus a run manifest into the output directory.
 Run settings come from flags only: --out (default masskit-out),
---threads (default 1) and --seed, which overrides the scene's seed.
-Exit codes: 0 success, 1 configuration error, 2 audit or regime
-failure, 3 solver or internal numerical fault.  `Run` is the run ledger:
-the audit outcomes and output names that run_manifest.json records.
+--threads (default 1, at least 1) and --seed, which overrides the scene's
+seed.  Exit codes: 0 success, 1 configuration error, 2 audit or regime
+failure, 3 solver or internal numerical fault.  A usage error, such as a
+missing --config or --threads 0, exits 2 before any scene is read.
+`Run` is the run ledger: the audit outcomes and output names that
+run_manifest.json records.
 Identical scene and seed give byte-identical outputs (the writers in
 `reports` fix the bytes of each file); only run_manifest.json's
 wall_clock field varies between repeats.  Each command body imports the
@@ -125,8 +127,7 @@ def _dispatch(command, body, config_path, out, threads, seed):
         click.echo("config error: %s" % exc, err=True)
         sys.exit(1)
     run = Run(command, cfg, out_dir=out,
-              seed=cfg.seed if seed is None else int(seed),
-              threads=max(1, int(threads)))
+              seed=cfg.seed if seed is None else int(seed), threads=threads)
     started = time.perf_counter()
     try:
         body(cfg.block(command), scene.build_metric(cfg), run)
@@ -156,9 +157,12 @@ def _dispatch(command, body, config_path, out, threads, seed):
 
 
 def _cmd_mass(block, metric, run):
+    method = block.get("method", "auto")
+    if "quadrature_order" in block and method != "quadrature":
+        raise ConfigError("mass.quadrature_order is not read unless "
+                          "mass.method is 'quadrature'")
     order = int(block.get("quadrature_order", adm.DEFAULT_QUADRATURE_ORDER))
-    report = adm.adm_mass(metric, block["radii"], order=order,
-                          method=block.get("method", "auto"),
+    report = adm.adm_mass(metric, block["radii"], order=order, method=method,
                           map_fn=run.map_ladder)
     run.emit_json("mass_report.json", report.to_json_dict())
     run.emit_csv("mass_ladder.csv",
@@ -298,7 +302,7 @@ def _cmd_compactify(block, metric, run):
     torus_cfg = block.get("torus", {})
     spec = lohkamp.TorusGlueSpec(
         flat_radius=float(torus_cfg.get("flat_radius", state.r_flat)),
-        collar=float(torus_cfg.get("collar", 0.0)))
+        collar=torus_cfg.get("collar"))
     torus_report = lohkamp.torus_glue(capped, spec)
     run.audit("torus-collar-constant", "<=", torus_report["collar_gap"], 0.0)
     run.audit("torus-faces-periodic", "<=",
@@ -321,13 +325,19 @@ def _cmd_compactify(block, metric, run):
     _emit_torus_chart(run, capped, torus_report)
 
 
+def _scene_matrix(rows, n, where):
+    """A scene's JSON matrix as a float (n, n) array; ConfigError naming
+    its path `where` unless it has n rows of n numbers."""
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ConfigError("%s must be a %dx%d matrix" % (where, n, n))
+    return np.array(rows, dtype=float)
+
+
 def _cmd_ale(block, metric, run):
     from . import groups
-    generators = [np.asarray(G, dtype=float) for G in block["generators"]]
-    for i, G in enumerate(generators):
-        if G.shape != (metric.n, metric.n):
-            raise ConfigError("ale.generators[%d] must be a %dx%d matrix"
-                              % (i, metric.n, metric.n))
+    n = metric.n
+    generators = [_scene_matrix(G, n, "ale.generators[%d]" % i)
+                  for i, G in enumerate(block["generators"])]
     group = groups.GroupAction.from_generators(generators)
     radii = block.get("radii")
     _, audit = groups.ale_lift(
@@ -345,10 +355,10 @@ def _cmd_ale(block, metric, run):
     fixed_cfg = block.get("fixed_point")
     if fixed_cfg is not None:
         pairs = []
-        for element in fixed_cfg["elements"]:
-            T = np.asarray(element["matrix"], dtype=float)
-            v = np.asarray(element.get("offset", [0.0] * T.shape[0]),
-                           dtype=float)
+        for k, element in enumerate(fixed_cfg["elements"]):
+            T = _scene_matrix(element["matrix"], n,
+                              "ale.fixed_point.elements[%d].matrix" % k)
+            v = np.asarray(element.get("offset", [0.0] * n), dtype=float)
             pairs.append((T, v))
         point = groups.fixed_point_of_finite_group(pairs)
         payload["fixed_point"] = point
@@ -459,7 +469,7 @@ for _name, _body, _summary in (
             click.Option(["--out"], type=click.Path(file_okay=False),
                          default="masskit-out",
                          help="Output directory (default: masskit-out)."),
-            click.Option(["--threads"], type=int, default=1,
+            click.Option(["--threads"], type=click.IntRange(min=1), default=1,
                          help="Worker threads for ladder fan-out "
                               "(default: 1)."),
             click.Option(["--seed"], type=int,

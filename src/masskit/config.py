@@ -10,7 +10,7 @@ accepted keys (* required):
     schema*, seed
     metric: family*, dimension*, mass (schwarzschild), profile and r_min
         (conformally_flat; r_min is the chart's inner cut, default 1)
-    mass: radii*, quadrature_order, method, expected
+    mass: radii*, method, quadrature_order (method quadrature), expected
     solve: potential*, support_radius*, c_S, oracle {enabled},
         domain* {truncation_radii*, cylinder_lengths}
     deform: eps_target*, s_ladder, c_S, mass
@@ -59,7 +59,6 @@ def _array(items, min_items=0):
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
 _POS_ARRAY = _array(_POS, 1)
 _LADDER = _array(_POS, 3)
 _PROFILE = _array(_object(
@@ -91,7 +90,7 @@ SCENE_SCHEMA = _object(
     deform=_object("eps_target", eps_target=_POS, s_ladder=_POS_ARRAY,
                    c_S=_POS, mass=_NUM),
     compactify=_object("s1", s1=_POS,
-                       torus=_object(flat_radius=_POS, collar=_NONNEG)),
+                       torus=_object(flat_radius=_POS, collar=_POS)),
     ale=_object(
         "generators", generators=_array(_MATRIX, 1), radii=_LADDER,
         fixed_point=_object("elements", elements=_array(_object(

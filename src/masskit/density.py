@@ -144,7 +144,6 @@ class DeltaReport:
     delta0: float
     lhs: float
     threshold: float
-    ceiling: float
     volume: float
     bisections: int
 
@@ -154,7 +153,9 @@ class DeltaReport:
 
     @property
     def ceiling_margin(self):
-        return self.ceiling - self.delta * (1.0 + self.volume)
+        """Margin of delta (1 + volume) <= 1/s divided through by
+        1 + volume: exact in floating point, so delta = delta0 reads 0."""
+        return self.delta0 - self.delta
 
 
 def _feasible_end(ok, lo, hi, halvings):
@@ -203,7 +204,7 @@ def choose_delta(interp, c_S):
             "no relaxation constant above %.0e satisfies the size bound; "
             "the input curvature is too negative for this regime" % DELTA_FLOOR)
     return DeltaReport(delta=delta, delta0=delta0, lhs=lhs(delta),
-                       threshold=threshold, ceiling=1.0 / s, volume=volume,
+                       threshold=threshold, volume=volume,
                        bisections=0 if delta == delta0 else _DELTA_BISECTIONS)
 
 

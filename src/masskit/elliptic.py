@@ -17,8 +17,10 @@ any section below the support of f vanish identically.
 
 Coefficients are sampled once: a DomainModel builds each mesh (metric,
 truncation radius, cylinder length) on first use and returns it after that,
-and a problem keeps f at the nodes of the last mesh it solved on, so the
-Robin solve reuses both the last Dirichlet rung's mesh and its samples.
+and a problem keeps f at the nodes of the last mesh it sampled, so the
+first Dirichlet solve reuses the smallness gate's samples on the first
+truncation's mesh, and the Robin solve both the last Dirichlet rung's mesh
+and its samples.
 
 Smallness has one gate, `EllipticProblem.require_smallness`: every solve
 raises RegimeError through it unless `check_smallness` passed.
@@ -31,8 +33,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import (ConfigError, InternalFault, RegimeError, SolverError)
-from .grids import (RadialMesh, mesh_stiffness, radial_kappa_w, radial_mesh,
-                    sphere_area)
+from .grids import RadialMesh, mesh_stiffness, radial_mesh, sphere_area
 
 # relative residual budget of every tridiagonal solve
 SOLVE_TOL = 1e-10
@@ -152,16 +153,20 @@ class EllipticProblem:
 
 
 def check_smallness(problem, c_S):
-    """(integral of |f_-|^{n/2} d mu)^{2/n} against the threshold c_S / 2."""
+    """(integral of |f_-|^{n/2} d mu)^{2/n} against the threshold c_S / 2,
+    summed over f at the first rung's nodes weighted by wsrc, exactly as
+    the solver applies it."""
     if c_S <= 0.0:
         raise ConfigError("Sobolev constant must be positive")
-    n = problem.domain.n
-    r = np.geomspace(problem.metric.r_min, problem.support_radius, 2049)
-    fm = np.maximum(-problem.f_values(r), 0.0)
-    _, w = radial_kappa_w(problem.metric, r)
-    lhs = radial_lp_norm(fm, w, r, n / 2.0, n)
+    dom = problem.domain
+    n = dom.n
+    mesh = dom.mesh(problem.metric, dom.truncation_radii[0],
+                    (dom.cylinder_lengths or (0.0,))[0])
+    fm = np.maximum(-problem.f_nodes(mesh), 0.0)
+    lhs = float(sphere_area(n) * np.sum(fm ** (n / 2.0) * mesh.wsrc)) \
+        ** (2.0 / n)
     threshold = 0.5 * c_S
-    report = SmallnessReport(lhs=float(lhs), threshold=float(threshold),
+    report = SmallnessReport(lhs=lhs, threshold=float(threshold),
                              ratio=float(lhs / threshold), passed=lhs <= threshold,
                              c_S=float(c_S))
     problem.smallness = report

@@ -2,9 +2,11 @@
 
 Two tiers: RADIAL (any dimension, spherically symmetric problems reduced to a
 1D conservation-form mesh, optionally with a finite-cylinder toy end attached
-at the inner boundary) and FULL3D (n = 3 product grid, log-radius times
-pole-offset latitude times uniform longitude, its stiffness one sparse
-congruence D^T W D of the stacked axis difference operators).
+at the inner boundary; one `radial_mesh` serves the conformal-factor solve,
+its smallness gate, the Sobolev estimate and the radial eigenvalue bound)
+and FULL3D (n = 3 product grid, log-radius times pole-offset latitude
+times uniform longitude, its stiffness one sparse congruence D^T W D of
+the stacked axis difference operators).
 The RADIAL tier and the sphere rules import numpy only; `harmonic_tail`
 and the FULL3D functions import scipy inside their bodies.
 """

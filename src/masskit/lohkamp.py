@@ -223,23 +223,23 @@ class TorusGlueSpec:
     """Cube-torus chart parameters: side length, flat radius, collar width.
 
     `flat_radius` is the radius beyond which the chart must be exactly a
-    constant multiple of the Euclidean metric.  Defaults: side = 16 times
-    the flat radius, collar = side / 16.
+    constant multiple of the Euclidean metric.  Defaults (None): side = 16
+    times the flat radius, collar = side / 16; a given 0 is refused.
     """
 
     flat_radius: float
-    side: float = 0.0
-    collar: float = 0.0
+    side: float = None
+    collar: float = None
 
     def __post_init__(self):
         self.flat_radius = float(self.flat_radius)
         if not np.isfinite(self.flat_radius) or self.flat_radius <= 0:
             raise ConfigError("flat_radius must be positive, got %.6g"
                               % self.flat_radius)
-        if not self.side:
+        if self.side is None:
             self.side = 16.0 * self.flat_radius
         self.side = float(self.side)
-        if not self.collar:
+        if self.collar is None:
             self.collar = self.side / 16.0
         self.collar = float(self.collar)
         if self.side <= 0 or self.collar <= 0:

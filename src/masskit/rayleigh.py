@@ -9,10 +9,12 @@ over interior-supported functions (Dirichlet rings at both extremes) by
 L-BFGS in Cholesky variables of the stiffness, so the result is an upper
 estimate of the domain's true constant and is labeled as such.  The
 eigenvalue bound is the smallest generalized eigenvalue of K + M_R against
-the mass matrix: on the radial mesh by LAPACK's symmetric tridiagonal
-eigensolver after a symmetric mass scaling, on the full 3D grid by
-preconditioned LOBPCG started from the Rayleigh-Ritz mode over the radial
-grid functions, which is already the ground state when the metric is radial.
+the mass matrix on the annulus [r_min, rho] of a metric; there is no flat
+ball.  On the solver's log-radius mesh, whose rings at equal node count are
+the full-3D grid's, LAPACK's symmetric tridiagonal eigensolver finds it
+after a symmetric mass scaling; on the full 3D grid, preconditioned LOBPCG
+started from the Rayleigh-Ritz mode over the radial grid functions, which
+is already the ground state when the metric is radial.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from scipy.optimize import minimize
 from .elliptic import lp_norm
 from .errors import ConfigError, EstimationError
 from .grids import (SphericalGrid, apply_stiffness, grid_operators,
-                    mesh_stiffness, radial_kappa_w, sphere_area)
+                    mesh_stiffness, radial_mesh, sphere_area)
 
 SHARP_FLAT_3D = 3.0 * (np.pi / 2.0) ** (4.0 / 3.0)
 # residual norm the 3D LOBPCG mode must reach
@@ -272,23 +274,6 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
                             shift=shift)
 
 
-def _ball_mesh_coeffs(metric_or_none, n, rho, num, r_min=None):
-    """Linear mesh on (0, rho] with flux/volume coefficients at faces/nodes."""
-    if r_min is None:
-        h = rho / num
-        r = np.linspace(0.5 * h, rho, num)
-    else:
-        r = np.linspace(r_min, rho, num)
-    faces = 0.5 * (r[:-1] + r[1:])
-    if metric_or_none is None:
-        kap_f = faces ** (n - 1)
-        w = r ** (n - 1)
-    else:
-        kap_f, _ = radial_kappa_w(metric_or_none, faces)
-        _, w = radial_kappa_w(metric_or_none, r)
-    return r, kap_f, w
-
-
 @dataclass
 class EigenvalueReport:
     value: float
@@ -303,36 +288,28 @@ class EigenvalueReport:
 def eigenvalue_lower_bound(metric, rho, scalar_term, num=2048):
     """Smallest Rayleigh value of (grad energy + c_n R zeta^2) / (zeta^2).
 
-    metric None means the flat ball [0, rho] (inner Neumann by radial
-    regularity); otherwise the compact annulus [metric.r_min, rho] of the
-    radial metric.  scalar_term is c_n R(g) as a callable of r (or a
-    constant).  Dirichlet at the outer sphere in both cases.  The pencil A x = lam M x,
+    On the compact annulus [metric.r_min, rho] of the radial metric, with
+    the inner sphere Neumann-natural and the outer one Dirichlet, over the
+    solver's log-radius mesh `radial_mesh(metric, rho, num)`: at num = Nr
+    its radii are the rings of the full-3D grid.  scalar_term is c_n R(g)
+    as a callable of r (or a constant).  The pencil A x = lam M x,
     A = K + diag(R wbar), M = diag(wbar), is scaled symmetrically by
     M^{-1/2}; LAPACK's tridiagonal bisection and inverse iteration
     (?stebz/?stein through scipy's eigh_tridiagonal) return its smallest
     eigenpair.  shift = min(0, min R) - 1 is a strict lower bound of the
     spectrum, as on the 3D path.
     """
-    n = 3 if metric is None else metric.n
-    r_min = None if metric is None else metric.r_min
-    r, kap_f, w = _ball_mesh_coeffs(metric, n, rho, num, r_min=r_min)
-    h = r[1] - r[0]
-    Rv = _node_values(scalar_term, r)
-    wbar = w * h
-    if metric is not None:
-        # the cell around the inner boundary node is only half as wide
-        wbar[0] *= 0.5
-
+    mesh = radial_mesh(metric, rho, num)
+    Rv = _node_values(scalar_term, mesh.r)
     # interior system after eliminating the Dirichlet node at rho
-    M = r.size - 1
-    lower, diag, _ = mesh_stiffness(kap_f / h)
-    mass = wbar[:M]
+    lower, diag, _ = mesh_stiffness(mesh.kappa_face / mesh.dcoord)
+    mass = mesh.wbar[:-1]
     s = 1.0 / np.sqrt(mass)
-    lam, vec = eigh_tridiagonal(diag[:M] / mass + Rv[:M],
-                                lower[: M - 1] * s[:-1] * s[1:],
+    lam, vec = eigh_tridiagonal(diag[:-1] / mass + Rv[:-1],
+                                lower[:-1] * s[:-1] * s[1:],
                                 select="i", select_range=(0, 0))
     x = vec[:, 0] * s
     x *= np.copysign(1.0, x.sum())      # positive mode
-    return EigenvalueReport(value=float(lam[0]), radii=r,
+    return EigenvalueReport(value=float(lam[0]), radii=mesh.r,
                             mode=np.concatenate([x, [0.0]]), iterations=0,
                             shift=min(0.0, float(Rv.min())) - 1.0)

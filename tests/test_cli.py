@@ -250,6 +250,19 @@ def test_deform_ladder_that_is_not_increasing_exits_before_any_rung(
     assert manifest["status"] == "config-error"
 
 
+def test_deform_delta_accepted_at_its_ceiling_passes_the_ceiling_audit(
+        tmp_path):
+    # at s = 9.147 delta = delta0 with no bisection, and delta0 (1 + volume)
+    # rounds one ulp above 1/s: only the margin delta0 - delta reads 0
+    scene = json.loads(json.dumps(DEFORM_SCENE))
+    scene["deform"]["s_ladder"] = [9.147, 18.294, 36.588]
+    result, manifest = _invoke_scene(tmp_path, "deform", scene)
+    assert result.exit_code == 0, result.output
+    ceiling = [rec for rec in manifest["outcomes"]
+               if rec["audit"] == "scale-ceiling"]
+    assert ceiling[0]["status"] == "PASS" and ceiling[0]["lhs"] == 0.0
+
+
 # the compactify-harmonic scene of the benchmark's cli-scenes workload at
 # c = -0.25: the Lohkamp cap composed onto a harmonic factor with negative
 # mass, its curvature audits and the torus glue
@@ -325,6 +338,37 @@ def test_mass_scene_on_a_close_ladder_exits_zero(tmp_path):
     assert rep["method"] == "closed_form"
     assert abs(rep["extrapolated"] - 1.0) < 0.01
     assert not rep["low_confidence"]
+
+
+@pytest.mark.parametrize("method", [None, "auto", "closed_form",
+                                    "quadrature"])
+def test_mass_quadrature_order_needs_the_quadrature_method(tmp_path, method):
+    scene = {"schema": 1,
+             "metric": {"family": "schwarzschild", "dimension": 3,
+                        "mass": 1.0},
+             "mass": {"radii": [8, 16, 32, 64], "quadrature_order": 32}}
+    if method is not None:
+        scene["mass"]["method"] = method
+    result, manifest = _invoke_scene(tmp_path, "mass", scene)
+    if method == "quadrature":
+        assert result.exit_code == 0, result.output
+        rep = json.loads((tmp_path / "out" / "mass_report.json").read_text())
+        assert (rep["method"], rep["quadrature_order"]) == ("quadrature", 32)
+        return
+    assert result.exit_code == 1, result.output
+    assert "config error: mass.quadrature_order is not read" in result.output
+    assert manifest["status"] == "config-error"
+
+
+def test_threads_below_one_is_a_usage_error_before_the_scene(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, [
+        "mass", "--config", str(tmp_path / "absent.json"), "--out", str(out),
+        "--threads", "0"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--threads'" in result.output
+    assert "config error" not in result.output
+    assert not out.exists()
 
 
 def test_mass_scene_on_a_ladder_that_is_not_increasing_exits_as_config_error(
@@ -407,6 +451,22 @@ def test_ale_fixed_point_of_a_translation_exits_as_regime_failure(tmp_path):
     assert result.exit_code == 2, result.output
     assert "no common fixed point" in result.output
     assert manifest["status"] == "fail"
+
+
+RAGGED = [[-1.0, 0.0, 0.0], [0.0, -1.0], [0.0, 0.0, -1.0]]
+
+
+@pytest.mark.parametrize("block, path", [
+    ({"generators": [RAGGED]}, "ale.generators[0]"),
+    ({"generators": ALE_SCENE["ale"]["generators"],
+      "fixed_point": {"elements": [{"matrix": RAGGED}]}},
+     "ale.fixed_point.elements[0].matrix")], ids=["generator", "fixed-point"])
+def test_ale_ragged_matrix_exits_as_configuration_error(tmp_path, block, path):
+    scene = dict(ALE_SCENE, ale=block)
+    result, manifest = _invoke_scene(tmp_path, "ale", scene)
+    assert result.exit_code == 1, result.output
+    assert "config error: %s must be a 3x3 matrix" % path in result.output
+    assert manifest["status"] == "config-error"
 
 
 def test_ale_at_dimension_seven_exits_as_configuration_error(tmp_path):

@@ -22,6 +22,11 @@ def test_scene_schema_is_valid_against_its_metaschema():
     ({"schema": 1, "metric": {"family": "euclidean", "dimension": 3},
       "mass": {"radii": [8, 16, 32], "quadrature_order": 4}},
      "at $.mass.quadrature_order: 4 is less than the minimum of 8"),
+    # a zero collar is refused, not read as "unset"
+    ({"schema": 1, "metric": {"family": "euclidean", "dimension": 3},
+      "compactify": {"s1": 8.0, "torus": {"collar": 0}}},
+     "at $.compactify.torus.collar: 0 is less than or equal to the minimum "
+     "of 0"),
 ])
 def test_schema_error_names_the_field(tmp_path, scene, message):
     path = tmp_path / "scene.json"

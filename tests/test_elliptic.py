@@ -142,6 +142,21 @@ def test_smallness_scaling_and_threshold():
     assert keys == {"lhs", "threshold", "ratio", "passed", "c_S"}
 
 
+def test_smallness_ignores_the_toy_end():
+    """The gate weights f by wsrc, so a toy end, junction half cell
+    included, adds nothing even for a potential nonzero at the cut."""
+    f = radial.gaussian(-0.03, 1.0, 1.5)
+    lhs = []
+    for lengths in ((), (2.0, 4.0, 8.0)):
+        dom = elliptic.DomainModel(n=3, cylinder_lengths=lengths,
+                                   annulus_nodes=900)
+        prob = elliptic.EllipticProblem(end_metric(), f, 6.5, dom)
+        assert prob.f_values(end_metric().r_min) < 0.0
+        lhs.append(elliptic.check_smallness(prob, C_SOB).lhs)
+    assert lhs[0] > 0.0
+    assert lhs[1] == pytest.approx(lhs[0], rel=1e-14, abs=0.0)
+
+
 def test_smallness_rejects_bad_constant():
     dom = elliptic.DomainModel(n=3)
     prob = elliptic.EllipticProblem(end_metric(), bump(), 6.5, dom)
@@ -423,8 +438,8 @@ def count_mesh_builds(monkeypatch):
 
 def test_conformal_solve_builds_each_mesh_and_samples_f_once(monkeypatch):
     """Three Dirichlet rungs and the Robin solve on the last one's mesh:
-    three meshes, and f sampled once by the smallness check and once per
-    mesh."""
+    three meshes, and f sampled once per mesh, the first rung reusing the
+    smallness check's samples."""
     built = count_mesh_builds(monkeypatch)
     calls = []
 
@@ -438,7 +453,7 @@ def test_conformal_solve_builds_each_mesh_and_samples_f_once(monkeypatch):
     elliptic.check_smallness(prob, C_SOB)
     elliptic.solve_conformal_factor(prob)
     assert built == [16.0, 32.0, 64.0]
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_ricci_probe_builds_three_meshes_for_its_delta_ladder(monkeypatch):

@@ -12,6 +12,7 @@ oracle integrates with scipy's `cubature`, loads no multiprocessing module.
 """
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,16 @@ def test_harmonic_tail_imports_no_multiprocessing(tmp_path):
         "from masskit import grids, metrics\n"
         "grids.harmonic_tail(metrics.schwarzschild(1.0, 3), 4.0)",
         tmp_path, "multiprocessing") == "[]"
+
+
+def test_tier1_and_its_subprocesses_write_no_bytecode(tmp_path):
+    assert sys.dont_write_bytecode
+    assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; print(sys.dont_write_bytecode)"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          timeout=120)
+    assert proc.stdout.strip() == "True"
 
 
 def unused_imports(path):

@@ -202,6 +202,10 @@ def test_torus_spec_validation():
         TorusGlueSpec(flat_radius=0.0)
     with pytest.raises(ConfigError, match="collar"):
         TorusGlueSpec(flat_radius=1.0, side=4.0, collar=3.0)
+    # a given zero is a value, not "unset"
+    for zero in ({"side": 0.0}, {"collar": 0.0}):
+        with pytest.raises(ConfigError, match="must be positive"):
+            TorusGlueSpec(flat_radius=1.0, **zero)
 
 
 def test_state_round_trip_fields():

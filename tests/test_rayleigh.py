@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from masskit import elliptic, metrics, radial, rayleigh
 from masskit.errors import ConfigError, EstimationError
+from masskit.grids import SphericalGrid, radial_mesh
 
 
 def flat_domain(R, num=900, cylinder=()):
@@ -176,16 +177,6 @@ def test_estimate_converges_across_domain_families(n, log2_ratio, nodes, r_min,
         assert rep.c_S > sharp_constant(n)
 
 
-def test_ball_eigenvalue_matches_dirichlet_laplacian():
-    for rho in (1.0, 2.5):
-        rep = rayleigh.eigenvalue_lower_bound(None, rho, 0.0, num=2048)
-        exact = np.pi ** 2 / rho ** 2
-        assert abs(rep.value - exact) <= 1e-6 * exact
-        assert rep.iterations <= 50
-        assert rep.mode[-1] == 0.0
-        assert rep.shift == -1.0
-
-
 def test_annulus_eigenvalue_matches_transcendental_root():
     # radial mode sin(k (r - 1) + phi) / r with zero slope at r = 1 and a
     # zero at r = rho forces k (rho - 1) + arctan k = pi
@@ -197,8 +188,9 @@ def test_annulus_eigenvalue_matches_transcendental_root():
 
 
 def test_constant_potential_shifts_value_exactly():
-    base = rayleigh.eigenvalue_lower_bound(None, 1.0, 0.0, num=1024)
-    shifted = rayleigh.eigenvalue_lower_bound(None, 1.0, -11.25, num=1024)
+    flat = metrics.euclidean(3)
+    base = rayleigh.eigenvalue_lower_bound(flat, 2.0, 0.0, num=1024)
+    shifted = rayleigh.eigenvalue_lower_bound(flat, 2.0, -11.25, num=1024)
     assert abs((base.value - 11.25) - shifted.value) <= 1e-9
     assert shifted.shift == -12.25
     assert shifted.value < 0.0
@@ -212,32 +204,27 @@ def test_varying_potential_on_curved_annulus():
 
 
 def _dense_pencil_reference(metric, rho, c, num):
-    # smallest eigenvalue of the same radial pencil A x = lam M x, assembled
-    # densely and solved as a generalized problem without any mass scaling
+    # smallest eigenvalue of the same radial pencil A x = lam M x on the
+    # solver's mesh, assembled densely and solved as a generalized problem
+    # without any mass scaling
     from scipy.linalg import eigh
 
-    n = 3 if metric is None else metric.n
-    r_min = None if metric is None else metric.r_min
-    r, kap_f, w = rayleigh._ball_mesh_coeffs(metric, n, rho, num, r_min=r_min)
-    h = r[1] - r[0]
-    wbar = w * h
-    if metric is not None:
-        wbar[0] *= 0.5
-    M = r.size - 1                     # the node at rho is Dirichlet
-    cond = kap_f[:M] / h
+    mesh = radial_mesh(metric, rho, num)
+    M = mesh.num_nodes - 1             # the node at rho is Dirichlet
+    cond = (mesh.kappa_face / mesh.dcoord)[:M]
+    wbar = mesh.wbar[:M]
     i = np.arange(M - 1)
-    A = np.diag(cond + c * wbar[:M])
+    A = np.diag(cond + c * wbar)
     A[i + 1, i + 1] += cond[:-1]
     A[i, i + 1] = A[i + 1, i] = -cond[:-1]
-    return eigh(A, np.diag(wbar[:M]), eigvals_only=True,
+    return eigh(A, np.diag(wbar), eigvals_only=True,
                 subset_by_index=[0, 0])[0]
 
 
 @pytest.mark.parametrize("metric, rho, c, num", [
-    (None, 1.0, 0.0, 2048),
     (metrics.euclidean(3), 2.0, 0.0, 2048),
     (metrics.schwarzschild(1.0, 3), 8.0, 0.005, 4096)],
-    ids=["flat-ball", "flat-annulus", "schwarzschild"])
+    ids=["flat-annulus", "schwarzschild"])
 def test_radial_eigenvalue_matches_dense_generalized_eigh(metric, rho, c, num):
     rep = rayleigh.eigenvalue_lower_bound(metric, rho, c, num=num)
     ref = _dense_pencil_reference(metric, rho, c, num)
@@ -287,11 +274,20 @@ def test_full3d_eigenvalue_converges_to_radial():
     assert fine.value > radial.value
 
 
+def test_radial_eigenvalue_radii_are_the_full3d_rings():
+    """At equal radial node count the radial bound's mesh is the full-3D
+    grid's log-radius rings, bit for bit."""
+    metric = metrics.schwarzschild(1.0, 3)
+    grid = SphericalGrid(r_min=metric.r_min, r_max=8.0, shape=(40, 10, 20))
+    rep = rayleigh.eigenvalue_lower_bound(metric, 8.0, 0.0, num=40)
+    assert np.array_equal(rep.radii, np.exp(grid.sigma))
+
+
 def _full3d_pencil(metric, rho, c, shape):
     # interior mask, A = K + c diag(vol) and the lumped mass of the 3D bound
     from scipy.sparse import diags
 
-    from masskit.grids import SphericalGrid, grid_operators
+    from masskit.grids import grid_operators
 
     grid = SphericalGrid(r_min=metric.r_min, r_max=rho, shape=shape)
     vol, K = grid_operators(grid, metric)
