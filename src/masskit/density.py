@@ -15,15 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from . import metrics, radial
 from .adm import adm_mass
-from .elliptic import DomainModel, EllipticProblem, check_smallness, \
-    radial_lp_norm, solve_conformal_factor
+from .elliptic import DomainModel, EllipticProblem, _solve_tridiag, \
+    check_smallness, radial_lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError
-from .grids import radial_kappa_w, sphere_area
+from .grids import radial_kappa_w, simpson, sphere_area
 from .radial import RProfile
 from .tolerances import MIN_R_TARGET
 
@@ -158,22 +156,6 @@ class DeltaReport:
         return self.delta0 - self.delta
 
 
-def _feasible_end(ok, lo, hi, halvings):
-    """hi when ok(hi), else the feasible end after `halvings` bisections of
-    [lo, hi] keeping ok(lo); None when ok(lo) fails."""
-    if ok(hi):
-        return hi
-    if not ok(lo):
-        return None
-    for _ in range(halvings):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def choose_delta(interp, c_S):
     """Largest relaxation constant passing the negative-part size bound.
 
@@ -187,7 +169,7 @@ def choose_delta(interp, c_S):
     eta = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s)
     r = np.geomspace(s, 4.0 * s, 2049)
     _, w = radial_kappa_w(interp.metric, r)
-    volume = float(sphere_area(n) * simpson(w, x=r))
+    volume = sphere_area(n) * simpson(w, r)
     Rv = interp.scalar_values(r)
     ev = eta.value(r)
 
@@ -197,8 +179,8 @@ def choose_delta(interp, c_S):
 
     threshold = 0.5 * c_S
     delta0 = (1.0 / s) / (1.0 + volume)
-    delta = _feasible_end(lambda d: lhs(d) <= threshold, DELTA_FLOOR, delta0,
-                          _DELTA_BISECTIONS)
+    delta = radial.feasible_end(lambda d: lhs(d) <= threshold, DELTA_FLOOR,
+                                delta0, _DELTA_BISECTIONS)
     if delta is None:
         raise RegimeError(
             "no relaxation constant above %.0e satisfies the size bound; "
@@ -234,12 +216,28 @@ class RungResult:
                 "min_R": self.min_R_bar, "end_norm": self.end_norm}
 
 
+def _not_a_knot_slopes(x, y):
+    """Knot slopes of the not-a-knot cubic spline through (x, y), at least
+    four knots: scipy's CubicSpline system, one tridiagonal solve."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    rhs = np.concatenate([
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1])
+         / d1]])
+    return _solve_tridiag(np.r_[dx[1:], d1],
+                          np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]],
+                          np.r_[d0, dx[:-1]], rhs)[0]
+
+
 def tau_blend(metric, solution, tau, family):
     """((u + tau)/(1 + tau))^{4/(n-2)} metric, with the solved factor
-    u = 1 + v as a spline-backed radial profile."""
+    u = 1 + v on the annulus nodes as the not-a-knot cubic spline profile."""
     mask = ~solution.mesh.is_cyl
-    u = radial.from_spline(CubicSpline(solution.mesh.r[mask],
-                                       solution.u[mask]))
+    r, uv = solution.mesh.r[mask], solution.u[mask]
+    u = radial.cubic_hermite(r, uv, _not_a_knot_slopes(r, uv))
     return metrics.conformal_product(metric, (u + tau) * (1.0 / (1.0 + tau)),
                                      family=family)
 
@@ -257,7 +255,8 @@ def pick_tau(n, u, numerator, R):
             * (u + tau) ** (-(n + 2.0) / (n - 2.0))
         return float((pref * (numerator + tau * R)).min())
 
-    tau = _feasible_end(lambda t: min_R(t) >= MIN_R_TARGET, 1e-6, 1.0, 40)
+    tau = radial.feasible_end(lambda t: min_R(t) >= MIN_R_TARGET, 1e-6, 1.0,
+                              40)
     if tau is None:
         raise RegimeError("no admissible tau: curvature floor %.3g violated "
                           "even at tau = %.0e" % (min_R(1e-6), 1e-6))

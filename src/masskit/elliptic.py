@@ -33,7 +33,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import (ConfigError, InternalFault, RegimeError, SolverError)
-from .grids import RadialMesh, mesh_stiffness, radial_mesh, sphere_area
+from .grids import RadialMesh, mesh_stiffness, radial_mesh, simpson, \
+    sphere_area
 
 # relative residual budget of every tridiagonal solve
 SOLVE_TOL = 1e-10
@@ -233,15 +234,13 @@ def _assemble_and_solve(mesh, fvals, bc_outer, n, kappa_out):
     return v, rnorm
 
 
-def solve_truncated(problem, R=None, cyl_len=None, bc_outer="dirichlet"):
+def solve_truncated(problem, R=None, cyl_len=0.0, bc_outer="dirichlet"):
     """One mixed-boundary solve at truncation R (default the largest) with a
-    cylinder of length cyl_len (default the first)."""
+    cylinder of length cyl_len (default none)."""
     problem.require_smallness()
     dom = problem.domain
     if R is None:
         R = dom.truncation_radii[-1]
-    if cyl_len is None:
-        cyl_len = (dom.cylinder_lengths[0] if dom.has_toy_end else 0.0)
     mesh = dom.mesh(problem.metric, R, cyl_len)
     fvals = problem.f_nodes(mesh)
     v, rnorm = _assemble_and_solve(mesh, fvals, bc_outer, dom.n,
@@ -354,8 +353,7 @@ def solve_conformal_factor(problem):
 def radial_lp_norm(v, w, r, p, n):
     """(|S^{n-1}| integral |v|^p w dr)^{1/p} by Simpson's rule over radii r;
     w is the caller's radial volume weight at r."""
-    from scipy.integrate import simpson
-    return float((sphere_area(n) * simpson(np.abs(v) ** p * w, x=r))
+    return float((sphere_area(n) * simpson(np.abs(v) ** p * w, r))
                  ** (1.0 / p))
 
 

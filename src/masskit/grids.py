@@ -7,13 +7,13 @@ its smallness gate, the Sobolev estimate and the radial eigenvalue bound)
 and FULL3D (n = 3 product grid, log-radius times pole-offset latitude
 times uniform longitude, its stiffness one sparse congruence D^T W D of
 the stacked axis difference operators).
-The RADIAL tier and the sphere rules import numpy only; `harmonic_tail`
-and the FULL3D functions import scipy inside their bodies.
+The RADIAL tier, the harmonic tail and the sphere rules import numpy only;
+the FULL3D functions import scipy.sparse inside their bodies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -25,6 +25,8 @@ MIN_QUADRATURE_ORDER = 8
 # cap on the nodes x n^3 first derivatives of a flux sum: 2^25 float64
 # entries, 256 MiB
 FLUX_ENTRY_LIMIT = 2 ** 25
+# cap on the Gauss-Legendre panels of one harmonic tail
+TAIL_MAX_PANELS = 1024
 
 
 @dataclass
@@ -83,28 +85,89 @@ def harmonic_tail(metric, R):
     """Integral of 1/kappa over [R, inf): the tail of the radial harmonic
     function that vanishes at infinity, per unit flux.
 
-    Integrated in t = R/s over [0, 1] by scipy's adaptive `cubature`
-    (Gauss-Kronrod 21/10) to 1e-13 relative; a region's estimate and its
-    error estimate each sample kappa in one batched call.  A tail that is
-    not converged, or whose error estimate exceeds 1e-9 max(1, |tail|),
-    raises SolverError.
+    Integrated in t = R/s over [0, 1] on the shooting oracle's
+    `adaptive_panels` of 16 Gauss-Legendre points, split while the last
+    three Legendre coefficients exceed 1e-13 times the largest sample, to a
+    width of 1e-7.  A non-finite sample, or more than TAIL_MAX_PANELS
+    panels, raises SolverError.
     """
-    from scipy.integrate import cubature
+    x, w, tail_rows = _legendre_panel()
     R = float(R)
 
-    def integrand(t):
-        t = t[:, 0]
-        return R / (t * t * radial_kappa_w(metric, R / t)[0])
+    def sample(t):
+        vals = R / (t * t * radial_kappa_w(metric, R / t)[0])
+        if not np.isfinite(vals).all():
+            raise SolverError("tail quadrature met a non-finite 1/kappa "
+                              "sample on [%.3g, inf)" % R)
+        return vals[:, None]
 
-    # a map callable runs the regions serially without importing
-    # multiprocessing, which workers=1 would load
-    res = cubature(integrand, [0.0], [1.0], rtol=1e-13, atol=0.0, workers=map)
-    tail, err = float(res.estimate), float(res.error)
-    # written so that a NaN estimate or error fails it
-    if not (res.status == "converged" and err <= 1e-9 * max(1.0, abs(tail))):
-        raise SolverError("tail quadrature noisy (%s, err %.2e)"
-                          % (res.status, err))
-    return tail
+    a, b, vals, _ = adaptive_panels(sample, np.array([0.0, 1.0]),
+                                    0.5 * (1.0 + x), tail_rows, 1e-13, 1e-7,
+                                    TAIL_MAX_PANELS, "tail quadrature")
+    return float(np.sum(0.5 * (b - a) * (vals[:, 0] @ w)))
+
+
+def adaptive_panels(sample, edges, s, tail_rows, tol, min_width,
+                    max_panels, what):
+    """Panels (a, b), sorted, their samples and the count of points sampled.
+
+    sample(t), t the panels' points at local fractions s, shape (panels,
+    nodes), gives values (panels, functions, nodes) for a whole level.  A
+    panel is halved while tail_rows take some function's values to
+    coefficients above tol times that function's largest sample so far, a
+    running maximum, down to min_width; past max_panels, SolverError.
+    """
+    a, b = edges[:-1], edges[1:]
+    done, scale, count = [], 0.0, 0
+    while a.size:
+        # exact at both ends, unlike a + s h, so the last panel stops at b
+        vals = sample((1.0 - s) * a[:, None] + s * b[:, None])
+        count += vals[:, 0].size
+        scale = np.maximum(scale, np.abs(vals).max(axis=(0, 2)))
+        coef = np.abs(vals @ tail_rows.T).max(axis=2)
+        split = (coef > tol * scale).any(axis=1) & (b - a >= 2.0 * min_width)
+        done.append((a[~split], b[~split], vals[~split]))
+        mid = 0.5 * (a[split] + b[split])
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        if sum(d[0].size for d in done) + a.size > max_panels:
+            raise SolverError("%s needs more than %d panels to resolve its "
+                              "integrand" % (what, max_panels))
+    order = np.argsort(np.concatenate([d[0] for d in done]))
+    return (*(np.concatenate(p)[order] for p in zip(*done)), count)
+
+
+@cache
+def _legendre_panel():
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], and the rows
+    taking values at the nodes to the last three Legendre coefficients.
+    Built on first use, not at import."""
+    x, w = _gauss_jacobi(16, 0)
+    # Bonnet: (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}
+    P = [np.ones_like(x), x]
+    for j in range(1, 15):
+        P.append(((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1))
+    # a_j = (j + 1/2) sum w P_j f, exact for j < 16
+    return x, w, (np.arange(13, 16) + 0.5)[:, None] * np.array(P[13:]) * w
+
+
+def simpson(y, x):
+    """Composite Simpson's rule for samples y at increasing x, an odd count.
+
+    Written in scipy's pairwise form, one weighted term per pair of
+    intervals summed by np.sum, so it equals `scipy.integrate.simpson`
+    bitwise; a weight-vector dot product differs from it by a few ulps.
+    """
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    if x.size % 2 == 0 or x.size < 3:
+        raise ConfigError("Simpson's rule needs an odd count of at least 3 "
+                          "samples, got %d" % x.size)
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    return float(np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                                      + y[1::2] * (hsum * (hsum / (h0 * h1)))
+                                      + y[2::2] * (2.0 - h0divh1))))
 
 
 def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0):
@@ -173,16 +236,6 @@ def mesh_stiffness(c):
     diag[:-1] += c
     diag[1:] += c
     return -c, diag, -c
-
-
-def apply_stiffness(mesh, v):
-    """K v for the Neumann-natural stiffness (energy form v^T K v >= 0)."""
-    c = mesh.kappa_face / mesh.dcoord
-    dv = np.diff(v)
-    out = np.zeros_like(v)
-    out[:-1] -= c * dv
-    out[1:] += c * dv
-    return out
 
 
 @dataclass

@@ -120,10 +120,6 @@ class GroupAction:
                                   "elements" % cap)
         return cls(elements=tuple(elems), generators=tuple(gens), n=n)
 
-    @classmethod
-    def trivial(cls, n):
-        return cls(elements=(np.eye(n),), generators=(), n=int(n))
-
 
 def _lex_ge(A, B):
     """Rowwise lexicographic A >= B with exact float comparison: true

@@ -16,12 +16,11 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import metrics as _metrics
 from .errors import ConfigError, RegimeError
 from .radial import RProfile, as_profile, compose, conformal_scalar, const, \
-    flat_laplacian, identity
+    feasible_end, flat_laplacian, identity
 from .tolerances import BAND_WITNESS, LAPLACIAN_TOL, MIN_R_TARGET, WITNESS_R
 
 
@@ -79,6 +78,14 @@ class LohkampState:
         return self.s2
 
 
+def _crossing(u, level, lo, hi):
+    """A radius within 1e-12 above where u crosses level on [lo, hi], with
+    u(lo) < level <= u(hi): the bisection keeps u >= level at its end."""
+    halvings = int(np.ceil(np.log2((hi - lo) / 1e-12)))
+    return feasible_end(lambda r: float(u.value(r)) >= level, hi, lo,
+                        halvings)
+
+
 def lohkamp_cutoff(u, s1, n=3):
     """Cap the end factor u below 1 outside radius s1.
 
@@ -115,9 +122,7 @@ def lohkamp_cutoff(u, s1, n=3):
     if float(u.value(hi)) < t1:
         raise RegimeError("factor never reaches the cap level %.9g; the end "
                           "does not flatten" % t1)
-    s2 = brentq(lambda r: float(u.value(r)) - t1, s1, hi, xtol=1e-12)
-    while float(u.value(s2)) < t1:
-        s2 = float(np.nextafter(s2, np.inf))
+    s2 = _crossing(u, t1, s1, hi)
     # snap to the coarsest nearby decimal that still clears the cap level,
     # so exact crossings land on exact radii
     for k in range(13):
@@ -126,7 +131,7 @@ def lohkamp_cutoff(u, s1, n=3):
                 and float(u.value(cand)) >= t1):
             s2 = cand
             break
-    r_lo = brentq(lambda r: float(u.value(r)) - t0, s1, s2, xtol=1e-12)
+    r_lo = _crossing(u, t0, s1, s2)
 
     v = compose(zeta, u)
     m_bar = -2.0 * eps * s1 ** (n - 2)

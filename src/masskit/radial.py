@@ -16,10 +16,12 @@ keeps each subprofile's jet at the highest order asked so far; a lower
 order is a slice of it, a higher one is a recomputation.  A profile built
 from several operands therefore evaluates first the one that asks the
 shared subprofiles for the highest order.
+
+Tabulated data enters as `cubic_hermite`, the piecewise cubic through knot
+values and slopes, whose jets are exact polynomial jets of its pieces.
+`feasible_end` is the one bisection for a monotone feasibility test.
 """
 from __future__ import annotations
-
-from math import factorial
 
 import numpy as np
 
@@ -229,10 +231,24 @@ def bubble(c, lam=1.0):
         _poly(lam * at.r, lam, (1.0, 0.0, 1.0), k), -0.5))
 
 
-def from_spline(spline):
-    """Wrap a scipy spline in r (e.g. CubicSpline) as a profile."""
-    return RProfile(lambda at, k: np.stack(
-        [spline(at.r, j) / factorial(j) for j in range(k + 1)]))
+def cubic_hermite(x, y, dydx):
+    """Piecewise cubic through values y with slopes dydx at increasing
+    knots x: the cubic of the knot interval [x_i, x_{i+1}) holding r, and
+    the end cubics beyond the knots.  Each cubic is held in the local
+    variable h = r - x_i, with scipy's CubicHermiteSpline coefficients;
+    jets above order 3 vanish."""
+    x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / dx
+    coeffs = (y[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx)
+
+    def fn(at, k):
+        i = np.clip(np.searchsorted(x, at.r, side="right") - 1, 0,
+                    dx.size - 1)
+        return _poly(at.r - x[i], 1.0, [c[i] for c in coeffs], k)
+
+    return RProfile(fn)
 
 
 _SMOOTHSTEP = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)
@@ -280,6 +296,23 @@ def compose(outer, inner):
         return _compose(fo.jet(I[0], k), I)
 
     return RProfile(fn)
+
+
+def feasible_end(ok, lo, hi, halvings):
+    """hi when ok(hi), else the feasible end after `halvings` bisections of
+    the interval between lo and hi keeping ok(lo); None when ok(lo) fails.
+    lo may lie above hi."""
+    if ok(hi):
+        return hi
+    if not ok(lo):
+        return None
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def flat_laplacian(profile, n):

@@ -1,11 +1,13 @@
 """Deformation ladder: split audits, delta/tau selection, mass-shift decay."""
 import functools
 import json
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicSpline
 
 from masskit import curvature, density, metrics, radial, tolerances
 from masskit.adm import DEFAULT_LADDER
@@ -409,3 +411,24 @@ def test_rung_size_bound_failure_raises_from_the_solver_gate(monkeypatch):
                         failing_gate(density.check_smallness))
     with pytest.raises(RegimeError, match="negative-part size"):
         density.deform_rung(toy_split(), 8.0, C_SOB)
+
+
+def test_tau_blend_profile_matches_scipy_cubic_spline():
+    """The not-a-knot profile of a solved factor against CubicSpline on the
+    same nodes: jets to order 3 inside the nodes, between them and in
+    extrapolation on both sides; higher jets vanish."""
+    sol = toy_rung().solution
+    mask = ~sol.mesh.is_cyl
+    r, u = sol.mesh.r[mask], sol.u[mask]
+    ref = CubicSpline(r, u)
+    prof = radial.cubic_hermite(r, u, density._not_a_knot_slopes(r, u))
+    x = np.concatenate([np.geomspace(0.5 * r[0], r[0], 40), r,
+                        np.sqrt(r[:-1] * r[1:]),
+                        np.geomspace(r[-1], 2.0 * r[-1], 40)])
+    jet = prof.jet(x, 5)
+    for j in range(4):
+        want = ref(x, j)
+        assert np.abs(jet[j] * factorial(j) - want).max() \
+            <= 1e-13 * max(1.0, np.abs(want).max())
+    assert not jet[4:].any()
+

@@ -3,12 +3,46 @@ import functools
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from masskit import elliptic, grids, metrics, oracles, radial, rigidity
 from masskit.errors import ConfigError, RegimeError, SolverError
 
 C_SOB = 3.0        # certified below the flat sharp constant for these metrics
+
+
+def shoot_truncated(metric, f, support_radius, R):
+    """Reference v on [r_min, R] with v(R) = 0 and zero inner slope.
+
+    Superposes a particular outward solution, from (v, kappa v') = (0, 0)
+    with source f w, and the homogeneous one from (1, 0); both inherit the
+    Neumann inner condition, so one scalar match at R pins the combination.
+    Both come from one DOP853 integration in r, whose dense output carries
+    v between steps: an integrator independent of the oracle's panels.
+    """
+    r0, R = float(metric.r_min), float(R)
+    if R <= max(r0, float(support_radius)):
+        raise ConfigError("truncation radius %.3g too small" % R)
+
+    def rhs(r, y):
+        kap, w = grids.radial_kappa_w(metric, [r])
+        fw = np.asarray(f(np.array([r])), dtype=float)[0] * w[0]
+        return [y[1] / kap[0], fw * (y[0] + 1.0), y[3] / kap[0], fw * y[2]]
+
+    sol = solve_ivp(rhs, (r0, R), [0.0, 0.0, 1.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    if not sol.success:
+        raise SolverError("outward integration failed: %s" % sol.message)
+    v_p, v_h = sol.y[0, -1], sol.y[2, -1]
+    if abs(v_h) < 1e-14:
+        raise SolverError("homogeneous solution vanishes at R; cannot match")
+    c = -v_p / v_h
+
+    def v(r):
+        y = sol.sol(np.atleast_1d(np.asarray(r, dtype=float)))
+        return y[0] + c * y[2]
+
+    return v
 
 
 def end_metric():
@@ -177,7 +211,7 @@ def test_truncated_matches_shooting_oracle():
     prob = elliptic.EllipticProblem(end_metric(), bump(), 6.5, dom)
     elliptic.check_smallness(prob, C_SOB)
     sol = elliptic.solve_truncated(prob)
-    vref = oracles.shoot_truncated(end_metric(), bump(), 6.5, 64.0)
+    vref = shoot_truncated(end_metric(), bump(), 6.5, 64.0)
     r = np.geomspace(1.01, 63.0, 400)
     assert np.abs(sol.interp(r) - vref(r)).max() <= 1e-6
     assert sol.residual <= prob.tol
@@ -334,7 +368,7 @@ def test_shooting_oracle_closed_form_flat(k, rf):
 @pytest.mark.parametrize("k,rf,R", [(0.3, 4.0, 16.0), (0.8, 6.0, 8.0),
                                     (1.5, 3.0, 5.0)])
 def test_truncated_oracle_closed_form_flat(k, rf, R):
-    vref = oracles.shoot_truncated(metrics.euclidean(3), radial.const(k * k),
+    vref = shoot_truncated(metrics.euclidean(3), radial.const(k * k),
                                    rf, R)
     r = np.linspace(1.0, R, 300)
     exact = (flat_profile(k, r)[0] / r) / (flat_profile(k, R)[0] / R) - 1.0
@@ -367,11 +401,11 @@ def test_oracle_panel_count_moves_results_at_roundoff(monkeypatch, panels):
     g, f, rf, R = end_metric(), bump(), 6.5, 64.0
     r = np.linspace(g.r_min, R, 641)
     A = oracles.shoot_conformal_factor(g, f, rf).A
-    v = oracles.shoot_truncated(g, f, rf, R)(r)
+    v = shoot_truncated(g, f, rf, R)(r)
     monkeypatch.setattr(oracles, "_PANELS", panels)
     assert oracles.shoot_conformal_factor(g, f, rf).A == pytest.approx(
         A, rel=1e-9)
-    v_p = oracles.shoot_truncated(g, f, rf, R)(r)
+    v_p = shoot_truncated(g, f, rf, R)(r)
     assert np.abs(v_p - v).max() <= 1e-9 * np.abs(v).max()
 
 

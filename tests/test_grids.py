@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.special import roots_jacobi
 
 from masskit import grids, metrics, radial
@@ -213,3 +214,20 @@ def test_sphere_rule_order_floor_and_size_guard():
         msg = str(err.value)
         assert "n=%d, order %d has %d nodes" % (n, order, count) in msg
         assert "limit of 33554432 entries" in msg
+
+
+@pytest.mark.parametrize("x", [np.geomspace(8.0, 32.0, 2049),
+                               np.linspace(1.0, 9.0, 4001)],
+                         ids=["geometric-2049", "linear-4001"])
+def test_simpson_equals_scipy_bitwise(x):
+    """Pairwise, as scipy sums: a weight-vector dot product is a few ulps
+    off, enough to flip choose_delta's maximality check."""
+    rng = np.random.default_rng(7)
+    for y in (np.exp(-x / 5.0) * x ** 2, rng.standard_normal(x.size)):
+        assert grids.simpson(y, x) == simpson(y, x=x)
+
+
+def test_simpson_refuses_an_even_count():
+    with pytest.raises(ConfigError, match="odd count"):
+        grids.simpson(np.ones(4), np.arange(4.0))
+

@@ -7,8 +7,15 @@ The mass-and-curvature tier is numpy only, and each CLI command imports the
 modules it runs, so fresh interpreters that import that tier, print the
 CLI's help or run a radial mass scene load no scipy module at all.  The
 scene schema's validator is built on first use, so the help loads no
-jsonschema module either.  The radial harmonic tail, which the shooting
-oracle integrates with scipy's `cubature`, loads no multiprocessing module.
+jsonschema module either.  The harmonic tail's Gauss-Legendre rule is
+built on first use, so that tier loads no numpy.polynomial module, and the
+tail loads no multiprocessing module.
+
+The solve, deform and compactify commands run on numpy, scipy.linalg and
+scipy.sparse: a fresh interpreter that imports the constructions' modules
+and runs one scene of each loads none of scipy.integrate, scipy.optimize,
+scipy.interpolate and scipy.special.  The one lazy exception, adm's
+brentq, runs only on an uneven mass ladder.
 """
 import ast
 import json
@@ -80,10 +87,15 @@ def scipy_modules_after(snippet, cwd):
     return modules_after(snippet, cwd, "scipy")
 
 
+NUMPY_TIER = ("import masskit.adm, masskit.curvature, masskit.groups, "
+              "masskit.grids, masskit.metrics, masskit.radial")
+
+
 def test_numpy_tier_imports_no_scipy(tmp_path):
-    assert scipy_modules_after(
-        "import masskit.adm, masskit.curvature, masskit.groups, "
-        "masskit.grids, masskit.metrics, masskit.radial", tmp_path) == "[]"
+    assert scipy_modules_after(NUMPY_TIER, tmp_path) == "[]"
+    # the harmonic tail's Gauss-Legendre rule is built on first use
+    assert "numpy.polynomial" not in modules_after(NUMPY_TIER, tmp_path,
+                                                   "numpy")
 
 
 def test_cli_help_imports_no_scipy(tmp_path):
@@ -103,6 +115,55 @@ def test_radial_mass_scene_imports_no_scipy(tmp_path):
         tmp_path) == "[]"
     report = json.loads((tmp_path / "out" / "mass_report.json").read_text())
     assert abs(report["extrapolated"] - 1.0) < 0.01
+
+
+# the solver's run path: the constructions' modules, then one scene per
+# command that solves, deforms or compactifies, each estimating its own
+# Sobolev constant where the scene leaves it out
+RUN_PATH = """
+import masskit.rigidity, masskit.density, masskit.oracles, masskit.rayleigh
+import masskit.lohkamp, masskit.cli
+for command in ("solve", "deform", "compactify"):
+    try:
+        masskit.cli.main([command, "--config", command + ".json",
+                          "--out", command])
+    except SystemExit as exc:
+        assert exc.code == 0, (command, exc.code)
+"""
+RUN_PATH_SCENES = {
+    "solve": {"schema": 1,
+              "metric": {"family": "euclidean", "dimension": 3},
+              "solve": {"potential": [{"kind": "gaussian", "amplitude": 0.04,
+                                       "center": 4.0, "width": 0.5}],
+                        "support_radius": 8,
+                        "domain": {"truncation_radii": [16, 32, 64]},
+                        "oracle": {"enabled": True}}},
+    "deform": {"schema": 1,
+               "metric": {"family": "conformally_flat", "dimension": 3,
+                          "profile": [{"kind": "schwarzschild", "mass": 1.0},
+                                      {"kind": "power", "coefficient": -0.1,
+                                       "exponent": -2.0}]},
+               "deform": {"eps_target": 0.01}},
+    "compactify": {"schema": 1,
+                   "metric": {"family": "conformally_flat", "dimension": 3,
+                              "profile": [{"kind": "const", "value": 1.0},
+                                          {"kind": "power",
+                                           "coefficient": -0.25,
+                                           "exponent": -1.0}]},
+                   "compactify": {"s1": 8.0}},
+}
+
+
+def test_run_path_loads_no_integrate_optimize_interpolate_or_special(
+        tmp_path):
+    for command, scene in RUN_PATH_SCENES.items():
+        (tmp_path / (command + ".json")).write_text(json.dumps(scene))
+    loaded = scipy_modules_after(RUN_PATH, tmp_path)
+    assert "'scipy.linalg" in loaded
+    for package in ("integrate", "optimize", "interpolate", "special"):
+        assert "'scipy.%s" % package not in loaded
+    for report in ("solve_report", "deform_report", "compactify_report"):
+        assert (tmp_path / report.split("_")[0] / (report + ".json")).exists()
 
 
 def test_harmonic_tail_imports_no_multiprocessing(tmp_path):

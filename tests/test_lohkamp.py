@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from masskit import adm, lohkamp, metrics
 from masskit.errors import ConfigError, RegimeError
@@ -18,6 +19,22 @@ from test_radial import triple
 def harmonic_end():
     # u = 1 - 1/(4r): harmonic on flat R^3, end mass -0.5
     return const(1.0) + power(-0.25, -1.0)
+
+
+@pytest.mark.parametrize("u", [harmonic_end(),
+                               harmonic_end() + power(-0.5, -2.0)],
+                         ids=["harmonic", "steeper"])
+def test_cut_radii_match_brentq(u):
+    """Both bisected crossings, bracketed as lohkamp_cutoff brackets them,
+    against brentq at the same xtol; each lands on the side u >= level."""
+    s1 = 8.0
+    state = lohkamp_cutoff(u, s1)
+    for level, hi in ((state.t1, 64.0 * s1), (state.t0, state.s2)):
+        got = lohkamp._crossing(u, level, s1, hi)
+        ref = brentq(lambda r: float(u.value(r)) - level, s1, hi, xtol=1e-12)
+        assert abs(got - ref) <= 2e-12
+        assert float(u.value(got)) >= level
+    assert state.band[0] == lohkamp._crossing(u, state.t0, s1, state.s2)
 
 
 @functools.lru_cache(maxsize=1)

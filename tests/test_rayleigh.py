@@ -7,11 +7,31 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from masskit import elliptic, metrics, radial, rayleigh
 from masskit.errors import ConfigError, EstimationError
-from masskit.grids import SphericalGrid, radial_mesh
+from masskit.grids import SphericalGrid, radial_mesh, sphere_area
+
+
+def apply_stiffness(mesh, v):
+    """K v for the Neumann-natural stiffness (energy form v^T K v >= 0)."""
+    c = mesh.kappa_face / mesh.dcoord
+    dv = np.diff(v)
+    out = np.zeros_like(v)
+    out[:-1] -= c * dv
+    out[1:] += c * dv
+    return out
+
+
+def sobolev_quotient(mesh, zeta, n):
+    """Q evaluated on one grid function (boundary values must vanish)."""
+    p = 2.0 * n / (n - 2.0)
+    energy = sphere_area(n) * float(zeta @ apply_stiffness(mesh, zeta))
+    denom = elliptic.lp_norm(mesh, zeta, p, n) ** 2
+    if denom <= 0.0:
+        raise ConfigError("test function vanishes identically")
+    return energy / denom
 
 
 def flat_domain(R, num=900, cylinder=()):
@@ -43,7 +63,7 @@ def test_flat_ladder_decreases_toward_sharp():
 def test_anchored_bubble_brackets_descent():
     rep = flat_estimate(256.0)
     mesh = flat_domain(256.0).mesh(metrics.euclidean(3), 256.0)
-    best = min(rayleigh.sobolev_quotient(mesh, rayleigh.anchored_bubble(mesh, lam), 3)
+    best = min(sobolev_quotient(mesh, rayleigh.anchored_bubble(mesh, lam), 3)
                for lam in np.geomspace(4.0, 64.0, 25))
     # the descent minimum sits just below the best explicit profile
     assert rep.c_S <= best
@@ -61,7 +81,7 @@ def test_anchored_bubble_is_admissible():
 def test_quotient_rejects_zero_function():
     mesh = flat_domain(16.0, num=200).mesh(metrics.euclidean(3), 16.0)
     with pytest.raises(ConfigError):
-        rayleigh.sobolev_quotient(mesh, np.zeros(mesh.num_nodes), 3)
+        sobolev_quotient(mesh, np.zeros(mesh.num_nodes), 3)
 
 
 def test_dilation_invariance():
@@ -140,8 +160,25 @@ def test_estimate_converges_above_sharp_constant_at_every_dimension(n):
     assert rep.c_S > sharp_constant(n)
     assert rep.profile[0] == 0.0 and rep.profile[-1] == 0.0
     mesh = dom.mesh(metrics.euclidean(n), dom.truncation_radii[-1])
-    q = rayleigh.sobolev_quotient(mesh, rep.profile, n)
+    q = sobolev_quotient(mesh, rep.profile, n)
     assert abs(q - rep.c_S) <= 1e-12 * rep.c_S
+
+
+def scipy_lbfgs(fun, x, max_iters):
+    """The scipy L-BFGS-B call that `rayleigh._lbfgs` replaced."""
+    res = minimize(fun, x, jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iters, "ftol": 1e-11,
+                            "gtol": 1e-9, "maxcor": 20})
+    return res.x, res.fun, res.nit, None if res.success else res.message
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_lbfgs_matches_scipy_lbfgsb_from_the_same_start(monkeypatch, n):
+    dom, rep = default_estimate(n)
+    monkeypatch.setattr(rayleigh, "_lbfgs", scipy_lbfgs)
+    ref = rayleigh.sobolev_estimate(dom, metrics.euclidean(n))
+    assert abs(rep.c_S - ref.c_S) <= 1e-10 * ref.c_S
+    assert abs(rep.iterations - ref.iterations) <= 1
 
 
 @pytest.mark.parametrize("n", sorted(DESCENT_VALUES))
