@@ -19,9 +19,9 @@ import numpy as np
 from . import metrics, radial
 from .adm import adm_mass
 from .elliptic import DomainModel, EllipticProblem, _solve_tridiag, \
-    check_smallness, radial_lp_norm, solve_conformal_factor
+    check_smallness, lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError
-from .grids import radial_kappa_w, simpson, sphere_area
+from .grids import integrate, radial_kappa_w, sphere_area
 from .radial import RProfile
 from .tolerances import MIN_R_TARGET
 
@@ -156,26 +156,30 @@ class DeltaReport:
         return self.delta0 - self.delta
 
 
-def choose_delta(interp, c_S):
+def choose_delta(interp, c_S, mesh):
     """Largest relaxation constant passing the negative-part size bound.
 
     Starts from the ceiling value delta0 = s^{-1}/(1 + volume) and bisects
     downward until (integral of |(eta (R - delta))_-|^{n/2} d mu)^{2/n}
-    drops below c_S / 2; the ceiling margin then holds for free.
+    drops below c_S / 2; the ceiling margin then holds for free.  The norm
+    is the smallness gate's, `lp_norm` over the wsrc of mesh, the rung's
+    first-truncation mesh: eta vanishes off [s, 4s], so the sum over all
+    nodes is the norm.  The volume of [s, 4s] is `grids.integrate`'s, with
+    panel edges at the blend's joints 2s and 3s, where w is only C^2.
     """
     if c_S <= 0.0:
         raise ConfigError("Sobolev constant must be positive")
     s, n = interp.s, interp.n
     eta = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s)
-    r = np.geomspace(s, 4.0 * s, 2049)
-    _, w = radial_kappa_w(interp.metric, r)
-    volume = sphere_area(n) * simpson(w, r)
-    Rv = interp.scalar_values(r)
-    ev = eta.value(r)
+    volume = sphere_area(n) * integrate(
+        lambda r: radial_kappa_w(interp.metric, r)[1],
+        (s, 2.0 * s, 3.0 * s, 4.0 * s), "ceiling volume")
+    Rv = interp.scalar_values(mesh.r)
+    ev = eta.value(mesh.r)
 
     def lhs(delta):
-        return radial_lp_norm(ev * np.maximum(delta - Rv, 0.0), w, r,
-                              n / 2.0, n)
+        return lp_norm(mesh.wsrc, ev * np.maximum(delta - Rv, 0.0), n / 2.0,
+                       n)
 
     threshold = 0.5 * c_S
     delta0 = (1.0 / s) / (1.0 + volume)
@@ -267,13 +271,14 @@ def deform_rung(split, s, c_S):
     """Run one ladder scale: interpolate, relax, solve, pick tau, deform."""
     n = split.n
     interp = build_interpolated_metric(split, s)
-    dreport = choose_delta(interp, c_S)
+    dom = DomainModel(n=n, truncation_radii=(8.0 * s, 16.0 * s, 32.0 * s),
+                      annulus_nodes=ANNULUS_NODES)
+    dreport = choose_delta(interp, c_S,
+                           dom.mesh(interp.metric, dom.truncation_radii[0]))
     delta = dreport.delta
     eta = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s)
     f = conformal_constant(n) * eta \
         * (radial.conformal_scalar(interp.u_eff, n) - delta)
-    dom = DomainModel(n=n, truncation_radii=(8.0 * s, 16.0 * s, 32.0 * s),
-                      annulus_nodes=ANNULUS_NODES)
     prob = EllipticProblem(interp.metric, f, support_radius=4.0 * s,
                            domain=dom)
     check_smallness(prob, c_S)

@@ -33,8 +33,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import (ConfigError, InternalFault, RegimeError, SolverError)
-from .grids import RadialMesh, mesh_stiffness, radial_mesh, simpson, \
-    sphere_area
+from .grids import RadialMesh, mesh_stiffness, radial_mesh, sphere_area
 
 # relative residual budget of every tridiagonal solve
 SOLVE_TOL = 1e-10
@@ -163,9 +162,8 @@ def check_smallness(problem, c_S):
     n = dom.n
     mesh = dom.mesh(problem.metric, dom.truncation_radii[0],
                     (dom.cylinder_lengths or (0.0,))[0])
-    fm = np.maximum(-problem.f_nodes(mesh), 0.0)
-    lhs = float(sphere_area(n) * np.sum(fm ** (n / 2.0) * mesh.wsrc)) \
-        ** (2.0 / n)
+    lhs = lp_norm(mesh.wsrc, np.minimum(problem.f_nodes(mesh), 0.0),
+                  n / 2.0, n)
     threshold = 0.5 * c_S
     report = SmallnessReport(lhs=lhs, threshold=float(threshold),
                              ratio=float(lhs / threshold), passed=lhs <= threshold,
@@ -350,14 +348,8 @@ def solve_conformal_factor(problem):
         exhaustion_diffs=diffs, robin_gap=robin_gap, diagnostics=diagnostics)
 
 
-def radial_lp_norm(v, w, r, p, n):
-    """(|S^{n-1}| integral |v|^p w dr)^{1/p} by Simpson's rule over radii r;
-    w is the caller's radial volume weight at r."""
-    return float((sphere_area(n) * simpson(np.abs(v) ** p * w, r))
-                 ** (1.0 / p))
-
-
-def lp_norm(mesh, vals, p, n):
-    """(integral |vals|^p d mu)^{1/p} over the composite mesh."""
+def lp_norm(weights, vals, p, n):
+    """(integral |vals|^p d mu)^{1/p} by the lumped mesh rule: |S^{n-1}|
+    times the sum of |vals|^p times weights, a mesh's wsrc or wbar."""
     return float((sphere_area(n)
-                  * np.sum(np.abs(vals) ** p * mesh.wbar)) ** (1.0 / p))
+                  * np.sum(np.abs(vals) ** p * weights)) ** (1.0 / p))

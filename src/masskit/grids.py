@@ -3,12 +3,14 @@
 Two tiers: RADIAL (any dimension, spherically symmetric problems reduced to a
 1D conservation-form mesh, optionally with a finite-cylinder toy end attached
 at the inner boundary; one `radial_mesh` serves the conformal-factor solve,
-its smallness gate, the Sobolev estimate and the radial eigenvalue bound)
-and FULL3D (n = 3 product grid, log-radius times pole-offset latitude
-times uniform longitude, its stiffness one sparse congruence D^T W D of
-the stacked axis difference operators).
-The RADIAL tier, the harmonic tail and the sphere rules import numpy only;
-the FULL3D functions import scipy.sparse inside their bodies.
+its smallness gate, the density deformation's delta bisection, the Ricci
+probe's negative-part norm, the Sobolev estimate and the radial eigenvalue
+bound) and FULL3D (n = 3 product grid, log-radius times pole-offset
+latitude times uniform longitude, its stiffness one sparse congruence
+D^T W D of the stacked axis difference operators).
+The RADIAL tier, the adaptive `integrate` with the harmonic tail on it, and
+the sphere rules import numpy only; the FULL3D functions import
+scipy.sparse inside their bodies.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ MIN_QUADRATURE_ORDER = 8
 # cap on the nodes x n^3 first derivatives of a flux sum: 2^25 float64
 # entries, 256 MiB
 FLUX_ENTRY_LIMIT = 2 ** 25
-# cap on the Gauss-Legendre panels of one harmonic tail
-TAIL_MAX_PANELS = 1024
+# cap on the Gauss-Legendre panels of one `integrate` call
+MAX_PANELS = 1024
 
 
 @dataclass
@@ -83,27 +85,33 @@ def radial_kappa_w(metric, r):
 
 def harmonic_tail(metric, R):
     """Integral of 1/kappa over [R, inf): the tail of the radial harmonic
-    function that vanishes at infinity, per unit flux.
+    function that vanishes at infinity, per unit flux, by `integrate` in
+    t = R/s over [0, 1]."""
+    R = float(R)
+    return integrate(lambda t: R / (t * t * radial_kappa_w(metric, R / t)[0]),
+                     (0.0, 1.0), "tail quadrature on [%.3g, inf)" % R)
 
-    Integrated in t = R/s over [0, 1] on the shooting oracle's
-    `adaptive_panels` of 16 Gauss-Legendre points, split while the last
-    three Legendre coefficients exceed 1e-13 times the largest sample, to a
-    width of 1e-7.  A non-finite sample, or more than TAIL_MAX_PANELS
-    panels, raises SolverError.
+
+def integrate(fn, edges, what):
+    """Integral of fn from edges[0] to edges[-1] on the shooting oracle's
+    `adaptive_panels` of 16 Gauss-Legendre points, starting from the
+    panels between edges, where the integrand's kinks belong, and split
+    while the last three Legendre coefficients exceed 1e-13 times the
+    largest sample, to a width of 1e-7.  fn takes an array of points to the
+    values there.  A non-finite sample, or more than MAX_PANELS panels,
+    raises SolverError naming what.
     """
     x, w, tail_rows = _legendre_panel()
-    R = float(R)
 
     def sample(t):
-        vals = R / (t * t * radial_kappa_w(metric, R / t)[0])
+        vals = fn(t)
         if not np.isfinite(vals).all():
-            raise SolverError("tail quadrature met a non-finite 1/kappa "
-                              "sample on [%.3g, inf)" % R)
+            raise SolverError("%s met a non-finite sample" % what)
         return vals[:, None]
 
-    a, b, vals, _ = adaptive_panels(sample, np.array([0.0, 1.0]),
+    a, b, vals, _ = adaptive_panels(sample, np.asarray(edges, dtype=float),
                                     0.5 * (1.0 + x), tail_rows, 1e-13, 1e-7,
-                                    TAIL_MAX_PANELS, "tail quadrature")
+                                    MAX_PANELS, what)
     return float(np.sum(0.5 * (b - a) * (vals[:, 0] @ w)))
 
 
@@ -148,26 +156,6 @@ def _legendre_panel():
         P.append(((2 * j + 1) * x * P[j] - j * P[j - 1]) / (j + 1))
     # a_j = (j + 1/2) sum w P_j f, exact for j < 16
     return x, w, (np.arange(13, 16) + 0.5)[:, None] * np.array(P[13:]) * w
-
-
-def simpson(y, x):
-    """Composite Simpson's rule for samples y at increasing x, an odd count.
-
-    Written in scipy's pairwise form, one weighted term per pair of
-    intervals summed by np.sum, so it equals `scipy.integrate.simpson`
-    bitwise; a weight-vector dot product differs from it by a few ulps.
-    """
-    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-    if x.size % 2 == 0 or x.size < 3:
-        raise ConfigError("Simpson's rule needs an odd count of at least 3 "
-                          "samples, got %d" % x.size)
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    return float(np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
-                                      + y[1::2] * (hsum * (hsum / (h0 * h1)))
-                                      + y[2::2] * (2.0 - h0divh1))))
 
 
 def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0):

@@ -23,6 +23,9 @@ from .radial import RProfile, as_profile, compose, conformal_scalar, const, \
     feasible_end, flat_laplacian, identity
 from .tolerances import BAND_WITNESS, LAPLACIAN_TOL, MIN_R_TARGET, WITNESS_R
 
+# nodes of the superharmonic and curvature audit grids on [s1/2, 4 s2]
+AUDIT_POINTS = 6001
+
 
 def lohkamp_zeta(eps):
     """Concave C^2 cap profile in the factor value t.
@@ -139,7 +142,7 @@ def lohkamp_cutoff(u, s1, n=3):
                         zeta=zeta, v=v, m_bar=m_bar, band=(r_lo, s2))
 
 
-def check_superharmonic(state, num=6001):
+def check_superharmonic(state):
     """Audit the flat Laplacian of the capped factor.
 
     The input u must be harmonic to roundoff on the audit grid
@@ -148,11 +151,7 @@ def check_superharmonic(state, num=6001):
     The audit passes when max lap v stays within roundoff of zero and the
     transition band shows a strict negative witness.
     """
-    num = int(num)
-    if num < 101:
-        raise ConfigError("superharmonic audit needs at least 101 grid "
-                          "points, got %d" % num)
-    grid = np.linspace(0.5 * state.s1, 4.0 * state.s2, num)
+    grid = np.linspace(0.5 * state.s1, 4.0 * state.s2, AUDIT_POINTS)
     lap_u = flat_laplacian(state.u, state.n)(grid)
     defect = float(np.max(np.abs(lap_u)))
     if defect > LAPLACIAN_TOL:
@@ -169,7 +168,7 @@ def check_superharmonic(state, num=6001):
         "max_lap": max_lap,
         "min_band_lap": min_band,
         "band": (float(state.band[0]), float(state.band[1])),
-        "grid_points": num,
+        "grid_points": AUDIT_POINTS,
         "passed": passed,
     }
 
@@ -194,7 +193,7 @@ def lohkamp_metric(state, audit=None):
     g = _metrics.conformally_flat(state.v, n, family="lohkamp", r_min=r_min)
 
     R_fun = conformal_scalar(state.v, n)
-    grid = np.linspace(r_min, 4.0 * state.s2, 6001)
+    grid = np.linspace(r_min, 4.0 * state.s2, AUDIT_POINTS)
     R_vals = R_fun(grid)
     min_R = float(np.min(R_vals))
     witness = float(np.max(R_vals))

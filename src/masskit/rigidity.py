@@ -21,9 +21,8 @@ from .adm import adm_mass
 from .density import ANNULUS_NODES, MASS_FRACTIONS, conformal_constant, \
     pick_tau, tau_blend
 from .elliptic import DomainModel, EllipticProblem, check_smallness, \
-    radial_lp_norm, solve_conformal_factor
+    lp_norm, solve_conformal_factor
 from .errors import ConfigError, RegimeError
-from .grids import radial_kappa_w
 from .radial import RProfile
 
 RIC_FLOOR = 1e-10
@@ -276,16 +275,15 @@ def rigidity_probe_ricci(metric, spec: RigidityProbeSpec):
         raise RegimeError("quadratic form not positive over the bump "
                           "(lower bound %.3g)" % eig.value)
 
-    quad_r = np.linspace(lo, hi, 4001)
-    neg_norm = radial_lp_norm(np.minimum(R_fun(quad_r), 0.0),
-                              radial_kappa_w(gbar, quad_r)[1], quad_r,
-                              n / 2.0, n)
+    # on the mesh the delta ladder solves on; R_fun vanishes off the bump
+    dom = _default_domain(metric, thi)
+    mesh = dom.mesh(gbar, dom.truncation_radii[0])
+    neg_norm = lp_norm(mesh.wsrc, np.minimum(R_fun(mesh.r), 0.0), n / 2.0, n)
     neg_threshold = PROBE_C_S / 4.0
     if neg_norm > neg_threshold:
         raise RegimeError("negative curvature part too large (%.3g > %.3g); "
                           "shrink the perturbation" % (neg_norm, neg_threshold))
 
-    dom = _default_domain(metric, thi)
     A_values = []
     solution = None
     for delta in spec.delta_ladder:

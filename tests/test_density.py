@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
-from masskit import curvature, density, metrics, radial, tolerances
+from masskit import curvature, density, elliptic, grids, metrics, radial, \
+    tolerances
 from masskit.adm import DEFAULT_LADDER
-from masskit.elliptic import radial_lp_norm
 from masskit.errors import ConfigError, RegimeError
 from masskit.grids import radial_kappa_w, sphere_area
 from test_adm import residual_flux, trend_slope
@@ -33,6 +33,26 @@ def toy_split():
 @functools.lru_cache(maxsize=None)
 def sch_split():
     return density.split_schwarzschild(metrics.schwarzschild(1.0, 3), 1.0)
+
+
+def rung_domain(interp):
+    """The domain `deform_rung` solves interp's rung on."""
+    s = interp.s
+    return elliptic.DomainModel(n=interp.n,
+                                truncation_radii=(8.0 * s, 16.0 * s, 32.0 * s),
+                                annulus_nodes=density.ANNULUS_NODES)
+
+
+def rung_mesh(interp):
+    """The rung's first-truncation mesh, where choose_delta bisects."""
+    return rung_domain(interp).mesh(interp.metric, 8.0 * interp.s)
+
+
+def simpson_norm(v, w, r, p, n):
+    """(|S^{n-1}| integral |v|^p w dr)^{1/p} by scipy's Simpson rule over
+    radii r, w the radial volume weight at r: a reference off the mesh."""
+    return float((sphere_area(n) * simpson(np.abs(v) ** p * w, x=r))
+                 ** (1.0 / p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,7 +106,7 @@ def scalar_bounds_audit(interp):
     q = 2.0 * n / (n + 2.0)
     r_np = np.geomspace(s, 4.0 * s, 2049)
     _, w = radial_kappa_w(interp.metric, r_np)
-    norm = radial_lp_norm(interp.scalar_values(r_np), w, r_np, q, n)
+    norm = simpson_norm(interp.scalar_values(r_np), w, r_np, q, n)
     return {
         "s": s,
         "min_inner": float(R_in.min()),
@@ -208,11 +228,11 @@ def test_transition_norm_ladder_decays():
 
 def test_delta_immediate_accept_at_ceiling():
     interp = density.build_interpolated_metric(toy_split(), 8.0)
-    rep = density.choose_delta(interp, C_SOB)
+    rep = density.choose_delta(interp, C_SOB, rung_mesh(interp))
     assert rep.bisections == 0
     assert rep.delta == rep.delta0
     assert abs(rep.delta - 8.102318092961889e-07) <= 1e-9 * rep.delta
-    assert abs(rep.lhs - 7.2384220867e-02) <= 1e-6 * rep.lhs
+    assert abs(rep.lhs - 7.2384335658e-02) <= 1e-6 * rep.lhs
     assert rep.ceiling_margin == 0.0
     assert rep.smallness_margin >= 0.0
 
@@ -221,7 +241,8 @@ def test_delta_bisection_matches_linear_oracle():
     # zero blend remainder makes the size bound exactly linear in delta,
     # so the accepted value must equal threshold / norm-factor
     interp = density.build_interpolated_metric(sch_split(), 8.0)
-    rep = density.choose_delta(interp, 1e-4)
+    mesh = rung_mesh(interp)
+    rep = density.choose_delta(interp, 1e-4, mesh)
     assert rep.bisections == 60
     assert rep.delta < rep.delta0
 
@@ -238,14 +259,12 @@ def test_delta_bisection_matches_linear_oracle():
     assert abs(rep.delta - target) <= 1e-8 * target
 
     # maximality: nudging delta up violates the bound on the solver's grid
-    r = np.geomspace(8.0, 32.0, 2049)
-    _, w = radial_kappa_w(interp.metric, r)
-    Rv = interp.scalar_values(r)
-    ev = eta.value(r)
+    Rv = interp.scalar_values(mesh.r)
+    ev = eta.value(mesh.r)
 
     def lhs(d):
-        neg = ev * np.maximum(d - Rv, 0.0)
-        return float((sphere_area(3) * simpson(neg ** 1.5 * w, x=r)) ** (2.0 / 3.0))
+        return elliptic.lp_norm(mesh.wsrc, ev * np.maximum(d - Rv, 0.0), 1.5,
+                                3)
 
     assert lhs(rep.delta) <= rep.threshold
     assert lhs(rep.delta * (1.0 + 1e-9)) > rep.threshold
@@ -253,10 +272,52 @@ def test_delta_bisection_matches_linear_oracle():
 
 def test_delta_floor_failure_raises():
     interp = density.build_interpolated_metric(toy_split(), 8.0)
+    mesh = rung_mesh(interp)
     with pytest.raises(RegimeError, match="no relaxation constant"):
-        density.choose_delta(interp, 0.1)
+        density.choose_delta(interp, 0.1, mesh)
     with pytest.raises(ConfigError):
-        density.choose_delta(interp, 0.0)
+        density.choose_delta(interp, 0.0, mesh)
+
+
+def test_delta_norm_is_the_smallness_gate_norm():
+    """c_n times choose_delta's lhs is the gate's lhs of the rung's
+    potential: one rule on one mesh."""
+    interp = density.build_interpolated_metric(toy_split(), 8.0)
+    dom = rung_domain(interp)
+    rep = density.choose_delta(interp, C_SOB, dom.mesh(interp.metric, 64.0))
+    cn = density.conformal_constant(3)
+    f = cn * radial.window(8.0, 16.0, 24.0, 32.0) \
+        * (radial.conformal_scalar(interp.u_eff, 3) - rep.delta)
+    prob = elliptic.EllipticProblem(interp.metric, f, support_radius=32.0,
+                                    domain=dom)
+    small = elliptic.check_smallness(prob, C_SOB)
+    assert cn * rep.lhs == pytest.approx(small.lhs, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [8.0, 16.0, 32.0])
+def test_ceiling_volume_integral_against_quad(s):
+    metric = density.build_interpolated_metric(toy_split(), s).metric
+    ref, err = quad(lambda r: radial_kappa_w(metric, [r])[1][0], s, 4.0 * s,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    assert err <= 1e-13 * ref
+    # without edges at the blend's C^2 joints 2s and 3s the panels split
+    # down around them; with them, as choose_delta has it, they need not
+    for edges in ((s, 4.0 * s), (s, 2.0 * s, 3.0 * s, 4.0 * s)):
+        got = grids.integrate(lambda r: radial_kappa_w(metric, r)[1], edges,
+                              "volume")
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [8.0, 16.0, 32.0])
+def test_delta_norm_on_the_mesh_against_simpson(s):
+    """The mesh's lumped rule against Simpson on 2,049 geometric radii."""
+    interp = density.build_interpolated_metric(toy_split(), s)
+    rep = density.choose_delta(interp, C_SOB, rung_mesh(interp))
+    r = np.geomspace(s, 4.0 * s, 2049)
+    neg = radial.window(s, 2.0 * s, 3.0 * s, 4.0 * s).value(r) \
+        * np.maximum(rep.delta - interp.scalar_values(r), 0.0)
+    ref = simpson_norm(neg, radial_kappa_w(interp.metric, r)[1], r, 1.5, 3)
+    assert rep.lhs == pytest.approx(ref, rel=5e-5, abs=0.0)
 
 
 def test_pick_tau_on_synthetic_blends():

@@ -316,8 +316,8 @@ def energy_norm_bound(problem, solution, c_S):
     fvals = np.where(mesh.is_cyl, 0.0, problem.f_values(mesh.r))
     p_crit = 2.0 * n / (n - 2.0)
     p_dual = 2.0 * n / (n + 2.0)
-    lhs = elliptic.lp_norm(mesh, solution.v, p_crit, n)
-    rhs = 2.0 / c_S * elliptic.lp_norm(mesh, fvals, p_dual, n)
+    lhs = elliptic.lp_norm(mesh.wbar, solution.v, p_crit, n)
+    rhs = 2.0 / c_S * elliptic.lp_norm(mesh.wbar, fvals, p_dual, n)
     return {"lhs": lhs, "rhs": rhs, "passed": lhs <= rhs}
 
 

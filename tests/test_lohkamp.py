@@ -144,8 +144,6 @@ def test_cutoff_input_validation():
         lohkamp_zeta(0.0)
     with pytest.raises(ConfigError, match="eps"):
         lohkamp_zeta(1.5)
-    with pytest.raises(ConfigError, match="grid"):
-        check_superharmonic(cut_state(), num=50)
 
 
 def test_cutoff_four_dimensional_end():

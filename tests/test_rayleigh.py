@@ -28,7 +28,7 @@ def sobolev_quotient(mesh, zeta, n):
     """Q evaluated on one grid function (boundary values must vanish)."""
     p = 2.0 * n / (n - 2.0)
     energy = sphere_area(n) * float(zeta @ apply_stiffness(mesh, zeta))
-    denom = elliptic.lp_norm(mesh, zeta, p, n) ** 2
+    denom = elliptic.lp_norm(mesh.wbar, zeta, p, n) ** 2
     if denom <= 0.0:
         raise ConfigError("test function vanishes identically")
     return energy / denom

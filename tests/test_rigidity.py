@@ -121,9 +121,9 @@ def test_ricci_probe_walks_delta_ladder_to_negative():
 
 def test_ricci_probe_margins_and_final_metric():
     rep = ricci_report()
-    assert abs(rep.eigenvalue_margin - 0.218906348747) < 1e-8
+    assert abs(rep.eigenvalue_margin - 0.218906356772) < 1e-8
     assert rep.eigenvalue_margin > 0.0
-    assert abs(rep.negative_part_norm - 0.629447) < 1e-5
+    assert abs(rep.negative_part_norm - 0.6294626) < 1e-5
     assert rep.negative_part_norm < rep.negative_part_threshold == 0.75
     assert abs(rep.tau - 0.00192662249663) < 1e-9
     # tau is maximal: the curvature floor binds from below
