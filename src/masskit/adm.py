@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grids import sphere_area, sphere_quadrature
+from .radial import feasible_end
 
 DEFAULT_QUADRATURE_ORDER = 16
 DEFAULT_LADDER = (8.0, 16.0, 32.0, 64.0)
@@ -146,12 +147,10 @@ def extrapolate_ladder(radii, masses, n):
     elif np.isclose(r1 / r0, r2 / r1, rtol=1e-12, atol=0.0):
         p = np.log(ratio) / np.log(r2 / r1)
     else:
-        from scipy.optimize import brentq   # only uneven ladders
-
-        def excess(q):
-            return (r0 ** -q - r1 ** -q) / (r1 ** -q - r2 ** -q) - ratio
-        p = (lo if excess(lo) >= 0.0 else hi if excess(hi) <= 0.0
-             else brentq(excess, lo, hi, xtol=1e-14))
+        # F rises in p: bisect for the largest p in [lo, hi] with F(p) <=
+        # ratio, lo when even F(lo) exceeds it
+        p = feasible_end(lambda q: (r0 ** -q - r1 ** -q)
+                         / (r1 ** -q - r2 ** -q) <= ratio, lo, hi, 50) or lo
     used = float(n - 2) if p is None else float(np.clip(p, lo, hi))
     extrapolated = float(masses[-1] + d[-1] / ((r2 / r1) ** used - 1.0))
     return (extrapolated, None if p is None else used,

@@ -8,7 +8,9 @@ seed.  Exit codes: 0 success, 1 configuration error, 2 audit or regime
 failure, 3 solver or internal numerical fault.  A usage error, such as a
 missing --config or --threads 0, exits 2 before any scene is read.
 `Run` is the run ledger: the audit outcomes and output names that
-run_manifest.json records.
+run_manifest.json records.  An audit records only a check the library
+does not make: where a library call enforces an inequality it raises
+RegimeError on it, and the CLI does not record it a second time.
 Identical scene and seed give byte-identical outputs (the writers in
 `reports` fix the bytes of each file); only run_manifest.json's
 wall_clock field varies between repeats.  Each command body imports the
@@ -29,8 +31,7 @@ from . import adm, config as scene, reports
 from .curvature import sample_directions, scalar_curvature_bartnik
 from .errors import (ConfigError, DegenerateMetricError, DomainError,
                      InternalFault, RegimeError, SolverError)
-from .tolerances import (BAND_WITNESS, LAPLACIAN_TOL, MATCH_TOL, MIN_R_TARGET,
-                         RATIO_TOL, VANISHING_MASS, WITNESS_R)
+from .tolerances import BAND_WITNESS, LAPLACIAN_TOL, WITNESS_R
 
 FLUX_TOL = 1e-8
 ORDER_BAND = (1.8, 2.2)
@@ -203,7 +204,6 @@ def _cmd_solve(block, metric, run):
     run.audit("outer-flux-vanishes", "<=", abs(solution.flux_grad), FLUX_TOL)
     run.audit("energy-flux-vanishes", "<=", abs(solution.flux_u_grad),
               FLUX_TOL)
-    run.audit("factor-positive", ">", solution.min_u, 0.0)
 
 
 def _cmd_deform(block, metric, run):
@@ -224,23 +224,7 @@ def _cmd_deform(block, metric, run):
     payload = report.to_json_dict()
     payload["independent_mass_check"] = verify
     run.emit_json("deform_report.json", payload)
-
     rungs = report.rungs
-    floors = [r.min_R_bar for r in rungs]
-    k = int(np.argmin(floors))
-    run.audit("curvature-floor", ">=", floors[k], MIN_R_TARGET,
-              location="s=%g" % rungs[k].s)
-    # bookkeeping identity: the shifted mass is defined from A_s and tau,
-    # so the two recomputations must agree bitwise
-    identity = [abs(r.m_bar - (report.m_input + r.mass_shift))
-                for r in rungs]
-    run.audit("mass-shift-identity", "<=", max(identity), 0.0)
-    ceilings = [(r.delta_report.ceiling_margin, r.s) for r in rungs]
-    worst_ceiling = min(ceilings)
-    run.audit("scale-ceiling", ">=", worst_ceiling[0], 0.0,
-              location="s=%g" % worst_ceiling[1])
-    small = min((r.delta_report.smallness_margin, r.s) for r in rungs)
-    run.audit("size-bound", ">=", small[0], 0.0, location="s=%g" % small[1])
     shifts = [abs(r.mass_shift) for r in rungs]
     if len(shifts) >= 2:
         steps = [shifts[i + 1] - shifts[i] for i in range(len(shifts) - 1)]
@@ -296,21 +280,11 @@ def _cmd_compactify(block, metric, run):
     run.audit("cap-superharmonic-in-band", "<=",
               superharmonic["min_band_lap"], BAND_WITNESS)
     capped, metric_report = lohkamp.lohkamp_metric(state, superharmonic)
-    run.audit("curvature-floor", ">=", metric_report["min_R"], MIN_R_TARGET)
-    run.audit("curvature-witness", ">", metric_report["witness_R"], WITNESS_R)
-    run.audit("flat-outside-cap", "<=", metric_report["flat_gap"], 0.0)
     torus_cfg = block.get("torus", {})
     spec = lohkamp.TorusGlueSpec(
         flat_radius=float(torus_cfg.get("flat_radius", state.r_flat)),
         collar=torus_cfg.get("collar"))
     torus_report = lohkamp.torus_glue(capped, spec)
-    run.audit("torus-collar-constant", "<=", torus_report["collar_gap"], 0.0)
-    run.audit("torus-faces-periodic", "<=",
-              torus_report["periodicity_gap"], 0.0)
-    run.audit("torus-derivative-match", "<=",
-              torus_report["derivative_gap"], 0.0)
-    run.audit("torus-curvature-floor", ">=", torus_report["min_R"],
-              MIN_R_TARGET)
     run.audit("torus-curvature-witness", ">", torus_report["witness_R"],
               WITNESS_R)
     run.emit_json("compactify_report.json", {
@@ -343,14 +317,6 @@ def _cmd_ale(block, metric, run):
     _, audit = groups.ale_lift(
         metric, group,
         radii=None if radii is None else np.asarray(radii, dtype=float))
-    run.audit("chart-invariance", "<=", audit["invariance_gap"], MATCH_TOL)
-    if audit["mass_ratio"] is None:
-        run.audit("masses-both-vanish", "<=",
-                  max(abs(audit["ale_mass"]), abs(audit["quotient_mass"])),
-                  VANISHING_MASS)
-    else:
-        run.audit("mass-ratio-matches-order", "<=",
-                  audit["ratio_rel_error"], RATIO_TOL)
     payload = dict(audit)
     fixed_cfg = block.get("fixed_point")
     if fixed_cfg is not None:
@@ -362,10 +328,6 @@ def _cmd_ale(block, metric, run):
             pairs.append((T, v))
         point = groups.fixed_point_of_finite_group(pairs)
         payload["fixed_point"] = point
-        residual = max(float(np.linalg.norm(T @ point + v - point))
-                       for T, v in pairs)
-        run.audit("common-fixed-point", "<=", residual,
-                  MATCH_TOL * max(1.0, float(np.linalg.norm(point))))
     run.emit_json("ale_report.json", payload)
 
 

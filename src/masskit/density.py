@@ -145,23 +145,13 @@ class DeltaReport:
     volume: float
     bisections: int
 
-    @property
-    def smallness_margin(self):
-        return self.threshold - self.lhs
-
-    @property
-    def ceiling_margin(self):
-        """Margin of delta (1 + volume) <= 1/s divided through by
-        1 + volume: exact in floating point, so delta = delta0 reads 0."""
-        return self.delta0 - self.delta
-
 
 def choose_delta(interp, c_S, mesh):
     """Largest relaxation constant passing the negative-part size bound.
 
     Starts from the ceiling value delta0 = s^{-1}/(1 + volume) and bisects
     downward until (integral of |(eta (R - delta))_-|^{n/2} d mu)^{2/n}
-    drops below c_S / 2; the ceiling margin then holds for free.  The norm
+    drops below c_S / 2, so delta <= delta0 holds by construction.  The norm
     is the smallness gate's, `lp_norm` over the wsrc of mesh, the rung's
     first-truncation mesh: eta vanishes off [s, 4s], so the sum over all
     nodes is the norm.  The volume of [s, 4s] is `grids.integrate`'s, with

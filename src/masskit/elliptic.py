@@ -319,7 +319,7 @@ def solve_conformal_factor(problem):
     robin_gap = float(np.abs(rob.interp(r_probe) - prev).max())
     u = 1.0 + rob.v
     min_u = float(u.min())
-    if min_u <= 0.0:
+    if not (min_u > 0.0):
         raise InternalFault(
             "positivity lost (min u = %.3g) despite smallness margin %.3g; "
             "numerical fault" % (min_u, problem.smallness.ratio))

@@ -19,6 +19,7 @@ from functools import cache, partial, reduce
 
 import numpy as np
 
+from .curvature import check_finite
 from .errors import ConfigError, SolverError
 from .radial import jets
 
@@ -164,7 +165,8 @@ def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0):
     The annulus runs from the metric's inner cut r_min to r_max, which must
     exceed it; num is the annulus node count (log-spaced); cyl_len/cyl_num
     attach the toy end at r_min.  Node ordering: deepest cylinder node
-    first, outer sphere last.
+    first, outer sphere last.  A non-finite kappa or w sample raises
+    DegenerateMetricError.
     """
     n = metric.n
     r_min = float(metric.r_min)
@@ -201,6 +203,7 @@ def radial_mesh(metric, r_max, num, cyl_len=0.0, cyl_num=0):
     # junction
     d = np.diff(coord)
     kap_nodes, w_nodes = radial_kappa_w(metric, np.append(r, float(r_max)))
+    check_finite(kap_ann, kap_nodes, w_nodes)
     w_sigma = w_nodes[:-1] * r
     wbar = np.zeros(coord.size)
     wbar[1:] += 0.5 * d * np.where(cylf, section, w_sigma[1:])

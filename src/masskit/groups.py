@@ -23,8 +23,13 @@ from .curvature import sample_directions
 from .errors import ConfigError, RegimeError
 from .grids import sphere_area, sphere_quadrature
 from .metrics import congruence
-from .tolerances import MATCH_TOL, RATIO_TOL, VANISHING_MASS
 
+# matrix tolerance of orthogonality, closure, invariance and fixed points
+MATCH_TOL = 1e-12
+# relative tolerance of the cover/quotient mass ratio
+RATIO_TOL = 1e-3
+# cover and quotient masses both at or below this count as vanishing
+VANISHING_MASS = 1e-10
 # eigenvalue margin for "no fixed direction on the sphere"
 FREE_TOL = 1e-8
 DEFAULT_CLOSURE_CAP = 512
@@ -170,11 +175,10 @@ def invariance_gap(metric, group):
     dirs = sample_directions(n, 20, rng=7)
     X = np.concatenate([metric.r_min * s * dirs for s in _INVARIANCE_RADII])
     G = metric.g(X)
-    gap = 0.0
-    for T in group.generators if group.generators else group.elements[1:]:
-        back = congruence(T)(metric.g(X @ T.T))
-        gap = max(gap, float(np.max(np.abs(back - G))))
-    return gap
+    gaps = [np.max(np.abs(congruence(T)(metric.g(X @ T.T)) - G))
+            for T in group.generators or group.elements[1:]]
+    # np.max, unlike max, keeps a NaN gap
+    return float(np.max(gaps, initial=0.0))
 
 
 def ale_lift(metric, group, radii=None):
@@ -191,7 +195,7 @@ def ale_lift(metric, group, radii=None):
         raise ConfigError("group dimension %d does not match metric "
                           "dimension %d" % (group.n, metric.n))
     gap = invariance_gap(metric, group)
-    if gap > MATCH_TOL:
+    if not (gap <= MATCH_TOL):
         raise RegimeError("chart is not invariant under the group: "
                           "largest conjugation gap %.3g exceeds %.1g"
                           % (gap, MATCH_TOL))
@@ -202,7 +206,7 @@ def ale_lift(metric, group, radii=None):
     quot_mass = fd["mass"]
 
     if abs(quot_mass) <= VANISHING_MASS:
-        if abs(cover_mass) > VANISHING_MASS * group.order:
+        if not (abs(cover_mass) <= VANISHING_MASS * group.order):
             raise RegimeError(
                 "quotient flux vanishes but cover mass %.3g does not"
                 % cover_mass)
@@ -211,7 +215,7 @@ def ale_lift(metric, group, radii=None):
     else:
         ratio = cover_mass / quot_mass
         rel_err = abs(ratio - group.order) / group.order
-        if rel_err > RATIO_TOL:
+        if not (rel_err <= RATIO_TOL):
             raise RegimeError(
                 "cover/quotient mass ratio %.9g differs from the group "
                 "order %d by %.3g (limit %.1g)"
@@ -252,8 +256,9 @@ def fixed_point_of_finite_group(isometries):
         raise ConfigError("need at least one isometry")
     p = np.mean([v for _, v in pairs], axis=0)
     scale = max(1.0, float(np.linalg.norm(p)))
-    residual = max(float(np.linalg.norm(T @ p + v - p)) for T, v in pairs)
-    if residual > MATCH_TOL * scale:
+    residual = float(np.max([np.linalg.norm(T @ p + v - p)
+                             for T, v in pairs]))
+    if not (residual <= MATCH_TOL * scale):
         raise RegimeError(
             "no common fixed point: orbit centroid moves by %.3g (the "
             "maps do not form a finite group of isometries)" % residual)

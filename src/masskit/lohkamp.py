@@ -173,17 +173,16 @@ def check_superharmonic(state):
     }
 
 
-def lohkamp_metric(state, audit=None):
+def lohkamp_metric(state, audit):
     """Conformally flat metric of the capped factor, with curvature audit.
 
-    Runs `check_superharmonic` when no audit is supplied.  The returned
-    metric must have scalar curvature >= -1e-8 on the audit grid with a
-    positive witness above 1e-6, and must be exactly the constant
-    cap^{4/(n-2)} times the Euclidean metric for r >= s2; any violation is
-    a regime failure.  Returns (metric, audit dict).
+    `audit` is the state's `check_superharmonic` report and must have
+    passed.  The returned metric must have scalar curvature >= -1e-8 on
+    the audit grid with a positive witness above 1e-6, and must be exactly
+    the constant cap^{4/(n-2)} times the Euclidean metric for r >= s2; any
+    violation, a NaN included, is a regime failure.  Returns (metric,
+    audit dict).
     """
-    if audit is None:
-        audit = check_superharmonic(state)
     if not audit["passed"]:
         raise RegimeError(
             "superharmonic audit failed: max_lap=%.3g min_band_lap=%.3g"
@@ -197,10 +196,10 @@ def lohkamp_metric(state, audit=None):
     R_vals = R_fun(grid)
     min_R = float(np.min(R_vals))
     witness = float(np.max(R_vals))
-    if min_R < MIN_R_TARGET:
+    if not (min_R >= MIN_R_TARGET):
         raise RegimeError("scalar curvature dips to %.3g below the floor "
                           "%.1g" % (min_R, MIN_R_TARGET))
-    if witness <= WITNESS_R:
+    if not (witness > WITNESS_R):
         raise RegimeError("no positive scalar-curvature witness: max R "
                           "%.3g <= %.1g" % (witness, WITNESS_R))
 
@@ -297,9 +296,10 @@ def torus_glue(metric, spec):
     closed form).  Checks, in order: the metric equals a constant multiple
     of the identity bitwise on the boundary collar of the cube; opposite
     faces agree bitwise in the metric and its first derivatives (`dg`);
-    scalar curvature stays above -1e-8 out to the cube corner.
-    Returns the glue report; a positive curvature witness above 1e-6 is
-    recorded as a flag, not enforced.
+    scalar curvature stays above -1e-8 out to the cube corner.  A
+    violation, a NaN included, is a regime failure.  Returns the glue
+    report; a positive curvature witness above 1e-6 is recorded as a flag,
+    not enforced.
     """
     if metric.conformal_u is None:
         raise ConfigError("torus glue needs a conformally flat chart")
@@ -317,7 +317,7 @@ def torus_glue(metric, spec):
     G = metric.g(P)
     gap = np.max(np.abs(G - target[None]), axis=(1, 2))
     collar_gap = float(np.max(gap))
-    if collar_gap > 0:
+    if not (collar_gap <= 0):
         i = int(np.argmax(gap))
         raise RegimeError(
             "chart is not constant on the cube collar: metric deviates by "
@@ -330,7 +330,7 @@ def torus_glue(metric, spec):
     G_hi = metric.g(hi)
     periodicity_gap = float(np.max(np.abs(G_lo - G_hi)))
     derivative_gap = float(np.max(np.abs(metric.dg(lo) - metric.dg(hi))))
-    if periodicity_gap > 0 or derivative_gap > 0:
+    if not (periodicity_gap <= 0 and derivative_gap <= 0):
         raise RegimeError(
             "face pairs are not periodic: value gap %.3g, derivative gap "
             "%.3g" % (periodicity_gap, derivative_gap))
@@ -341,7 +341,7 @@ def torus_glue(metric, spec):
     R_vals = R_fun(grid)
     min_R = float(np.min(R_vals))
     witness = float(np.max(R_vals))
-    if min_R < MIN_R_TARGET:
+    if not (min_R >= MIN_R_TARGET):
         raise RegimeError("glued chart curvature dips to %.3g below %.1g"
                           % (min_R, MIN_R_TARGET))
 

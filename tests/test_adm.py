@@ -136,6 +136,47 @@ def test_close_ladder_extrapolates_from_its_own_spacing():
     assert abs(m_inf - 1.0) < 1e-12 and abs(p - 1.5) < 1e-9 and not low
 
 
+def brentq_step(radii, masses, n):
+    """The uneven-ladder step with the order found by scipy's brentq:
+    (extrapolated, order), the order clamped to [0.5, 2(n-2)]."""
+    from scipy.optimize import brentq
+    r0, r1, r2 = radii[-3:]
+    d = np.diff(masses)
+    ratio = d[-2] / d[-1]
+    lo, hi = 0.5, 2.0 * (n - 2)
+
+    def excess(q):
+        return (r0 ** -q - r1 ** -q) / (r1 ** -q - r2 ** -q) - ratio
+    p = (lo if excess(lo) >= 0.0 else hi if excess(hi) <= 0.0
+         else brentq(excess, lo, hi, xtol=1e-14))
+    return masses[-1] + d[-1] / ((r2 / r1) ** p - 1.0), p
+
+
+def test_uneven_ladder_order_matches_brentq():
+    # two-term tails on random uneven ladders, orders inside and outside
+    # the clamp interval: the bisected order is brentq's to roundoff
+    rng = np.random.default_rng(2204)
+    checked = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 8))
+        radii = np.cumsum(rng.uniform(2.0, 30.0, 4)) + 4.0
+        p_true = rng.uniform(0.2, 2.0 * (n - 2) + 1.0)
+        masses = (1.0 + rng.uniform(-2.0, 2.0) * radii ** -p_true
+                  + rng.uniform(-0.5, 0.5) * radii ** -(p_true + 1.0))
+        r0, r1, r2 = radii[-3:]
+        d = np.diff(masses)
+        if (np.all(np.abs(d) <= 1e-10 * max(1.0, np.abs(masses).max()))
+                or d[-2] * d[-1] <= 0
+                or d[-2] / d[-1] <= np.log(r1 / r0) / np.log(r2 / r1)):
+            continue
+        m_ref, p_ref = brentq_step(radii, masses, n)
+        m_inf, p, _ = adm.extrapolate_ladder(radii, masses, n)
+        assert abs(p - p_ref) <= 1e-12, (radii, masses, n)
+        assert abs(m_inf - m_ref) <= 1e-13 * max(1.0, abs(m_ref))
+        checked += 1
+    assert checked >= 200
+
+
 def test_clamped_order_is_low_confidence():
     # a tail slower than rho^{-1/2} clamps the order and flags the limit
     for r in (np.array([8.0, 16.0, 32.0, 64.0]),

@@ -233,8 +233,7 @@ def test_delta_immediate_accept_at_ceiling():
     assert rep.delta == rep.delta0
     assert abs(rep.delta - 8.102318092961889e-07) <= 1e-9 * rep.delta
     assert abs(rep.lhs - 7.2384335658e-02) <= 1e-6 * rep.lhs
-    assert rep.ceiling_margin == 0.0
-    assert rep.smallness_margin >= 0.0
+    assert rep.lhs <= rep.threshold
 
 
 def test_delta_bisection_matches_linear_oracle():

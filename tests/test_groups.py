@@ -153,6 +153,19 @@ def test_ale_lift_rejects_non_invariant_chart():
         ale_lift(bad, antipodal())
 
 
+def test_ale_lift_rejects_a_chart_that_is_nan_beyond_radius_20():
+    # only the outer invariance samples, at 30 r_min, read NaN: a gap kept
+    # by Python's max would drop them and read 0
+    def ev(X):
+        r = np.sqrt((X ** 2).sum(axis=1))
+        return np.where(r > 20.0, np.nan, 1.0)[:, None, None] * np.eye(3)
+
+    chart = metrics.from_evaluator(ev, 3, family="nan-beyond-20")
+    assert np.isnan(invariance_gap(chart, antipodal(3)))
+    with pytest.raises(RegimeError, match="not invariant"):
+        ale_lift(chart, antipodal(3))
+
+
 def test_invariance_gap_matches_einsum_reference():
     # a tensor bump (x.B)(x.B)^T / r^3 that the double rotation moves, so the
     # gap is O(1) and T^t g(Tx) T mixes every component
@@ -194,6 +207,13 @@ def test_fixed_point_conjugated_group():
     p = fixed_point_of_finite_group(
         [(np.eye(4), np.zeros(4)), (-np.eye(4), 2.0 * t)])
     assert np.array_equal(p, t)
+
+
+@pytest.mark.parametrize("offset", [[np.nan, 0.0, 0.0], [2.0, np.nan, 0.0]])
+def test_fixed_point_rejects_a_nan_offset(offset):
+    with pytest.raises(RegimeError, match="no common fixed point"):
+        fixed_point_of_finite_group(
+            [(np.eye(3), np.zeros(3)), (-np.eye(3), np.array(offset))])
 
 
 def test_fixed_point_rejects_translations():

@@ -14,8 +14,7 @@ tail loads no multiprocessing module.
 The solve, deform and compactify commands run on numpy, scipy.linalg and
 scipy.sparse: a fresh interpreter that imports the constructions' modules
 and runs one scene of each loads none of scipy.integrate, scipy.optimize,
-scipy.interpolate and scipy.special.  The one lazy exception, adm's
-brentq, runs only on an uneven mass ladder.
+scipy.interpolate and scipy.special.
 """
 import ast
 import json

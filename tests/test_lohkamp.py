@@ -44,7 +44,8 @@ def cut_state():
 
 @functools.lru_cache(maxsize=1)
 def glued():
-    return lohkamp_metric(cut_state())
+    state = cut_state()
+    return lohkamp_metric(state, check_superharmonic(state))
 
 
 def test_cutoff_recovers_exact_levels():
@@ -120,6 +121,37 @@ def test_end_mass_flux_matches_reported_mass():
     rep = adm.adm_mass(g_in, radii=(8.0, 16.0, 32.0, 64.0))
     assert abs(rep.mass - (-0.5000937544004371)) <= 1e-9
     assert abs(rep.mass - state.m_bar) <= 1e-3
+
+
+def negative_factor_state():
+    # u = 1 - 3 r^-3 at n = 5, cut at s1 = 2: the audit grid starts at
+    # r = 1, where u < 0 and u^{4/3} is NaN
+    return lohkamp_cutoff(const(1.0) + power(-3.0, -3.0), 2.0, n=5)
+
+
+# numpy warns as it raises a negative factor to a fractional power
+NAN_POWER = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in .*power:RuntimeWarning")
+
+
+@NAN_POWER
+def test_capped_metric_with_nan_curvature_is_rejected():
+    state = negative_factor_state()
+    audit = check_superharmonic(state)
+    assert audit["passed"]
+    with pytest.raises(RegimeError, match="dips to nan"):
+        lohkamp_metric(state, audit)
+
+
+@pytest.mark.parametrize("u, match", [
+    (const(-1.0), "not constant on the cube collar"),
+    (negative_factor_state().v, "glued chart curvature dips to nan")],
+    ids=["nan-collar", "nan-curvature"])
+@NAN_POWER
+def test_torus_glue_rejects_a_nan_chart(u, match):
+    chart = metrics.conformally_flat(u, 5, family="nan-chart")
+    with pytest.raises(RegimeError, match=match):
+        torus_glue(chart, TorusGlueSpec(flat_radius=8.0))
 
 
 def test_nonnegative_mass_end_is_rejected():
