@@ -131,6 +131,9 @@ class SceneConfig:
 
 def load_config(path):
     """Read, hash, parse, and schema-validate one scene file."""
+    def refuse(literal):               # NaN, Infinity and -Infinity
+        raise ConfigError("config %s holds the non-finite JSON literal %s"
+                          % (path, literal))
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -138,7 +141,7 @@ def load_config(path):
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        data = json.loads(raw.decode("utf-8"))
+        data = json.loads(raw.decode("utf-8"), parse_constant=refuse)
     except (UnicodeDecodeError, ValueError) as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(data, dict):

@@ -6,8 +6,8 @@ at the inner boundary; one `radial_mesh` serves the conformal-factor solve,
 its smallness gate, the density deformation's delta bisection, the Ricci
 probe's negative-part norm, the Sobolev estimate and the radial eigenvalue
 bound) and FULL3D (n = 3 product grid, log-radius times pole-offset
-latitude times uniform longitude, its stiffness one sparse congruence
-D^T W D of the stacked axis difference operators).
+latitude times uniform longitude, its stiffness one sparse product
+D^T (W D) of CSR arrays built from the nodes' neighbour indices).
 The RADIAL tier, the adaptive `integrate` with the harmonic tail on it, and
 the sphere rules import numpy only; the FULL3D functions import
 scipy.sparse inside their bodies.
@@ -15,12 +15,12 @@ scipy.sparse inside their bodies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache
 
 import numpy as np
 
 from .curvature import check_finite
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, DegenerateMetricError, SolverError
 from .radial import jets
 
 # lowest sphere-quadrature order; the scene schema reads it
@@ -244,8 +244,6 @@ class SphericalGrid:
         self.sigma = np.linspace(np.log(self.r_min), np.log(self.r_max), Nr)
         self.theta = (np.arange(Nth) + 0.5) * np.pi / Nth
         self.phi = np.arange(Nph) * 2.0 * np.pi / Nph
-        if self.theta[0] <= 0.0 or self.theta[-1] >= np.pi:
-            raise ConfigError("latitude nodes touch a pole")
 
     @property
     def num_nodes(self):
@@ -270,56 +268,63 @@ class SphericalGrid:
                         axis=-1).reshape(-1, 3, 3)
 
 
-def _diff_ops(grid):
-    """Sparse node-based central difference operators per curvilinear axis.
-
-    Row i of an axis operator is (f[ip] - f[im]) / ((ip - im) h) with
-    ip, im = i +- 1 wrapped in phi and clamped at the sigma and theta edges:
-    0.5/h inside, one-sided (first-order) 1/h on the edge rows.  Returned
-    per axis as Kronecker products over the whole grid.
-    """
-    import scipy.sparse as sp
-    axes = []
-    for N, h, periodic in zip(grid.shape, grid.spacings, (False, False, True)):
-        i = np.arange(N)
-        ip, im = i + 1, i - 1
-        if not periodic:
-            ip, im = np.minimum(ip, N - 1), np.maximum(im, 0)
-        w = 1.0 / ((ip - im) * h)
-        axes.append(sp.csr_matrix((np.r_[w, -w], (np.r_[i, i],
-                                                  np.r_[ip % N, im % N])),
-                                  shape=(N, N)))
-    eye = [sp.identity(N) for N in grid.shape]
-    # csr throughout: sp.kron's default BSR blocks store explicit zeros
-    # when an axis is short
-    return tuple(reduce(partial(sp.kron, format="csr"),
-                        eye[:a] + [op] + eye[a + 1:])
-                 for a, op in enumerate(axes))
-
-
 def grid_operators(grid, metric):
     """Volume weights and symmetric stiffness for the metric on a FULL3D grid.
 
     Returns (vol, K): vol[i] = sqrt(det g_curv) h^3 per node, and K the
-    symmetric part of the single congruence D^T W D, with D the three axis
-    difference operators stacked into a (3N, N) matrix and W the 3x3 block
-    matrix of diag(g_curv^{ab} vol), so that zeta^T K zeta approximates the
-    Dirichlet energy of the metric.
+    symmetric part of one sparse product D^T (W D), so that zeta^T K zeta
+    approximates the Dirichlet energy.  D stacks the axis differences
+    (f[ip] - f[im]) / ((ip - im) h), ip, im = i +- 1 wrapped in phi and
+    clamped at the sigma and theta edges, into one (3N, N) CSR array; row
+    (a, i) of W D holds W_ab[i] D_b[i] for b = 0..2, W_ab = g_curv^{ab} vol
+    from the 3x3 cofactors.  A det g_curv not in (0, inf), NaN included,
+    raises DegenerateMetricError naming the node's radius.
     """
     import scipy.sparse as sp
+    N = grid.num_nodes
     J = grid.jacobians()
-    G = metric.g(J[:, :, 0])
-    # staged einsum, not J^T G J by matmul: matmul's rounding turns the
-    # off-diagonal entries that cancel to exactly 0 here (74% of them on a
-    # flat grid) into 1e-17, and K then stores 44% more nonzeros
-    g_curv = np.einsum('pkj,pki->pij', J, G @ J)
-    hs, ht, hp = grid.spacings
-    vol = np.sqrt(np.linalg.det(g_curv)) * (hs * ht * hp)
-    ginv = np.linalg.inv(g_curv)
-    D = sp.vstack(_diff_ops(grid), format="csr")
-    W = sp.bmat([[sp.diags(ginv[:, a, b] * vol) for b in range(3)]
-                 for a in range(3)], format="csr")
-    M = D.T @ W @ D
+    GJ = metric.g(J[:, :, 0]) @ J
+    # upper triangle a..f of g_curv = J^T (G J), summed in k order, not by
+    # matmul: its rounding turns the entries that cancel to exactly 0 here
+    # (74% on a flat grid) into 1e-17, and K then stores 44% more nonzeros
+    a, b, c, d, e, f = (sum(J[:, k, j] * GJ[:, k, i] for k in range(3))
+                        for i, j in zip(*np.triu_indices(3)))
+    # its cofactors, in the same order
+    W = np.stack([d * f - e * e, c * e - b * f, b * e - c * d,
+                  a * f - c * c, b * c - a * e, a * d - b * b])
+    det = a * W[0] + b * W[1] + c * W[2]
+    del J, GJ, a, b, c, d, e, f       # before the sparse arrays
+    bad = np.flatnonzero(~((det > 0.0) & (det < np.inf)))
+    if bad.size:
+        raise DegenerateMetricError(
+            "metric not finite and positive definite on the grid: det g_curv "
+            "= %.3g at r = %.6g" % (det[bad[0]], np.exp(grid.sigma)[
+                bad[0] // (N // len(grid.sigma))]))
+    vol = np.sqrt(det) * np.prod(grid.spacings)
+    W *= vol / det
+    node, stride = np.arange(N), N
+    # int32 indices and indptr, which scipy keeps without a copy
+    cols, wts = np.empty((3, N, 2), dtype=np.int32), np.empty((3, N, 2))
+    for axis, (n, h) in enumerate(zip(grid.shape, grid.spacings)):
+        stride //= n
+        k = np.arange(n)
+        ip, im = k + 1, k - 1
+        if axis < 2:                  # sigma and theta clamp, phi wraps
+            ip, im = np.minimum(ip, n - 1), np.maximum(im, 0)
+        at = node // stride % n
+        cols[axis] = node[:, None] + stride * (np.c_[ip % n, im % n]
+                                               - k[:, None])[at]
+        wts[axis] = np.outer(1.0 / ((ip - im) * h), [1.0, -1.0])[at]
+    D = sp.csr_array((wts.ravel(), cols.ravel(),
+                      np.arange(0, 6 * N + 1, 2, dtype=np.int32)),
+                     shape=(3 * N, N))
+    WD = sp.csr_array(                # W_ab from its six stored entries
+        (np.einsum('abi,bis->aibs', W[[0, 1, 2, 1, 3, 4, 2, 4, 5]]
+                   .reshape(3, 3, N), wts).ravel(),
+         np.tile(cols.transpose(1, 0, 2).ravel(), 3),
+         np.arange(0, 18 * N + 1, 6, dtype=np.int32)), shape=(3 * N, N))
+    M = D.T.tocsr() @ WD
+    del D, WD                         # before the symmetrization's copies
     return vol, (0.5 * (M + M.T)).tocsr()
 
 

@@ -49,14 +49,12 @@ def _orthogonal(T, n, what):
     if T.shape != (n, n):
         raise ConfigError("%s shape %s does not match dimension n=%d"
                           % (what, T.shape, n))
-    if np.max(np.abs(T.T @ T - np.eye(n))) > MATCH_TOL:
+    if not np.max(np.abs(T.T @ T - np.eye(n))) <= MATCH_TOL:
         raise ConfigError("%s is not orthogonal to %.1g" % (what, MATCH_TOL))
     return T
 
 
 def _contains(stack, T):
-    if not stack:
-        return False
     arr = np.asarray(stack)
     return bool(np.min(np.max(np.abs(arr - T[None]), axis=(1, 2))) < MATCH_TOL)
 
@@ -85,7 +83,7 @@ class GroupAction:
             raise ConfigError("elements must list the identity first")
         for T in self.elements[1:]:
             ev = np.linalg.eigvals(T)
-            if float(np.min(np.abs(ev - 1.0))) <= FREE_TOL:
+            if not float(np.min(np.abs(ev - 1.0))) > FREE_TOL:
                 raise ConfigError(
                     "group element fixes a direction on the sphere "
                     "(eigenvalue 1); the action is not free")

@@ -195,27 +195,18 @@ def sobolev_estimate_full3d(metric, r_max):
     p = 3.0  # 2n/(n-2) at n = 3 is 6; quotient uses norm^2 -> power 2/p = 1/3
 
     def quotient(z):
-        energy = float(z @ (K @ z))
-        denom = float(np.sum(z ** 6 * vol)) ** (1.0 / p)
-        if denom <= 0.0:
-            raise EstimationError("test profile vanishes on the grid",
-                                  last_iterate=z)
-        return energy / denom
+        return float(z @ (K @ z)) / float(np.sum(z ** 6 * vol)) ** (1.0 / p)
 
     lams = np.exp(np.linspace(np.log(2.0 * grid.r_min),
                               np.log(0.5 * grid.r_max), 9))
-    best_q = np.inf
-    best_z = None
-    for lam in lams:
-        zeta = _anchored_profile(r, grid.r_min, grid.r_max, 3, lam)
-        q = quotient(zeta)
-        if q < best_q:
-            best_q, best_z = q, zeta
-    Nr, Nth, Nph = grid.shape
+    zetas = [_anchored_profile(r, grid.r_min, grid.r_max, 3, lam)
+             for lam in lams]
+    qs = [quotient(z) for z in zetas]
+    best = int(np.argmin(qs))          # the first of equal minima
     label = "annulus3d[%.3g,%.3g]x%dx%dx%d" % (grid.r_min, grid.r_max,
-                                               Nr, Nth, Nph)
-    return SobolevReport(c_S=float(best_q), kind="upper-estimate", radii=r,
-                         profile=best_z, domain_label=label,
+                                               *grid.shape)
+    return SobolevReport(c_S=float(qs[best]), kind="upper-estimate", radii=r,
+                         profile=zetas[best], domain_label=label,
                          iterations=len(lams), converged=True)
 
 
@@ -235,15 +226,14 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     functions on the log-radius x latitude x longitude grid.  LOBPCG
     (Knyazev 2001) solves A x = lam M x, A = K + diag(R vol), M = diag(vol),
     with the Jacobi preconditioner of A - shift M (shift = min(0, min R) - 1
-    keeps it positive).  Its start is the Rayleigh-Ritz mode of the pencil
-    over the radial grid functions, P = kron(I, 1) on the interior rings:
-    on a radial metric K P and M P are P times sin(theta)-weighted 1D
-    operators, so the ground state lies in range(P) and LOBPCG stops at
-    iteration 0.  The residual norm |A x - lam M x| of the M-normalized mode
-    must reach 1e-10; missing it within max_iters iterations raises
-    EstimationError with the last iterate.
+    keeps it positive).  It starts from the Rayleigh-Ritz mode over the
+    ring-constant functions: on a radial metric K and M map them to
+    sin(theta)-weighted ones, so the ground state lies in their span and
+    LOBPCG stops at iteration 0.  The residual norm |A x - lam M x| of the
+    M-normalized mode must reach 1e-10; missing it within max_iters
+    iterations raises EstimationError with the last iterate.
     """
-    from scipy.sparse import diags, identity, kron
+    from scipy.sparse import diags
     from scipy.sparse.linalg import LinearOperator, lobpcg
 
     if metric.n != 3:
@@ -252,15 +242,14 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     grid = SphericalGrid(r_min=metric.r_min, r_max=float(rho), shape=shape)
     vol, K = grid_operators(grid, metric)
     # node radii in C order (r, theta, phi): exp(sigma) of each ring
-    r = np.repeat(np.exp(grid.sigma), grid.num_nodes // len(grid.sigma))
+    ring = grid.num_nodes // len(grid.sigma)
+    r = np.repeat(np.exp(grid.sigma), ring)
     Rv = _node_values(scalar_term, r)
 
-    Nr, Nth, Nph = grid.shape
-    idx_r = np.repeat(np.arange(Nr), Nth * Nph)
-    interior = idx_r < Nr - 1          # Dirichlet only on the outer ring
-
-    mass = vol[interior]
-    A = (K[interior][:, interior] + diags(Rv[interior] * mass)).tocsr()
+    m = grid.num_nodes - ring          # Dirichlet only on the outer ring
+    mass = vol[:m]
+    A = K[:m, :m]
+    A.setdiag(A.diagonal() + Rv[:m] * mass)
     shift = min(0.0, float(Rv.min())) - 1.0
     inv_diag = 1.0 / (A.diagonal() - shift * mass)
     updates = 0
@@ -275,16 +264,21 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     # dtype given, so LinearOperator does not probe jacobi with a zero vector
     precond = LinearOperator(A.shape, jacobi, dtype=float)
 
-    # Rayleigh-Ritz start over the radial grid functions, range(P)
-    P = kron(identity(Nr - 1), np.ones((Nth * Nph, 1)), format="csr")
-    _, y = eigh((P.T @ A @ P).toarray(), np.diag(P.T @ mass),
+    # Rayleigh-Ritz start over the ring-constant functions: its pencil
+    # holds the ring sums of A and of the mass
+    nr = m // ring
+    pair = (np.repeat(np.arange(m) // ring * nr, np.diff(A.indptr))
+            + A.indices // ring)
+    _, y = eigh(np.bincount(pair, A.data, nr * nr).reshape(nr, nr),
+                np.diag(mass.reshape(nr, ring).sum(axis=1)),
                 subset_by_index=[0, 0])
     with warnings.catch_warnings():
         # lobpcg only warns when it misses tol; the check below raises
         warnings.simplefilter("ignore", UserWarning)
         # lobpcg updates at iterations 0..maxiter, so max_iters - 1 caps
         # the updates at max_iters
-        lam, vec, res_hist = lobpcg(A, P @ y, B=diags(mass), M=precond,
+        lam, vec, res_hist = lobpcg(A, np.repeat(y, ring, axis=0),
+                                    B=diags(mass), M=precond,
                                     tol=_LOBPCG_TOL, maxiter=max_iters - 1,
                                     largest=False,
                                     retResidualNormsHistory=True)
@@ -296,7 +290,7 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
                               % (_LOBPCG_TOL, updates, res_hist[-1], lam),
                               last_iterate=x)
     mode = np.zeros(grid.num_nodes)
-    mode[interior] = x
+    mode[:m] = x
     return EigenvalueReport(value=lam, radii=r, mode=mode, iterations=updates,
                             shift=shift)
 

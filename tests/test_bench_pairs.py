@@ -1,9 +1,11 @@
 """tools/bench_pairs.py: pair order, the fold of canned results, the claim
-rule, the trajectory entry and the src/ tree hash."""
+rule, the trajectory entry, the src/ tree hash and the commits it fills
+in."""
 import argparse
 import os
 import platform
 import runpy
+import subprocess
 
 import numpy as np
 import pytest
@@ -117,3 +119,33 @@ def test_append_adds_an_entry_or_another_seed(tmp_path, other_seed):
     assert host["python"] == platform.python_version()
     assert (host["numpy"], host["scipy"]) == (np.__version__,
                                               scipy.__version__)
+
+
+def test_fill_changes_names_the_oldest_commit_with_the_src_tree(tmp_path):
+    # a throwaway repo: commits 1 and 2 share one src/ tree (2 changes only
+    # a file outside src/), commit 3 changes src/
+    def git(*cmd):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t",
+             "-c", "user.email=t@t", *cmd], capture_output=True, text=True,
+            check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "src").mkdir()
+    commits, trees = [], []
+    for name, body in [("src/a", "1\n"), ("notes", "x\n"), ("src/a", "2\n")]:
+        (tmp_path / name).write_text(body)
+        git("add", "-A")
+        git("commit", "-q", "-m", name)
+        commits.append(git("rev-parse", "HEAD"))
+        trees.append(PAIRS["src_tree"](str(tmp_path / "src")))
+    assert trees[0] == trees[1] == git("rev-parse", "HEAD~2:src")
+    trajectory = {"entries": [
+        {"change": "kept", "change_src_tree": trees[2]},
+        {"change": None, "change_src_tree": trees[0]},
+        {"change": None, "change_src_tree": trees[2]},
+        {"change": None, "change_src_tree": "0" * 40},
+        {"change": None}]}
+    PAIRS["fill_changes"](trajectory, str(tmp_path))
+    assert [e["change"] for e in trajectory["entries"]] \
+        == ["kept", commits[0], commits[2], None, None]

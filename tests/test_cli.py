@@ -467,6 +467,20 @@ def test_ale_ragged_matrix_exits_as_configuration_error(tmp_path, block, path):
     assert manifest["status"] == "config-error"
 
 
+def test_ale_generator_with_a_nan_entry_exits_naming_it(tmp_path):
+    scene = json.loads(json.dumps(ALE_SCENE))
+    scene["ale"]["generators"][0][1][2] = float("nan")
+    config = tmp_path / "ale.json"
+    # json writes the float as the literal NaN; the scene is refused as it
+    # loads, before a run directory exists
+    config.write_text(json.dumps(scene))
+    result = CliRunner().invoke(cli.main, [
+        "ale", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--threads", "1", "--seed", "0"])
+    assert result.exit_code == 1, result.output
+    assert "non-finite JSON literal NaN" in result.output
+
+
 def test_ale_at_dimension_seven_exits_as_configuration_error(tmp_path):
     scene = {"schema": 1,
              "metric": {"family": "schwarzschild", "dimension": 7,

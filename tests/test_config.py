@@ -45,6 +45,17 @@ def test_valid_scene_loads(tmp_path):
     assert len(cfg.sha256) == 64
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literal_is_refused_by_name(tmp_path, literal):
+    path = tmp_path / "scene.json"
+    path.write_text('{"schema": 1, "metric": {"family": "schwarzschild", '
+                    '"dimension": 3, "mass": %s}}' % literal)
+    with pytest.raises(ConfigError) as err:
+        config.load_config(path)
+    assert str(err.value) == ("config %s holds the non-finite JSON literal %s"
+                              % (path, literal))
+
+
 EYE = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 # a valid scene holding every object of the schema
 FULL_SCENE = {

@@ -3,9 +3,11 @@ the radial mesh weights against a per-node loop, and the sphere rule
 against the moments of the round sphere and its polar Gauss-Jacobi factors
 against scipy's."""
 import math
+from functools import partial, reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import roots_jacobi
 
 from masskit import grids, metrics, radial
@@ -16,6 +18,32 @@ def grid_points(grid):
     """Cartesian node coordinates, (num_nodes, 3), C-order (r, theta, phi):
     the sigma column of the Jacobian, since d x / d sigma = x."""
     return grid.jacobians()[:, :, 0].copy()
+
+
+def _diff_ops(grid):
+    """Sparse node-based central difference operators per curvilinear axis.
+
+    Row i of an axis operator is (f[ip] - f[im]) / ((ip - im) h) with
+    ip, im = i +- 1 wrapped in phi and clamped at the sigma and theta edges:
+    0.5/h inside, one-sided (first-order) 1/h on the edge rows.  Returned
+    per axis as Kronecker products over the whole grid.
+    """
+    axes = []
+    for N, h, periodic in zip(grid.shape, grid.spacings, (False, False, True)):
+        i = np.arange(N)
+        ip, im = i + 1, i - 1
+        if not periodic:
+            ip, im = np.minimum(ip, N - 1), np.maximum(im, 0)
+        w = 1.0 / ((ip - im) * h)
+        axes.append(sp.csr_matrix((np.r_[w, -w], (np.r_[i, i],
+                                                  np.r_[ip % N, im % N])),
+                                  shape=(N, N)))
+    eye = [sp.identity(N) for N in grid.shape]
+    # csr throughout: sp.kron's default BSR blocks store explicit zeros
+    # when an axis is short
+    return tuple(reduce(partial(sp.kron, format="csr"),
+                        eye[:a] + [op] + eye[a + 1:])
+                 for a, op in enumerate(axes))
 
 
 def test_grid_operators_match_einsum_reference():
@@ -39,13 +67,38 @@ def test_grid_operators_match_einsum_reference():
     g_curv = np.einsum('pki,pkl,plj->pij', J, metric.g(grid_points(grid)), J)
     vol_ref = np.sqrt(np.linalg.det(g_curv)) * np.prod(grid.spacings)
     ginv = np.linalg.inv(g_curv)
-    D = [op.toarray() for op in grids._diff_ops(grid)]
+    D = [op.toarray() for op in _diff_ops(grid)]
     K_ref = sum(D[a].T @ np.diag(ginv[:, a, b] * vol_ref) @ D[b]
                 for a in range(3) for b in range(3))
     K_ref = 0.5 * (K_ref + K_ref.T)
 
     assert np.abs(vol - vol_ref).max() <= 1e-13 * np.abs(vol_ref).max()
     assert np.abs(K.toarray() - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+
+
+@pytest.mark.parametrize("metric", [metrics.euclidean(3),
+                                    metrics.schwarzschild(1.0, 3)],
+                         ids=["euclidean", "schwarzschild"])
+@pytest.mark.parametrize("shape", [(20, 6, 12), (40, 10, 20)])
+def test_grid_operators_are_the_diff_ops_congruence(metric, shape):
+    # the benchmark's four grids, against the stacked congruence
+    # D^T W D of the Kronecker operators with LAPACK's det and inverse
+    grid = grids.SphericalGrid(r_min=1.0, r_max=8.0, shape=shape)
+    vol, K = grids.grid_operators(grid, metric)
+    assert (K != K.T).nnz == 0
+
+    J = grid.jacobians()
+    g_curv = np.einsum('pki,pkl,plj->pij', J, metric.g(grid_points(grid)), J)
+    vol_ref = np.sqrt(np.linalg.det(g_curv)) * np.prod(grid.spacings)
+    ginv = np.linalg.inv(g_curv)
+    D = sp.vstack(_diff_ops(grid), format="csr")
+    W = sp.bmat([[sp.diags(ginv[:, a, b] * vol_ref) for b in range(3)]
+                 for a in range(3)], format="csr")
+    K_ref = D.T @ W @ D
+    K_ref = 0.5 * (K_ref + K_ref.T)
+
+    assert np.abs(vol - vol_ref).max() <= 1e-13 * vol_ref.max()
+    assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
 
 
 def _axis_op_loop(N, h, periodic):
@@ -70,7 +123,7 @@ def test_diff_ops_stencil_on_linear_and_periodic_functions():
     # differentiate a linear function exactly, phi wraps periodically, and
     # the operators equal the node-by-node construction
     grid = grids.SphericalGrid(r_min=1.0, r_max=6.0, shape=(6, 4, 8))
-    Ds, Dt, Dp = grids._diff_ops(grid)
+    Ds, Dt, Dp = _diff_ops(grid)
     loops = [_axis_op_loop(N, h, a == 2)
              for a, (N, h) in enumerate(zip(grid.shape, grid.spacings))]
     eye = [np.eye(N) for N in grid.shape]

@@ -262,3 +262,14 @@ def test_lex_ge_matches_tuple_comparison(data):
                   for a, b, k in drawn])
     expected = [tuple(a) >= tuple(b) for a, b in zip(A.tolist(), B.tolist())]
     assert groups._lex_ge(A, B).tolist() == expected
+
+
+def test_a_nan_entry_is_not_orthogonal():
+    # NaN fails every comparison, so the guards are written to let only a
+    # passing value through: the generator and the element are refused
+    bad = -np.eye(3)
+    bad[0, 1] = np.nan
+    with pytest.raises(ConfigError, match="generator is not orthogonal"):
+        GroupAction.from_generators([bad])
+    with pytest.raises(ConfigError, match="group element is not orthogonal"):
+        GroupAction(elements=(np.eye(3), bad), generators=(), n=3)

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq, minimize
 
 from masskit import elliptic, metrics, radial, rayleigh
-from masskit.errors import ConfigError, EstimationError
-from masskit.grids import SphericalGrid, radial_mesh, sphere_area
+from masskit.errors import (ConfigError, DegenerateMetricError,
+                             EstimationError)
+from masskit.grids import (SphericalGrid, grid_operators, radial_mesh,
+                           sphere_area)
 
 
 def apply_stiffness(mesh, v):
@@ -421,3 +423,26 @@ def test_full3d_eigenvalue_runs_at_most_max_iters_updates(budget):
         rayleigh.eigenvalue_bound_full3d(quadrupole_chart(), 8.0, 0.0,
                                          shape=(20, 6, 12), max_iters=budget)
     assert "in %d iterations" % budget in str(err.value)
+
+
+def test_full3d_refuses_a_metric_not_positive_definite_on_the_grid():
+    # flat minus 1.5 exp(-(r - 3)^2) delta is negative definite on the
+    # shell |r - 3| < sqrt(log 1.5); each call names the first ring there
+    def h(X):
+        r = np.sqrt((X ** 2).sum(axis=1))
+        return -1.5 * np.exp(-(r - 3.0) ** 2)[:, None, None] * np.eye(3)
+
+    metric = metrics.perturbed(metrics.euclidean(3), h)
+    small = SphericalGrid(r_min=1.0, r_max=8.0, shape=(20, 6, 12))
+    calls = [
+        (small, lambda: grid_operators(small, metric)),
+        (small, lambda: rayleigh.eigenvalue_bound_full3d(metric, 8.0, 0.0,
+                                                         shape=(20, 6, 12))),
+        (SphericalGrid(r_min=1.0, r_max=8.0, shape=rayleigh.FULL3D_SHAPE),
+         lambda: rayleigh.sobolev_estimate_full3d(metric, 8.0))]
+    for grid, call in calls:
+        rings = np.exp(grid.sigma)
+        first = rings[np.abs(rings - 3.0) < np.sqrt(np.log(1.5))][0]
+        with pytest.raises(DegenerateMetricError,
+                           match=re.escape("r = %.6g" % first)):
+            call()

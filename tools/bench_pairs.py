@@ -27,8 +27,10 @@ least 9 in 10 of the pairs and its median beats the parent's by more than
 the parent's interquartile range.  Each new entry records the machine
 the pairs ran on: the CPU model from /proc/cpuinfo, the usable CPUs, and
 the Python, numpy, scipy and BLAS versions of the interpreter that runs
-bench/run.py.  Stdlib only at import; the per-pair values are printed as
-they come.
+bench/run.py.  An entry's `change` is null until a commit holds its src/
+tree: each run first fills every null `change` with the oldest commit in
+`git rev-list HEAD` whose `:src` tree is the entry's `change_src_tree`.
+Stdlib only at import; the per-pair values are printed as they come.
 """
 from __future__ import annotations
 
@@ -158,6 +160,30 @@ def claim_met(block, metric, direction):
     return m["pairs_won"] >= 0.9 * block["pairs"] and gap > hi - lo
 
 
+def fill_changes(trajectory, repo):
+    """Name the commit of every entry whose `change` is null: the oldest
+    commit in `git rev-list HEAD` of repo whose src/ tree is the entry's
+    change_src_tree.  An entry whose tree no commit has stays null."""
+    def git(*cmd, stdin=None):
+        return subprocess.run(["git", "-C", repo, *cmd], input=stdin,
+                              capture_output=True, text=True,
+                              check=True).stdout
+
+    pending = [e for e in trajectory["entries"]
+               if e.get("change") is None and e.get("change_src_tree")]
+    if not pending:
+        return
+    commits = git("rev-list", "HEAD").split()
+    # one object name per commit, or "<commit>:src missing"
+    trees = git("cat-file", "--batch-check=%(objectname)",
+                stdin="".join(c + ":src\n" for c in commits)).splitlines()
+    oldest = {}
+    for commit, tree in zip(commits, trees):
+        oldest[tree] = commit          # rev-list lists the newest first
+    for entry in pending:
+        entry["change"] = oldest.get(entry["change_src_tree"])
+
+
 def append(trajectory, args, workloads, better):
     """Add the folded runs to the trajectory dict, as a new entry or as
     another seed of the last one."""
@@ -202,12 +228,14 @@ def main(argv=None):
     caches = bytecode_caches(args.parent) + bytecode_caches(args.change)
     if caches:
         ap.error("remove the bytecode caches first: " + ", ".join(caches))
+    with open(args.out) as fh:
+        trajectory = json.load(fh)
+    # before the runs, so a checkout git cannot read fails at once
+    fill_changes(trajectory, ROOT)
     better = end_to_end()
     workloads = {w: fold(measure(args.parent, args.change, w, args.seed,
                                  args.pairs, args.seconds), better)
                  for w in args.workload}
-    with open(args.out) as fh:
-        trajectory = json.load(fh)
     append(trajectory, args, workloads, better)
     with open(args.out, "w") as fh:
         json.dump(trajectory, fh, indent=1)
