@@ -278,9 +278,13 @@ def grid_operators(grid, metric):
     clamped at the sigma and theta edges, into one (3N, N) CSR array; row
     (a, i) of W D holds W_ab[i] D_b[i] for b = 0..2, W_ab = g_curv^{ab} vol
     from the 3x3 cofactors.  A det g_curv not in (0, inf), NaN included,
-    raises DegenerateMetricError naming the node's radius.
+    raises DegenerateMetricError naming the node's radius.  The grid is
+    3D, so a metric of another dimension is a configuration error.
     """
     import scipy.sparse as sp
+    if metric.n != 3:
+        raise ConfigError("full-3D operators are n=3 only, got n=%d"
+                          % metric.n)
     N = grid.num_nodes
     J = grid.jacobians()
     GJ = metric.g(J[:, :, 0]) @ J

@@ -168,7 +168,11 @@ def fundamental_domain_mass(metric, group, radii=None):
 
 
 def invariance_gap(metric, group):
-    """Largest violation of T^t g(Tx) T = g(x) over seeded sample points."""
+    """Largest violation of T^t g(Tx) T = g(x) over seeded sample points;
+    a group of another dimension than the chart is a configuration error."""
+    if group.n != metric.n:
+        raise ConfigError("group dimension %d does not match metric "
+                          "dimension %d" % (group.n, metric.n))
     n = metric.n
     dirs = sample_directions(n, 20, rng=7)
     X = np.concatenate([metric.r_min * s * dirs for s in _INVARIANCE_RADII])
@@ -189,9 +193,6 @@ def ale_lift(metric, group, radii=None):
     by fundamental-domain quadrature; their ratio must equal the group
     order within 0.1%.  Returns (cover_metric, audit dict).
     """
-    if group.n != metric.n:
-        raise ConfigError("group dimension %d does not match metric "
-                          "dimension %d" % (group.n, metric.n))
     gap = invariance_gap(metric, group)
     if not (gap <= MATCH_TOL):
         raise RegimeError("chart is not invariant under the group: "

@@ -185,9 +185,6 @@ def sobolev_estimate_full3d(metric, r_max):
     spikes), which drives the lattice minimum far below the continuum
     constant and makes it meaningless as a domain estimate.
     """
-    if metric.n != 3:
-        raise ConfigError("full-3D Sobolev estimate is n=3 only, got n=%d"
-                          % metric.n)
     grid = SphericalGrid(r_min=metric.r_min, r_max=float(r_max),
                          shape=FULL3D_SHAPE)
     vol, K = grid_operators(grid, metric)
@@ -236,9 +233,6 @@ def eigenvalue_bound_full3d(metric, rho, scalar_term, shape=FULL3D_SHAPE,
     from scipy.sparse import diags
     from scipy.sparse.linalg import LinearOperator, lobpcg
 
-    if metric.n != 3:
-        raise ConfigError("full-3D eigenvalue bound is n=3 only, got n=%d"
-                          % metric.n)
     grid = SphericalGrid(r_min=metric.r_min, r_max=float(rho), shape=shape)
     vol, K = grid_operators(grid, metric)
     # node radii in C order (r, theta, phi): exp(sigma) of each ring

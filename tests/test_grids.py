@@ -117,6 +117,12 @@ def _axis_op_loop(N, h, periodic):
     return D
 
 
+def test_grid_operators_refuse_a_metric_that_is_not_3d():
+    grid = grids.SphericalGrid(r_min=1.0, r_max=8.0, shape=(20, 6, 12))
+    with pytest.raises(ConfigError, match="n=3"):
+        grids.grid_operators(grid, metrics.schwarzschild(1.0, 4))
+
+
 def test_diff_ops_stencil_on_linear_and_periodic_functions():
     # the reference K above is built from _diff_ops, so the stencil itself is
     # checked here: central rows and the one-sided edge rows both

@@ -196,6 +196,11 @@ def test_ale_lift_dimension_mismatch():
         ale_lift(metrics.schwarzschild(1.0, 3), antipodal())
 
 
+def test_invariance_gap_dimension_mismatch():
+    with pytest.raises(ConfigError, match="group dimension 4 does not match"):
+        invariance_gap(metrics.schwarzschild(1.0, 3), antipodal())
+
+
 def test_fixed_point_linear_group():
     p = fixed_point_of_finite_group(
         [(np.eye(4), np.zeros(4)), (-np.eye(4), np.zeros(4))])

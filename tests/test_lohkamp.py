@@ -1,4 +1,5 @@
 """Capped conformal factor, superharmonic audit, and torus glue."""
+import dataclasses
 import functools
 
 import numpy as np
@@ -12,7 +13,7 @@ from masskit.errors import ConfigError, RegimeError
 from masskit.lohkamp import (LohkampState, TorusGlueSpec, check_superharmonic,
                              lohkamp_cutoff, lohkamp_metric, lohkamp_zeta,
                              torus_glue)
-from masskit.radial import compose, const, flat_laplacian, power
+from masskit.radial import compose, const, flat_laplacian, gaussian, power
 from test_radial import triple
 
 
@@ -154,6 +155,31 @@ def test_torus_glue_rejects_a_nan_chart(u, match):
         torus_glue(chart, TorusGlueSpec(flat_radius=8.0))
 
 
+def test_failed_superharmonic_audit_is_refused():
+    state = cut_state()
+    audit = dict(check_superharmonic(state), passed=False)
+    with pytest.raises(RegimeError, match="superharmonic audit failed"):
+        lohkamp_metric(state, audit)
+
+
+def test_capped_factor_not_flat_beyond_s2_is_refused():
+    state = cut_state()
+    early = dataclasses.replace(state, s2=0.5 * state.s2)
+    with pytest.raises(RegimeError, match="not exactly constant beyond"):
+        lohkamp_metric(early, check_superharmonic(state))
+
+
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in sqrt:RuntimeWarning")
+@NAN_POWER
+def test_nan_harmonic_defect_is_rejected():
+    # u = sqrt(1 - 2/r) cut at s1 = 3: the audit grid starts at r = 1.5,
+    # where 1 - 2/r < 0 and the flat Laplacian of u is NaN
+    u = (const(1.0) + power(-2.0, -1.0)).powc(0.5)
+    with pytest.raises(ConfigError, match="not harmonic"):
+        check_superharmonic(lohkamp_cutoff(u, 3.0))
+
+
 def test_nonnegative_mass_end_is_rejected():
     u_pos = const(1.0) + power(0.25, -1.0)
     with pytest.raises(RegimeError, match="nonnegative mass"):
@@ -211,22 +237,20 @@ def test_torus_glue_accepts_capped_chart():
     spec = TorusGlueSpec(flat_radius=32.0)
     assert spec.side == 512.0 and spec.collar == 32.0
     report = torus_glue(metric, spec)
-    assert report["periodicity_gap"] == 0.0
-    assert report["derivative_gap"] == 0.0
+    assert report["collar_gap"] == 0.0
     assert report["constant_factor"] == 0.984375 ** 4
     assert report["min_R"] >= -1e-15
     assert abs(report["witness_R"] - 1.494200967323248e-3) <= 1e-12
     assert report["positive_witness"]
-    assert report["collar_points"] == 88
-    assert report["periodicity_pairs"] == 48
+    assert report["collar_radii"] == [224.0, float(np.sqrt(3)) * 256.0]
 
 
 def test_torus_glue_flat_chart_is_neutral():
     report = torus_glue(metrics.euclidean(3),
                         TorusGlueSpec(flat_radius=1.0, side=16.0))
     assert report["constant_factor"] == 1.0
-    assert report["periodicity_gap"] == 0.0
-    assert report["derivative_gap"] == 0.0
+    assert report["collar_gap"] == 0.0
+    assert report["collar_radii"] == [7.0, float(np.sqrt(3)) * 8.0]
     assert report["witness_R"] == 0.0
     assert not report["positive_witness"]
 
@@ -235,6 +259,23 @@ def test_torus_glue_rejects_shrunk_cube():
     metric, _ = glued()
     with pytest.raises(RegimeError, match="collar"):
         torus_glue(metric, TorusGlueSpec(flat_radius=32.0, side=44.0))
+
+
+def test_torus_glue_rejects_a_bend_between_collar_samples():
+    # flat outside a bump at r = 238, inside the collar radii [224, 443.4]
+    # of the default cube and narrower than the gap between the radii
+    # 232.7 and 243.3 of nearby face, edge and corner sample points
+    u = const(1.0) + gaussian(1e-3, 238.0, 0.5)
+    chart = metrics.conformally_flat(u, 3, family="collar-bend")
+    with pytest.raises(RegimeError, match="cube collar"):
+        torus_glue(chart, TorusGlueSpec(flat_radius=32.0))
+
+
+def test_torus_glue_refuses_a_chart_with_a_radial_term():
+    chart = metrics.radial_metric(const(1.0), power(0.1, -1.0), 3,
+                                  conformal_u=const(1.0))
+    with pytest.raises(ConfigError, match="conformally flat"):
+        torus_glue(chart, TorusGlueSpec(flat_radius=1.0))
 
 
 def test_torus_glue_requires_conformal_chart():
@@ -261,47 +302,3 @@ def test_state_round_trip_fields():
     rebuilt = compose(state.zeta, state.u)
     rr = np.linspace(4.0, 128.0, 513)
     assert np.array_equal(rebuilt.value(rr), state.v.value(rr))
-
-
-def reference_collar_points(n, half, collar):
-    """The collar sample set written out loop by loop: face centers, edge
-    midpoints, corners and generic on-face points, then all of them scaled
-    to the collar's inner edge."""
-    base = []
-    for k in range(n):
-        for sgn in (-1.0, 1.0):
-            x = np.zeros(n)
-            x[k] = sgn * half
-            base.append(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (-1.0, 1.0):
-                for sj in (-1.0, 1.0):
-                    x = np.zeros(n)
-                    x[i] = si * half
-                    x[j] = sj * half
-                    base.append(x)
-    for bits in range(2 ** n):
-        base.append(np.array([half if (bits >> k) & 1 else -half
-                              for k in range(n)]))
-    for k in range(n):
-        for sgn in (-1.0, 1.0):
-            for a in (-0.45, -0.15, 0.3):
-                x = np.full(n, a * 2.0 * half / 3.0)
-                x[k] = sgn * half
-                base.append(x)
-    scale = (half - collar) / half
-    return np.array(base + [scale * x for x in base])
-
-
-def sorted_rows(P):
-    return P[np.lexsort(P.T[::-1])]
-
-
-@pytest.mark.parametrize("n, count",
-                         [(3, 88), (4, 144), (5, 224), (6, 344), (7, 536)])
-def test_collar_points_match_the_loops(n, count):
-    P = lohkamp._collar_points(n, 256.0, 32.0)
-    ref = reference_collar_points(n, 256.0, 32.0)
-    assert len(P) == len(ref) == count
-    assert np.array_equal(sorted_rows(P), sorted_rows(ref))

@@ -14,8 +14,9 @@ src/masskit are traced line by line.
 Per module the report gives the executable lines (those the compiled code
 objects map instructions to), the lines no phase ran, and, when tier-1 and
 at least one workload ran, the lines only tier-1 ran.  -v lists those
-lines with their source.  Stdlib only; a traced tier-1 run takes about
-twice as long as an untraced one.
+lines with their source.  The exit status is 1 when any phase failed,
+since its counts then overstate the never-run lines.  Stdlib only; a
+traced tier-1 run takes about twice as long as an untraced one.
 """
 from __future__ import annotations
 
@@ -132,11 +133,14 @@ def _workload_names():
 
 
 def report(phases, verbose):
-    """Run the phases; print per-module counts and, with verbose, lines."""
-    tests, bench = {}, {}
+    """Run the phases; print per-module counts and, with verbose, lines.
+    Returns the names of the phases that exited nonzero."""
+    tests, bench, failed = {}, {}, []
     for phase in phases:
         status, hits = run_phase(phase)
         print("# phase %-16s exit %s" % (phase, status), flush=True)
+        if status:
+            failed.append(phase)
         into = tests if phase == "tests" else bench
         for path, lines in hits.items():
             into.setdefault(path, set()).update(lines)
@@ -167,6 +171,7 @@ def report(phases, verbose):
                                   totals[2] if split else "-"))
     for line in listing:
         print(line)
+    return failed
 
 
 def main(argv=None):
@@ -186,8 +191,7 @@ def main(argv=None):
     if unknown:
         ap.error("unknown phase %s (choose from %s)"
                  % (", ".join(unknown), ", ".join(known)))
-    report(phases, args.verbose)
-    return 0
+    return 1 if report(phases, args.verbose) else 0
 
 
 if __name__ == "__main__":
